@@ -1,8 +1,14 @@
 """Deliberately independent reference models for differential tests.
 
-These share no code or data layout with the package: the cache keeps each
-set as a recency-ordered list of [block, dirty] entries (MRU first) instead
-of rank arrays, and knows nothing about rotation.
+These share no code or data layout with the package. Each cache set is a
+recency-ordered Python list (MRU first), the LRU stack of Mattson et al.,
+"Evaluation techniques for storage hierarchies" (IBM Sys. J. 1970), and
+counters are kept per set rather than in flat per-entry arrays.
+
+RefSetAssocLRU is a plain cache with no rotation. RefRotatingCache adds the
+physical-way bookkeeping the wear counters need and the rotating set
+mapping; RefHierarchy wires seven of them into the L1/L2/L3 + TLB/STLB
+hierarchy, recursing level by level by role name.
 """
 
 
@@ -34,3 +40,123 @@ class RefSetAssocLRU:
             entries.insert(0, [block, kind == "WRITE"])
             return (False, True, writeback)
         return (False, False, None)
+
+
+class RefRotatingCache:
+    """LRU cache whose block-to-set mapping shifts by one set per rotation.
+
+    A block with index field i lives in physical set (i + shift) mod sets.
+    Each set is a list of [way, block, dirty] lines, MRU first. A fill takes
+    the lowest-numbered way no line occupies, else evicts the LRU line.
+    Every `rotation_period` accesses (None = never) the cache rotates: it
+    hands each dirty line's address to `on_writeback` in physical order
+    (set 0 way 0, set 0 way 1, ...), empties every set, then shifts.
+    `line_writes[s][w]` counts fills and write hits landing on set s way w.
+    """
+
+    def __init__(self, sets, ways, line_bytes, rotation_period=None,
+                 write_allocate=True, charge_rotation_writebacks=True):
+        self.sets = sets
+        self.ways = ways
+        self.line_bytes = line_bytes
+        self.rotation_period = rotation_period
+        self.write_allocate = write_allocate
+        self.charge_rotation_writebacks = charge_rotation_writebacks
+        self.on_writeback = None
+        self.shift = 0
+        self._sets = [[] for _ in range(sets)]
+        self.line_writes = [[0] * ways for _ in range(sets)]
+        self.accesses = 0
+        self.fills = 0
+        self.write_hits = 0
+        self.rotation_writebacks = 0
+
+    def resident_blocks(self):
+        return {line[1] for lines in self._sets for line in lines}
+
+    def access(self, address, kind):
+        """Returns (hit, fill, writeback_address_or_None)."""
+        block = address // self.line_bytes
+        s = (block % self.sets + self.shift) % self.sets
+        lines = self._sets[s]
+        for pos, line in enumerate(lines):
+            if line[1] == block:
+                lines.insert(0, lines.pop(pos))
+                if kind == "WRITE":
+                    line[2] = True
+                    self.line_writes[s][line[0]] += 1
+                    self.write_hits += 1
+                result = (True, False, None)
+                break
+        else:
+            if kind == "READ" or self.write_allocate:
+                taken = {line[0] for line in lines}
+                free = [w for w in range(self.ways) if w not in taken]
+                writeback = None
+                if free:
+                    way = free[0]
+                else:
+                    way, old_block, dirty = lines.pop()
+                    if dirty:
+                        writeback = old_block * self.line_bytes
+                lines.insert(0, [way, block, kind == "WRITE"])
+                self.line_writes[s][way] += 1
+                self.fills += 1
+                result = (False, True, writeback)
+            else:
+                result = (False, False, None)
+        self.accesses += 1
+        if self.rotation_period and self.accesses % self.rotation_period == 0:
+            self.rotate()
+        return result
+
+    def rotate(self):
+        for lines in self._sets:
+            for _way, block, dirty in sorted(lines):
+                if dirty:
+                    self.rotation_writebacks += 1
+                    if self.charge_rotation_writebacks and self.on_writeback:
+                        self.on_writeback(block * self.line_bytes)
+        self._sets = [[] for _ in range(self.sets)]
+        self.shift = (self.shift + 1) % self.sets
+
+
+class RefHierarchy:
+    """L1D/L1I over L2 over L3, D/I TLBs over the STLB, memory below L3.
+
+    A miss that fills fetches the block from the level below as a READ; a
+    write miss that does not allocate passes below as a WRITE. A dirty
+    eviction is written to the level below before the fill is fetched, and
+    rotation write-backs land below as WRITEs.
+    """
+
+    BELOW = {"L1D": "L2", "L1I": "L2", "L2": "L3", "L3": None}
+
+    def __init__(self, levels, charge_rotation_writebacks=True):
+        """levels: {role: dict(sets, ways, line_bytes, rotation_period,
+        write_allocate)} for all seven roles."""
+        self.levels = {
+            role: RefRotatingCache(
+                charge_rotation_writebacks=charge_rotation_writebacks, **geom)
+            for role, geom in levels.items()}
+        for role, below in self.BELOW.items():
+            if below is not None:
+                self.levels[role].on_writeback = (
+                    lambda address, below=below: self._visit(below, address, "WRITE"))
+
+    def _visit(self, role, address, kind):
+        if role is None:
+            return  # memory absorbs everything
+        hit, fill, writeback = self.levels[role].access(address, kind)
+        below = self.BELOW[role]
+        if writeback is not None:
+            self._visit(below, writeback, "WRITE")
+        if not hit:
+            self._visit(below, address, "READ" if fill else kind)
+
+    def access(self, address, kind, space):
+        tlb, first = ("DTLB", "L1D") if space == "DATA" else ("ITLB", "L1I")
+        page = address // 4096
+        if not self.levels[tlb].access(page, "READ")[0]:
+            self.levels["STLB"].access(page, "READ")
+        self._visit(first, address, kind)

@@ -1,10 +1,12 @@
 """Side-by-side simulation driver and command-line interface tests."""
 
+import hashlib
 import json
 
 import pytest
 
 from emsim.cli import main
+from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
 from emsim.workload import ConfigError, parse_trace
 
@@ -222,6 +224,63 @@ def test_cli_simulate_runs_are_byte_identical(tmp_path):
            (outs[1] / "report.csv").read_bytes()
     assert (outs[0] / "report.json").read_bytes() == \
            (outs[1] / "report.json").read_bytes()
+
+
+def mixed_trace(seed, cycles):
+    """Every cycle: an ALU burst, a skewed GPR write, a looping instruction
+    fetch and a data read or write, hot or spread over 256 KiB."""
+    rng = SplitMix64(seed)
+    lines = []
+    for cycle in range(cycles):
+        lines.append(f"{cycle} A {rng.randbelow(4)}")
+        lines.append(f"{cycle} R GPR {min(rng.randbelow(16), rng.randbelow(16))}")
+        lines.append(f"{cycle} M R {0x10000 + (cycle % 700) * 16} I")
+        span = 1 << 11 if rng.randbelow(4) else 1 << 18
+        kind = "W" if rng.randbelow(2) else "R"
+        lines.append(f"{cycle} M {kind} {rng.randbelow(span)} D")
+    return "\n".join(lines) + "\n"
+
+
+# Frozen sha256 of (report.csv, report.json): the cache model may change,
+# the reports may not. The first run rotates every structure with dirty
+# write-backs; the second shrinks the hierarchy so that evictions and
+# rotation write-backs reach L2 and L3, pins L2 and the STLB with "never",
+# and makes L1D write-no-allocate; the third rotates every level of a small
+# hierarchy without charging rotation write-backs below.
+PINNED_REPORTS = [
+    (["--structure", "all", "--rotation-period", "150"], None,
+     "19ce33625dcfd9bef5cb1040f87c8b4ad25f5791922cc4d6cf0f4969f4db13f8",
+     "d74c79fa9acf0dedbb46f575f1cdc8d4f74e453108d7264f9ad12e2e09743e0f"),
+    (["--structure", "cache"],
+     {"cache": {"rotation_period": 60, "levels": {
+         "L1D": {"sets": 4, "ways": 2, "write_allocate": False},
+         "L1I": {"sets": 8, "ways": 2},
+         "L2": {"sets": 8, "ways": 4, "rotation_period": "never"},
+         "L3": {"sets": 16, "ways": 4, "rotation_period": 90},
+         "DTLB": {"sets": 2, "ways": 2},
+         "STLB": {"sets": 4, "ways": 2, "rotation_period": "never"}}}},
+     "dc14709107b27b4f735361e530fb98ac8834de6672cb91c2d28bc6fd65b01af8",
+     "2f00e5aec8c9cbd7e77ef09c96b4d8fbc4838b36eed0487a1deef4e6d9182dd8"),
+    (["--structure", "cache", "--rotation-period", "40"],
+     {"cache": {"count_rotation_writebacks": False, "levels": {
+         "L1D": {"sets": 2, "ways": 4}, "L2": {"sets": 4, "ways": 4},
+         "L3": {"sets": 8, "ways": 8}}}},
+     "b305e6aa4f798ecac0c712fd98ea4f27f4b2c39f12daa75f32534cb4d8661c84",
+     "5d1f6d0d3fcbf1937bf09ff1485ff799f0dde29fbeff3caaabf4a9bf97861d83"),
+]
+
+
+@pytest.mark.parametrize("flags,config,csv_digest,json_digest", PINNED_REPORTS)
+def test_cli_simulate_pinned_report_digest(tmp_path, flags, config,
+                                           csv_digest, json_digest):
+    argv = ["simulate", "--trace", write(tmp_path / "t.trace", mixed_trace(5, 2000)),
+            "--out", str(tmp_path / "o"), *flags]
+    if config is not None:
+        argv += ["--config", write(tmp_path / "cfg.json", json.dumps(config))]
+    assert main(argv) == 0
+    digests = tuple(hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+                    for name in ("report.csv", "report.json"))
+    assert digests == (csv_digest, json_digest)
 
 
 def test_cli_config_file_sets_units_and_flags_win(tmp_path):
