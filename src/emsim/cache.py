@@ -6,6 +6,12 @@ written back first when a lower level is attached), so each physical set
 takes turns hosting the hottest index. Per-set and per-line write counters
 record the wear the rotation is meant to spread.
 
+Each cache keeps one LRU model: a dict from every resident block to its
+entry index (set * ways + way), and per set a list of its resident entry
+indices, most recently used first (the LRU stack of Mattson et al., IBM
+Sys. J. 1970). A fill takes the lowest free way and only a rotation frees
+lines, so a set's resident ways are always 0 .. len(list) - 1.
+
 Write accounting: a write hit and a line fill each count as one write to
 the touched entry (a fill rewrites the whole line). Invalidation clears
 bits only and is not counted; the refill traffic it causes is.
@@ -17,12 +23,12 @@ pages), so a "block address" there is just the page number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .workload import ConfigError
 
 PAGE_BYTES = 4096
-DEFAULT_ROTATION_PERIOD = 10_000_000
 LEVEL_ROLES = ("L1D", "L1I", "L2", "L3", "DTLB", "ITLB", "STLB")
 
 
@@ -38,7 +44,6 @@ class CacheConfig:
     line_bytes: int
     rotation_period: int | None = None  # None = never rotate
     write_allocate: bool = True
-    level_role: str = ""
 
     def __post_init__(self):
         if not _power_of_two(self.sets):
@@ -51,30 +56,22 @@ class CacheConfig:
             raise ValueError(f"{self.name}: rotation_period must be >= 1 or None")
 
 
-@dataclass(frozen=True, slots=True)
-class AccessOutcome:
-    hit: bool
-    fill: bool
-    writeback: int | None = None  # byte address of the evicted dirty block
-
-
 class RotatingCache:
-    __slots__ = ("config", "rot_counter", "_valid", "_tag", "_dirty", "_rank",
+    __slots__ = ("config", "rot_counter", "_where", "_lru", "_tag", "_dirty",
                  "set_writes", "line_writes", "invalidations", "accesses",
                  "fills", "write_hits", "rotation_writebacks",
-                 "writeback_sink", "charge_rotation_writebacks", "debug")
+                 "writeback_sink", "charge_rotation_writebacks")
 
     def __init__(self, config: CacheConfig,
                  writeback_sink: Optional[Callable[[int], None]] = None,
-                 charge_rotation_writebacks: bool = True,
-                 debug: bool = False):
+                 charge_rotation_writebacks: bool = True):
         self.config = config
         self.rot_counter = 0
         n = config.sets * config.ways
-        self._valid = [False] * n
-        self._tag = [0] * n
-        self._dirty = [False] * n
-        self._rank = list(range(config.ways)) * config.sets
+        self._where: dict[int, int] = {}  # resident block -> entry index
+        self._lru = [[] for _ in range(config.sets)]  # resident entries, MRU first
+        self._tag = [0] * n  # block held by each resident entry
+        self._dirty = bytearray(n)
         self.set_writes = [0] * config.sets
         self.line_writes = [0] * n
         self.invalidations = 0
@@ -84,85 +81,66 @@ class RotatingCache:
         self.rotation_writebacks = 0
         self.writeback_sink = writeback_sink
         self.charge_rotation_writebacks = charge_rotation_writebacks
-        self.debug = debug
 
     def physical_set(self, address: int) -> int:
         index_field = (address // self.config.line_bytes) % self.config.sets
         return (index_field + self.rot_counter) % self.config.sets
 
-    def access(self, address: int, kind: str) -> AccessOutcome:
+    def access(self, address: int, kind: str) -> tuple[bool, bool, int | None]:
+        """Returns (hit, fill, byte address of the evicted dirty block or None)."""
         cfg = self.config
-        ways = cfg.ways
         block = address // cfg.line_bytes
-        s = (block % cfg.sets + self.rot_counter) % cfg.sets
-        base = s * ways
-
-        hit_way = -1
-        for w in range(ways):
-            i = base + w
-            if self._valid[i] and self._tag[i] == block:
-                hit_way = w
-                break
-
-        if hit_way >= 0:
-            self._touch(base, ways, hit_way)
+        s = (block + self.rot_counter) % cfg.sets
+        lru = self._lru[s]
+        e = self._where.get(block)
+        if e is not None:
+            lru.remove(e)
+            lru.insert(0, e)
             if kind == "WRITE":
-                self._dirty[base + hit_way] = True
+                self._dirty[e] = True
                 self.set_writes[s] += 1
-                self.line_writes[base + hit_way] += 1
+                self.line_writes[e] += 1
                 self.write_hits += 1
-            out = AccessOutcome(hit=True, fill=False)
+            out = (True, False, None)
         elif kind == "READ" or cfg.write_allocate:
-            victim = -1
-            for w in range(ways):
-                if not self._valid[base + w]:
-                    victim = w
-                    break
-            if victim < 0:
-                for w in range(ways):
-                    if self._rank[base + w] == ways - 1:
-                        victim = w
-                        break
-            i = base + victim
             wb = None
-            if self._valid[i] and self._dirty[i]:
-                wb = self._tag[i] * cfg.line_bytes
-            self._valid[i] = True
-            self._tag[i] = block
-            self._dirty[i] = kind == "WRITE"
-            self._touch(base, ways, victim)
+            if len(lru) < cfg.ways:
+                e = s * cfg.ways + len(lru)
+            else:
+                e = lru.pop()
+                del self._where[self._tag[e]]
+                if self._dirty[e]:
+                    wb = self._tag[e] * cfg.line_bytes
+            lru.insert(0, e)
+            self._where[block] = e
+            self._tag[e] = block
+            self._dirty[e] = kind == "WRITE"
             self.set_writes[s] += 1
-            self.line_writes[i] += 1
+            self.line_writes[e] += 1
             self.fills += 1
-            out = AccessOutcome(hit=False, fill=True, writeback=wb)
+            out = (False, True, wb)
         else:
             # write miss on a no-allocate cache: the write passes below
-            out = AccessOutcome(hit=False, fill=False)
-
-        if self.debug:
-            assert sorted(self._rank[base:base + ways]) == list(range(ways))
+            out = (False, False, None)
 
         self.accesses += 1
         if cfg.rotation_period is not None and self.accesses % cfg.rotation_period == 0:
             self.rotate()
         return out
 
-    def _touch(self, base: int, ways: int, way: int) -> None:
-        old = self._rank[base + way]
-        for w in range(ways):
-            if self._rank[base + w] < old:
-                self._rank[base + w] += 1
-        self._rank[base + way] = 0
-
     def rotate(self) -> None:
         cfg = self.config
-        for i in range(cfg.sets * cfg.ways):
-            if self._valid[i] and self._dirty[i]:
-                self.rotation_writebacks += 1
-                if self.charge_rotation_writebacks and self.writeback_sink is not None:
-                    self.writeback_sink(self._tag[i] * cfg.line_bytes)
-            self._valid[i] = False
-            self._dirty[i] = False
+        sink = self.writeback_sink if self.charge_rotation_writebacks else None
+        # set-major, way-ascending: the order the write-backs reach the level
+        # below decides its LRU state
+        for s, lru in enumerate(self._lru):
+            for e in range(s * cfg.ways, s * cfg.ways + len(lru)):
+                if self._dirty[e]:
+                    self.rotation_writebacks += 1
+                    if sink is not None:
+                        sink(self._tag[e] * cfg.line_bytes)
+            lru.clear()
+        self._where.clear()
         self.rot_counter = (self.rot_counter + 1) % cfg.sets
         self.invalidations += 1
 
@@ -189,15 +167,6 @@ _DEFAULT_GEOMETRY = {
 }
 
 
-def default_level_configs(rotation_period: int | None = None) -> dict[str, CacheConfig]:
-    """Table-driven defaults; one CacheConfig per level role."""
-    return {
-        role: CacheConfig(name=role, level_role=role,
-                          rotation_period=rotation_period, **geom)
-        for role, geom in _DEFAULT_GEOMETRY.items()
-    }
-
-
 class Hierarchy:
     """L1D/L1I over a shared L2 and L3, with D/I TLBs over a shared STLB.
 
@@ -212,53 +181,50 @@ class Hierarchy:
         if missing:
             raise ValueError(f"hierarchy missing levels: {missing}")
         self.caches = caches
-        l2, l3 = caches["L2"], caches["L3"]
-        self._below = {"L1D": [l2, l3], "L1I": [l2, l3], "L2": [l3], "L3": []}
-        for role, chain in self._below.items():
-            caches[role].writeback_sink = self._make_sink(chain)
+        self._stlb = caches["STLB"]
+        self._spaces = {}
+        for space, tlb, first in (("DATA", "DTLB", "L1D"), ("INSTR", "ITLB", "L1I")):
+            path = (caches[first], caches["L2"], caches["L3"])
+            self._spaces[space] = (caches[tlb], path)
+            # L1x rotation write-backs enter the path at L2, L2's at L3; L3's
+            # go to memory (no sink)
+            for i in (0, 1):
+                path[i].writeback_sink = partial(self._walk, path, i + 1, kind="WRITE")
 
-    def _make_sink(self, chain):
-        return lambda address: self._chain_access(chain, address, "WRITE")
-
-    def _chain_access(self, chain, address: int, kind: str) -> None:
-        if not chain:
-            return
-        out = chain[0].access(address, kind)
-        if out.writeback is not None:
-            self._chain_access(chain[1:], out.writeback, "WRITE")
-        if not out.hit:
-            if out.fill:
-                self._chain_access(chain[1:], address, "READ")
-            elif kind == "WRITE":
-                self._chain_access(chain[1:], address, "WRITE")
+    def _walk(self, path, i: int, address: int, kind: str) -> None:
+        """Access path[i], then the levels below it as the outcome requires."""
+        while i < len(path):
+            hit, fill, writeback = path[i].access(address, kind)
+            i += 1
+            if writeback is not None:
+                self._walk(path, i, writeback, "WRITE")
+            if hit:
+                return
+            if fill:
+                kind = "READ"  # fetch the block; a no-allocate write passes on as is
 
     def access(self, address: int, kind: str, space: str = "DATA") -> None:
         if address < 0:
             raise ValueError("address must be non-negative")
-        page = address // PAGE_BYTES
-        if space == "DATA":
-            tlb, first = "DTLB", "L1D"
-        elif space == "INSTR":
-            tlb, first = "ITLB", "L1I"
-        else:
+        if space not in self._spaces:
             raise ValueError(f"unknown address space {space!r}")
-        tlb_out = self.caches[tlb].access(page, "READ")
-        if not tlb_out.hit:
-            self.caches["STLB"].access(page, "READ")
-        self._chain_access([self.caches[first]] + self._below[first], address, kind)
+        tlb, path = self._spaces[space]
+        page = address // PAGE_BYTES
+        if not tlb.access(page, "READ")[0]:
+            self._stlb.access(page, "READ")
+        self._walk(path, 0, address, kind)
 
 
 def build_hierarchy(rotation_period: int | None = None,
                     overrides: dict | None = None,
-                    charge_rotation_writebacks: bool = True,
-                    debug: bool = False) -> Hierarchy:
+                    charge_rotation_writebacks: bool = True) -> Hierarchy:
     """Assemble a hierarchy from defaults plus per-level overrides.
 
     rotation_period applies to every level (None = no rotation anywhere);
     overrides is {role: {sets|ways|line_bytes|rotation_period|write_allocate}}
     and wins over the global period for the levels it names.
     """
-    configs = {}
+    caches = {}
     overrides = overrides or {}
     unknown = set(overrides) - set(LEVEL_ROLES)
     if unknown:
@@ -271,18 +237,16 @@ def build_hierarchy(rotation_period: int | None = None,
                 raise ConfigError(f"unknown cache config field {key!r} for {role}")
             fields[key] = value
         try:
-            configs[role] = CacheConfig(name=role, level_role=role, **fields)
+            cfg = CacheConfig(name=role, **fields)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    caches = {role: RotatingCache(cfg,
-                                  charge_rotation_writebacks=charge_rotation_writebacks,
-                                  debug=debug)
-              for role, cfg in configs.items()}
+        caches[role] = RotatingCache(
+            cfg, charge_rotation_writebacks=charge_rotation_writebacks)
     return Hierarchy(caches)
 
 
 def hierarchy_overrides_from_json(doc) -> dict:
-    """Normalize a JSON hierarchy config into build_hierarchy overrides.
+    """Normalize a parsed JSON hierarchy config into build_hierarchy overrides.
 
     Accepted shape (all parts optional):
 
@@ -295,12 +259,6 @@ def hierarchy_overrides_from_json(doc) -> dict:
     Returns {"rotation_period": ..., "count_rotation_writebacks": ...,
     "levels": ...} with "never"/null mapped to None; absent keys omitted.
     """
-    if isinstance(doc, str):
-        import json
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"hierarchy config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("hierarchy config must be a JSON object")
     unknown = set(doc) - {"rotation_period", "count_rotation_writebacks", "levels"}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import LEVEL_ROLES, build_hierarchy
 from .em_models import UNBOUNDED
-from .regfile import RotatingRegFile, ring_preset
+from .regfile import DEFAULT_ROTATION_PERIOD, RotatingRegFile, ring_preset
 from .wear_stats import (
     StructureReport,
     geo_mean,
@@ -38,7 +38,6 @@ from .workload import AluIssue, ConfigError, Event, MemAccess, RegWrite
 
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
-DEFAULT_ROTATION_PERIOD = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,9 @@
 import pytest
 
 from emsim.cache import (
-    AccessOutcome,
     CacheConfig,
     RotatingCache,
     build_hierarchy,
-    default_level_configs,
     hierarchy_overrides_from_json,
 )
 from emsim.rng import SplitMix64
@@ -16,7 +14,7 @@ from reference_models import RefSetAssocLRU
 def make(sets=4, ways=2, line_bytes=64, **kw):
     cfg_kw = {k: kw.pop(k) for k in ("rotation_period", "write_allocate") if k in kw}
     cfg = CacheConfig(name="t", sets=sets, ways=ways, line_bytes=line_bytes, **cfg_kw)
-    return RotatingCache(cfg, debug=True, **kw)
+    return RotatingCache(cfg, **kw)
 
 
 def test_config_validation():
@@ -45,16 +43,14 @@ def test_physical_set_mapping():
 def test_cold_fill_counts_one_write():
     c = make()
     out = c.access(0x1000, "READ")
-    assert out == AccessOutcome(hit=False, fill=True, writeback=None)
+    assert out == (False, True, None)
     assert sum(c.line_writes) == 1 and c.fills == 1 and c.write_hits == 0
 
 
 def test_write_then_write_same_address():
     c = make()
-    first = c.access(0x40, "WRITE")
-    second = c.access(0x40, "WRITE")
-    assert (first.hit, first.fill) == (False, True)
-    assert (second.hit, second.fill) == (True, False)
+    assert c.access(0x40, "WRITE") == (False, True, None)
+    assert c.access(0x40, "WRITE") == (True, False, None)
     s = c.physical_set(0x40)
     assert c.set_writes[s] == 2
     assert sum(c.line_writes) == 2
@@ -67,10 +63,10 @@ def test_direct_mapped_conflict_thrash():
     c = make(sets=4, ways=1)
     addrs = [i * 4 * 64 for i in range(5)]
     for a in addrs:
-        assert not c.access(a, "READ").hit
+        assert c.access(a, "READ") == (False, True, None)
     for _ in range(3):
         for a in addrs:
-            assert not c.access(a, "READ").hit
+            assert c.access(a, "READ") == (False, True, None)
 
 
 def test_rotate_on_empty_cache():
@@ -86,10 +82,9 @@ def test_rotate_on_empty_cache():
 def test_rotation_invalidates_everything():
     c = make()
     c.access(0x80, "WRITE")
-    assert c.access(0x80, "READ").hit
+    assert c.access(0x80, "READ") == (True, False, None)
     c.rotate()
-    out = c.access(0x80, "READ")
-    assert not out.hit and out.fill
+    assert c.access(0x80, "READ") == (False, True, None)
     # the rotation writeback was recorded even without a sink attached
     assert c.rotation_writebacks == 1
 
@@ -98,18 +93,15 @@ def test_dirty_eviction_reports_writeback():
     c = make(sets=4, ways=1)
     a, b = 0x0, 4 * 64  # same index field
     c.access(a, "WRITE")
-    out = c.access(b, "READ")
-    assert out.writeback == a
-    out = c.access(a, "READ")  # b is clean, no writeback
-    assert out.writeback is None
+    assert c.access(b, "READ") == (False, True, a)
+    assert c.access(a, "READ") == (False, True, None)  # b is clean
 
 
 def test_write_no_allocate():
     c = make(write_allocate=False)
-    out = c.access(0x100, "WRITE")
-    assert out == AccessOutcome(hit=False, fill=False, writeback=None)
+    assert c.access(0x100, "WRITE") == (False, False, None)
     assert c.fills == 0 and sum(c.line_writes) == 0 and c.accesses == 1
-    assert c.access(0x100, "READ").fill  # reads still allocate
+    assert c.access(0x100, "READ") == (False, True, None)  # reads still allocate
 
 
 def test_rotation_trigger_fires_after_period():
@@ -126,10 +118,9 @@ def test_lru_eviction_order():
     for blk in (0, 1, 2):
         c.access(blk * 64, "READ")
     c.access(0, "READ")  # 0 becomes MRU; LRU is now 1
-    out = c.access(3 * 64, "READ")
-    assert out.fill
-    assert not c.access(0, "READ").fill   # still resident
-    assert c.access(64, "READ").fill      # 1 was the victim
+    assert c.access(3 * 64, "READ") == (False, True, None)
+    assert c.access(0, "READ") == (True, False, None)   # still resident
+    assert c.access(64, "READ") == (False, True, None)  # 1 was the victim
 
 
 @pytest.mark.parametrize("sets,ways,line_bytes", [
@@ -143,8 +134,7 @@ def test_oracle_equivalence_no_rotation(sets, ways, line_bytes):
     for _ in range(20_000):
         addr = rng.randbelow(span)
         kind = "WRITE" if rng.randbelow(2) else "READ"
-        out = mine.access(addr, kind)
-        assert (out.hit, out.fill, out.writeback) == ref.access(addr, kind)
+        assert mine.access(addr, kind) == ref.access(addr, kind)
 
 
 def test_conservation_random_trace():
@@ -177,7 +167,7 @@ def test_hammering_spreads_exactly():
 
 
 def test_default_geometry():
-    cfgs = default_level_configs()
+    cfgs = {role: c.config for role, c in build_hierarchy().caches.items()}
     assert (cfgs["L1D"].sets, cfgs["L1D"].ways) == (64, 8)
     assert (cfgs["L1I"].sets, cfgs["L1I"].ways) == (128, 4)
     assert (cfgs["L2"].sets, cfgs["L2"].ways) == (512, 8)
@@ -266,12 +256,10 @@ def test_hierarchy_rejects_bad_input():
 
 
 def test_overrides_from_json():
-    doc = """{
-      "rotation_period": "never",
-      "count_rotation_writebacks": false,
-      "levels": {"L1D": {"sets": 16, "rotation_period": 1000},
-                 "STLB": {"ways": 8}}
-    }"""
+    doc = {"rotation_period": "never",
+           "count_rotation_writebacks": False,
+           "levels": {"L1D": {"sets": 16, "rotation_period": 1000},
+                      "STLB": {"ways": 8}}}
     norm = hierarchy_overrides_from_json(doc)
     assert norm["rotation_period"] is None
     assert norm["count_rotation_writebacks"] is False
@@ -280,7 +268,7 @@ def test_overrides_from_json():
 
 
 @pytest.mark.parametrize("doc,needle", [
-    ("{bad", "not valid JSON"),
+    ({"levels": {"L1D": []}}, "level L1D config must be an object"),
     ("[]", "must be a JSON object"),
     ({"rotation_period": -5}, "rotation_period"),
     ({"rotation_period": True}, "rotation_period"),

@@ -22,6 +22,17 @@ def assert_same_counters(mine, ref):
         (ref.accesses, ref.fills, ref.write_hits, ref.rotation_writebacks)
 
 
+def assert_lru_state(mine, ref):
+    """Each set's LRU list is a permutation of its resident entries
+    base .. base+len-1, and the block map holds exactly the resident blocks."""
+    ways = mine.config.ways
+    for s, lru in enumerate(mine._lru):
+        assert sorted(lru) == list(range(s * ways, s * ways + len(lru)))
+    resident = {mine._tag[e]: e for lru in mine._lru for e in lru}
+    assert mine._where == resident
+    assert set(resident) == ref.resident_blocks()
+
+
 @settings(max_examples=300, deadline=None)
 @given(sets=st.sampled_from([1, 2, 4, 8, 16]), ways=st.integers(1, 6),
        line_bytes=st.sampled_from([1, 2, 8, 64]), period=PERIODS,
@@ -39,9 +50,9 @@ def test_rotating_cache_matches_reference(sets, ways, line_bytes, period,
                            charge_rotation_writebacks=charge)
     ref.on_writeback = ref_sunk.append
     for address, kind in accesses:
-        out = mine.access(address, kind)
-        assert (out.hit, out.fill, out.writeback) == ref.access(address, kind)
+        assert mine.access(address, kind) == ref.access(address, kind)
         assert sunk == ref_sunk
+        assert_lru_state(mine, ref)
     assert_same_counters(mine, ref)
 
 
@@ -72,5 +83,6 @@ def test_hierarchy_matches_reference(levels, charge, accesses):
             m, r = mine.caches[role], ref.levels[role]
             assert (m.accesses, m.fills, m.write_hits, m.rotation_writebacks) == \
                 (r.accesses, r.fills, r.write_hits, r.rotation_writebacks), role
+            assert_lru_state(m, r)
     for role in LEVEL_ROLES:
         assert_same_counters(mine.caches[role], ref.levels[role])

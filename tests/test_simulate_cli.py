@@ -320,10 +320,11 @@ def test_cli_policy_flag(tmp_path):
 
 
 def test_cli_missing_trace_exits_2(tmp_path, capsys):
-    rc = main(["simulate", "--trace", str(tmp_path / "nope.trace"),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # a path that does not exist, and one that is a directory
+    for trace in (tmp_path / "nope.trace", tmp_path):
+        rc = main(["simulate", "--trace", str(trace), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_malformed_trace_exits_3(tmp_path, capsys):
