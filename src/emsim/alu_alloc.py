@@ -36,7 +36,19 @@ class AllocResult:
 
 
 class AluAllocator:
-    __slots__ = ("num_units", "policy", "usage", "_counter", "_ex", "_global")
+    """N units under one policy, with per-unit grant counts in `usage`.
+
+    Everything a policy remembers between cycles is packed into one int,
+    `_state`: bit 0 is toggle-balance's global bit, bit i+1 is unit i's
+    excitation bit, and the bits above N+1 hold counter-rotate's lead
+    counter. A policy's grant and next state depend only on (state, k), so
+    allocate() memoises both in `_table` and runs the policy code only the
+    first time a (state, k) pair comes up. Toggle-balance reaches just 2N
+    states, counter-rotate N and fixed-priority one, so the table stays
+    small.
+    """
+
+    __slots__ = ("num_units", "policy", "usage", "_state", "_table")
 
     def __init__(self, num_units: int, policy: str = FIXED_PRIORITY):
         if num_units < 1:
@@ -46,41 +58,57 @@ class AluAllocator:
         self.num_units = num_units
         self.policy = policy
         self.usage = [0] * num_units
-        self._counter = 0          # counter-rotate: kept modulo num_units
-        self._ex = [0] * num_units # toggle-balance: per-unit bits
-        self._global = 0           # toggle-balance: global bit
+        self._state = 0
+        # (state, k) -> (AllocResult, next state); results are frozen, so
+        # the table and its entries can be shared, clones included
+        self._table: dict[tuple[int, int], tuple[AllocResult, int]] = {}
 
     def allocate(self, k: int) -> AllocResult:
         """Grant k of the N units for this cycle and bump their usage."""
+        entry = self._table.get((self._state, k))
+        if entry is None:
+            entry = self._transition(k)
+        result, self._state = entry
+        usage = self.usage
+        for i in result.units:
+            usage[i] += 1
+        return result
+
+    def _transition(self, k: int) -> tuple[AllocResult, int]:
+        """Run the policy for k from the current state and memoise it."""
         if not 0 <= k <= self.num_units:
             raise ValueError(f"k must be in [0, {self.num_units}], got {k}")
+        state = self._state
+        n = self.num_units
         if self.policy == FIXED_PRIORITY:
             units = tuple(range(k))
+            nxt = state
         elif self.policy == COUNTER_ROTATE:
-            lead = self._counter
-            units = tuple((lead + j) % self.num_units for j in range(k))
-            self._counter = (self._counter + 1) % self.num_units
+            lead = state >> (n + 1)
+            units = tuple((lead + j) % n for j in range(k))
+            nxt = ((lead + 1) % n) << (n + 1)
         else:
-            units = self._toggle_balance(k)
-        for i in units:
-            self.usage[i] += 1
+            units, nxt = self._toggle_balance(state, k)
         mask = 0
         for i in units:
             mask |= 1 << i
-        return AllocResult(units=units, mask=mask)
+        entry = (AllocResult(units=units, mask=mask), nxt)
+        self._table[state, k] = entry
+        return entry
 
-    def _toggle_balance(self, k: int) -> tuple[int, ...]:
-        g = self._global
-        members = [i for i in range(self.num_units) if self._ex[i] == g]
+    def _toggle_balance(self, state: int, k: int) -> tuple[tuple[int, ...], int]:
+        g = state & 1
+        ex = [(state >> (i + 1)) & 1 for i in range(self.num_units)]
+        members = [i for i in range(self.num_units) if ex[i] == g]
         if k < len(members):
             selected = members[:k]
         else:
-            rest = [i for i in range(self.num_units) if self._ex[i] != g]
+            rest = [i for i in range(self.num_units) if ex[i] != g]
             selected = members + rest[: k - len(members)]
-            self._global = g ^ 1
+            state ^= 1
         for i in selected:
-            self._ex[i] ^= 1
-        return tuple(selected)
+            state ^= 1 << (i + 1)
+        return tuple(selected), state
 
     def usage_snapshot(self) -> tuple[int, ...]:
         return tuple(self.usage)
@@ -88,16 +116,15 @@ class AluAllocator:
     def clone(self) -> "AluAllocator":
         other = AluAllocator(self.num_units, self.policy)
         other.usage = list(self.usage)
-        other._counter = self._counter
-        other._ex = list(self._ex)
-        other._global = self._global
+        other._state = self._state
+        other._table = self._table
         return other
 
     # read-only views for tests and debugging
     @property
     def ex_bits(self) -> tuple[int, ...]:
-        return tuple(self._ex)
+        return tuple((self._state >> (i + 1)) & 1 for i in range(self.num_units))
 
     @property
     def global_bit(self) -> int:
-        return self._global
+        return self._state & 1

@@ -70,20 +70,28 @@ class RotatingRegFile:
         return (arch_index + self.rotator) % self.num_slots
 
     def write(self, arch_index: int, value: int) -> None:
-        phys = self.map(arch_index)
+        # map() inlined: this is the per-event hot path
+        if not 0 <= arch_index < self.num_slots:
+            raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")
+        phys = (arch_index + self.rotator) % self.num_slots
         self.values[phys] = value
         self.phys_writes[phys] += 1
 
     def read(self, arch_index: int) -> int:
         return self.values[self.map(arch_index)]
 
-    def rotate(self) -> None:
-        self.rotator = (self.rotator + 1) % self.num_slots
-        self.values[:] = self.values[-1:] + self.values[:-1]
-        self.rotations_done += 1
+    def rotate(self, times: int = 1) -> None:
+        """Apply `times` rotations at once, exactly as that many calls with
+        times=1 would: the cost is O(ring size) however many are owed."""
+        if times < 0:
+            raise ValueError("times must be >= 0")
+        shift = times % self.num_slots
+        self.rotator = (self.rotator + shift) % self.num_slots
+        self.values[:] = self.values[-shift:] + self.values[:-shift]
+        self.rotations_done += times
         if self.count_rotation_shifts:
             for i in range(self.num_slots):
-                self.phys_writes[i] += 1
+                self.phys_writes[i] += times
 
     def write_snapshot(self) -> tuple[int, ...]:
         return tuple(self.phys_writes)

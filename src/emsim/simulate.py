@@ -8,8 +8,8 @@ Structure drivers:
   units (a trace may request more than exist; the grant saturates).
 * regfile: RegWrite events whose (class, id) belongs to the configured
   ring land on both register files; the aware file catches up on owed
-  rotations (cycle // period) before each event, the baseline never
-  rotates.
+  rotations (cycle // period) in one rotate() call before each event, the
+  baseline never rotates.
 * cache: MemAccess events walk two full hierarchies; the aware one
   rotates per level every rotation_period accesses, the baseline never.
 
@@ -99,30 +99,43 @@ def run_simulation(events: list[Event], cfg: SimConfig):
             overrides=cfg.cache_overrides,
             charge_rotation_writebacks=cfg.charge_rotation_writebacks)
 
-    n_alu = n_reg = n_mem = 0
+    # hot loop: dispatch on the exact payload type, methods bound once
+    if do_alu:
+        alu_units = cfg.alu_units
+        base_allocate, aware_allocate = alu_base.allocate, alu_aware.allocate
+    if do_reg:
+        period = cfg.rotation_period
+        member_index = rf_base.member_index
+        base_write, aware_write = rf_base.write, rf_aware.write
+    if do_cache:
+        base_access, aware_access = hier_base.access, hier_aware.access
+    n_alu = n_reg = 0
     for ev in events:
         p = ev.payload
-        if isinstance(p, AluIssue):
+        cls = type(p)
+        if cls is AluIssue:
             n_alu += 1
             if do_alu:
-                k = min(p.ready_count, cfg.alu_units)
-                alu_base.allocate(k)
-                alu_aware.allocate(k)
-        elif isinstance(p, RegWrite):
+                k = p.ready_count
+                if k > alu_units:
+                    k = alu_units
+                base_allocate(k)
+                aware_allocate(k)
+        elif cls is RegWrite:
             n_reg += 1
             if do_reg:
-                idx = rf_base.member_index(p.reg_class, p.arch_id)
+                idx = member_index(p.reg_class, p.arch_id)
                 if idx is not None:
-                    owed = ev.cycle // cfg.rotation_period
-                    while rf_aware.rotations_done < owed:
-                        rf_aware.rotate()
-                    rf_base.write(idx, ev.cycle)
-                    rf_aware.write(idx, ev.cycle)
-        else:
-            n_mem += 1
-            if do_cache:
-                hier_base.access(p.address, p.kind, p.space)
-                hier_aware.access(p.address, p.kind, p.space)
+                    cycle = ev.cycle
+                    owed = cycle // period - rf_aware.rotations_done
+                    if owed > 0:
+                        rf_aware.rotate(owed)
+                    base_write(idx, cycle)
+                    aware_write(idx, cycle)
+        elif do_cache:
+            base_access(p.address, p.kind, p.space)
+            aware_access(p.address, p.kind, p.space)
+    n_mem = len(events) - n_alu - n_reg
 
     reports: list[StructureReport] = []
     if do_alu:

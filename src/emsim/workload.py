@@ -1,6 +1,7 @@
 """Trace event model, text trace parsing, and seeded synthetic workloads.
 
-Trace file format (UTF-8, one event per line, `#` starts a comment):
+Trace file format (UTF-8, one event per line, a line whose first field
+starts with `#` is a comment, integers are ASCII decimal):
 
     <cycle> A <ready_count>                 ALU issue burst
     <cycle> R <GPR|FP|FLAGS|SP> <arch_id>   architectural register write
@@ -75,35 +76,64 @@ _KIND_LETTER = {v: k for k, v in _KIND_CODE.items()}
 _SPACE_LETTER = {v: k for k, v in _SPACE_CODE.items()}
 
 
+def _strict_int(text: str) -> int:
+    """int() restricted to an optional '-' and ASCII decimal digits."""
+    value = int(text)
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return value
+
+
 def parse_trace(lines: Iterable[str]) -> list[Event]:
     """Parse a trace from an iterable of text lines (an open file works).
 
-    Raises TraceParseError with the offending line number on malformed
-    input, decreasing cycles, or two ALU issues in one cycle.
+    Integers are ASCII decimal with an optional leading '-' (negative values
+    are then rejected by the per-field range checks). Raises TraceParseError
+    with the offending line number on malformed input, decreasing cycles, or
+    two ALU issues in one cycle.
+
+    Identical ALU and register records share one immutable payload object,
+    looked up by their raw field strings, so a long trace holds one payload
+    per distinct record rather than one per line.
     """
     events: list[Event] = []
+    append = events.append
+    alu_payloads: dict[str, AluIssue] = {}
+    reg_payloads: dict[str, dict[str, RegWrite]] = {c: {} for c in REG_CLASSES}
     last_cycle = -1
+    last_cycle_text = ""
     alu_cycle = -1
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
+        # int() also takes '_', '+' and non-ASCII digits; one scan of the
+        # line decides whether its integer fields need the strict check
+        to_int = int if raw.isascii() and "_" not in raw and "+" not in raw else _strict_int
         try:
-            cycle = int(fields[0])
+            # records of one cycle also share its int
+            cycle = last_cycle if fields[0] == last_cycle_text else to_int(fields[0])
             tag = fields[1]
             if tag == "A":
                 if len(fields) != 3:
                     raise TraceParseError("ALU record needs 3 fields", line_no)
-                payload: Payload = AluIssue(ready_count=int(fields[2]))
+                payload = alu_payloads.get(fields[2])
+                if payload is None:
+                    payload = AluIssue(ready_count=to_int(fields[2]))
+                    if payload.ready_count >= 0:
+                        alu_payloads[fields[2]] = payload
             elif tag == "R":
                 if len(fields) != 4:
                     raise TraceParseError("register record needs 4 fields", line_no)
-                if fields[2] not in REG_CLASSES:
+                by_id = reg_payloads.get(fields[2])
+                if by_id is None:
                     raise TraceParseError(f"unknown register class {fields[2]!r}", line_no)
-                payload = RegWrite(reg_class=fields[2], arch_id=int(fields[3]))
-                if payload.arch_id < 0:
-                    raise TraceParseError("register id must be non-negative", line_no)
+                payload = by_id.get(fields[3])
+                if payload is None:
+                    payload = RegWrite(reg_class=fields[2], arch_id=to_int(fields[3]))
+                    if payload.arch_id < 0:
+                        raise TraceParseError("register id must be non-negative", line_no)
+                    by_id[fields[3]] = payload
             elif tag == "M":
                 if len(fields) != 5:
                     raise TraceParseError("memory record needs 5 fields", line_no)
@@ -112,7 +142,7 @@ def parse_trace(lines: Iterable[str]) -> list[Event]:
                 if fields[4] not in _SPACE_CODE:
                     raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
                 payload = MemAccess(kind=_KIND_CODE[fields[2]],
-                                    address=int(fields[3]),
+                                    address=to_int(fields[3]),
                                     space=_SPACE_CODE[fields[4]])
                 if payload.address < 0:
                     raise TraceParseError("address must be non-negative", line_no)
@@ -128,14 +158,15 @@ def parse_trace(lines: Iterable[str]) -> list[Event]:
         if cycle < last_cycle:
             raise TraceParseError(
                 f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
-        if isinstance(payload, AluIssue):
+        if tag == "A":
             if payload.ready_count < 0:
                 raise TraceParseError("ready_count must be non-negative", line_no)
             if cycle == alu_cycle:
                 raise TraceParseError(f"second ALU issue in cycle {cycle}", line_no)
             alu_cycle = cycle
         last_cycle = cycle
-        events.append(Event(cycle, payload))
+        last_cycle_text = fields[0]
+        append(Event(cycle, payload))
     return events
 
 

@@ -9,7 +9,17 @@ RefSetAssocLRU is a plain cache with no rotation. RefRotatingCache adds the
 physical-way bookkeeping the wear counters need and the rotating set
 mapping; RefHierarchy wires seven of them into the L1/L2/L3 + TLB/STLB
 hierarchy, recursing level by level by role name.
+
+RefAluAllocator runs the three ALU policies step by step on plain lists,
+straight from their definitions. ref_parse_trace is the straightforward
+line-by-line trace parser: one int conversion per integer field and one new
+payload per record. It shares only the event types and the error class with
+the package, so that its results can be compared directly.
 """
+
+import re
+
+from emsim.workload import AluIssue, Event, MemAccess, RegWrite, TraceParseError
 
 
 class RefSetAssocLRU:
@@ -160,3 +170,114 @@ class RefHierarchy:
         if not self.levels[tlb].access(page, "READ")[0]:
             self.levels["STLB"].access(page, "READ")
         self._visit(first, address, kind)
+
+
+class RefAluAllocator:
+    """fixed-priority grants units 0..k-1. counter-rotate grants k units
+    starting at a lead that advances by one (mod N) on every call.
+    toggle-balance keeps one bit per unit and one global bit: units whose
+    bit equals the global bit are eligible and are served lowest index
+    first, each served unit's bit flips, and when a request uses up every
+    eligible unit the global bit flips and the rest of the request is
+    served, lowest index first, from the units that were not eligible."""
+
+    def __init__(self, n, policy):
+        self.n = n
+        self.policy = policy
+        self.usage = [0] * n
+        self.lead = 0
+        self.bits = [0] * n
+        self.global_bit = 0
+
+    def allocate(self, k):
+        """Returns (units granted in order, bit mask of them)."""
+        if self.policy == "fixed-priority":
+            units = list(range(k))
+        elif self.policy == "counter-rotate":
+            units = [(self.lead + j) % self.n for j in range(k)]
+            self.lead = (self.lead + 1) % self.n
+        else:
+            eligible = [u for u in range(self.n) if self.bits[u] == self.global_bit]
+            others = [u for u in range(self.n) if self.bits[u] != self.global_bit]
+            units = eligible[:k]
+            if k >= len(eligible):
+                self.global_bit = 1 - self.global_bit
+                units += others[:k - len(eligible)]
+            for u in units:
+                self.bits[u] = 1 - self.bits[u]
+        for u in units:
+            self.usage[u] += 1
+        return tuple(units), sum(2 ** u for u in units)
+
+
+_REF_KIND = {"R": "READ", "W": "WRITE"}
+_REF_SPACE = {"D": "DATA", "I": "INSTR"}
+
+
+def _ref_int(text):
+    """ASCII decimal with an optional '-'. Other text int() would take
+    ('_' separators, '+', non-ASCII digits) is rejected with a message of
+    its own; text int() rejects anyway keeps int()'s message."""
+    if re.fullmatch("-?[0-9]+", text):
+        return int(text)
+    int(text)
+    raise ValueError(f"not an ASCII decimal integer: {text!r}")
+
+
+def ref_parse_trace(lines):
+    events = []
+    last_cycle = -1
+    alu_cycle = -1
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            cycle = _ref_int(fields[0])
+            tag = fields[1]
+            if tag == "A":
+                if len(fields) != 3:
+                    raise TraceParseError("ALU record needs 3 fields", line_no)
+                payload = AluIssue(ready_count=_ref_int(fields[2]))
+            elif tag == "R":
+                if len(fields) != 4:
+                    raise TraceParseError("register record needs 4 fields", line_no)
+                if fields[2] not in ("GPR", "FP", "FLAGS", "SP"):
+                    raise TraceParseError(f"unknown register class {fields[2]!r}", line_no)
+                payload = RegWrite(reg_class=fields[2], arch_id=_ref_int(fields[3]))
+                if payload.arch_id < 0:
+                    raise TraceParseError("register id must be non-negative", line_no)
+            elif tag == "M":
+                if len(fields) != 5:
+                    raise TraceParseError("memory record needs 5 fields", line_no)
+                if fields[2] not in _REF_KIND:
+                    raise TraceParseError(f"memory kind must be R or W, got {fields[2]!r}", line_no)
+                if fields[4] not in _REF_SPACE:
+                    raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
+                payload = MemAccess(kind=_REF_KIND[fields[2]],
+                                    address=_ref_int(fields[3]),
+                                    space=_REF_SPACE[fields[4]])
+                if payload.address < 0:
+                    raise TraceParseError("address must be non-negative", line_no)
+            else:
+                raise TraceParseError(f"unknown record tag {tag!r}", line_no)
+        except TraceParseError:
+            raise
+        except (ValueError, IndexError) as exc:
+            raise TraceParseError(f"malformed record: {exc}", line_no) from exc
+
+        if cycle < 0:
+            raise TraceParseError("cycle must be non-negative", line_no)
+        if cycle < last_cycle:
+            raise TraceParseError(
+                f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
+        if isinstance(payload, AluIssue):
+            if payload.ready_count < 0:
+                raise TraceParseError("ready_count must be non-negative", line_no)
+            if cycle == alu_cycle:
+                raise TraceParseError(f"second ALU issue in cycle {cycle}", line_no)
+            alu_cycle = cycle
+        last_cycle = cycle
+        events.append(Event(cycle, payload))
+    return events

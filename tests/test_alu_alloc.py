@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsim.alu_alloc import (
     COUNTER_ROTATE,
@@ -9,6 +11,8 @@ from emsim.alu_alloc import (
     TOGGLE_BALANCE,
     AluAllocator,
 )
+from emsim.rng import SplitMix64
+from reference_models import RefAluAllocator
 
 
 def test_toggle_balance_worked_example():
@@ -167,3 +171,60 @@ def test_clone_is_independent():
     assert c.usage_snapshot() != a.usage_snapshot()
     # and the clone continues exactly like the original would have
     assert a.clone().allocate(3) == a.allocate(3)
+
+
+def _same_state(mine, ref):
+    assert mine.usage_snapshot() == tuple(ref.usage)
+    if ref.policy == TOGGLE_BALANCE:
+        assert mine.ex_bits == tuple(ref.bits)
+        assert mine.global_bit == ref.global_bit
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), policy=st.sampled_from(POLICIES))
+def test_matches_reference_allocator(data, n, policy):
+    # the memoised transition table against a step-by-step reference; a
+    # clone taken part way must run on independently of the original
+    ks = data.draw(st.lists(st.integers(0, n), max_size=60))
+    split = data.draw(st.integers(0, len(ks)))
+    mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
+    for k in ks[:split]:
+        r = mine.allocate(k)
+        assert (r.units, r.mask) == ref.allocate(k)
+        _same_state(mine, ref)
+    twin = mine.clone()
+    frozen = (mine.usage_snapshot(), mine.ex_bits, mine.global_bit)
+    twin_ref = RefAluAllocator(n, policy)
+    twin_ref.usage, twin_ref.lead = list(ref.usage), ref.lead
+    twin_ref.bits, twin_ref.global_bit = list(ref.bits), ref.global_bit
+    for k in ks[split:]:
+        r = twin.allocate(k)
+        assert (r.units, r.mask) == twin_ref.allocate(k)
+        _same_state(twin, twin_ref)
+    assert (mine.usage_snapshot(), mine.ex_bits, mine.global_bit) == frozen
+    for k in ks[split:]:
+        r = mine.allocate(k)
+        assert (r.units, r.mask) == ref.allocate(k)
+        _same_state(mine, ref)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_toggle_balance_table_stays_small(n):
+    # toggle-balance reaches only 2N states, so the memo holds at most
+    # 2N * (N + 1) transitions however long the request stream runs
+    seen, frontier = set(), [AluAllocator(n, TOGGLE_BALANCE)]
+    while frontier:
+        a = frontier.pop()
+        for k in range(n + 1):
+            b = a.clone()
+            b.allocate(k)
+            state = (b.ex_bits, b.global_bit)
+            if state not in seen:
+                seen.add(state)
+                frontier.append(b)
+    assert len(seen) == 2 * n
+    alloc = AluAllocator(n, TOGGLE_BALANCE)
+    rng = SplitMix64(n)
+    for _ in range(5000):
+        alloc.allocate(rng.randbelow(n + 1))
+        assert len(alloc._table) <= 2 * n * (n + 1)

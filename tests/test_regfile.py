@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsim.em_models import mtf_improvement
 from emsim.regfile import RotatingRegFile, ring_preset
@@ -134,6 +136,29 @@ def test_rotation_shift_counting_flag():
     rf2.write(0, 1)
     rf2.rotate()
     assert rf2.write_snapshot() == (1, 0, 0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20), shifts=st.booleans(),
+       ops=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 19)), max_size=30))
+def test_rotate_times_matches_single_rotations(n, shifts, ops):
+    # rotate(t) against t calls of rotate(), interleaved with writes
+    batched = make(n, count_rotation_shifts=shifts)
+    stepped = make(n, count_rotation_shifts=shifts)
+    for value, (times, reg) in enumerate(ops):
+        batched.rotate(times)
+        for _ in range(times):
+            stepped.rotate()
+        batched.write(reg % n, value)
+        stepped.write(reg % n, value)
+        assert (batched.rotator, batched.rotations_done, batched.values,
+                batched.phys_writes) == (stepped.rotator, stepped.rotations_done,
+                                         stepped.values, stepped.phys_writes)
+
+
+def test_rotate_rejects_negative_times():
+    with pytest.raises(ValueError):
+        make(4).rotate(-1)
 
 
 def test_ring_presets():

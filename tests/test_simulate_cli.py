@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,22 @@ def test_regfile_rotation_catches_up_across_idle_gaps():
     assert counts[10] == 1
     assert sum(counts) == 2
     assert row.counts_baseline[0] == 2
+
+
+def test_regfile_catch_up_cost_does_not_grow_with_cycle_span():
+    # 3e9 owed rotations at period 1 are applied as one modular shift
+    text = "0 R GPR 0\n3000000000 R GPR 0\n"
+    t0 = time.perf_counter()
+    reports, _ = run_simulation(
+        events_of(text),
+        SimConfig(structures=("regfile",), rotation_period=1,
+                  count_rotation_shifts=True))
+    elapsed = time.perf_counter() - t0
+    (row,) = reports
+    # slot 0 took the first write, slot 3e9 mod 16 = 0 the second, and
+    # every slot was charged one shift per rotation
+    assert row.counts_aware == (3_000_000_002,) + (3_000_000_000,) * 15
+    assert elapsed < 1.0
 
 
 def test_baseline_caches_never_rotate_even_with_level_overrides():
@@ -328,10 +345,12 @@ def test_cli_missing_trace_exits_2(tmp_path, capsys):
 
 
 def test_cli_malformed_trace_exits_3(tmp_path, capsys):
-    trace = write(tmp_path / "bad.trace", "0 A 1\nbroken\n")
-    rc = main(["simulate", "--trace", trace, "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert "line 2" in capsys.readouterr().err
+    # the second trace's cycle is one int() takes but the grammar does not
+    for text in ("0 A 1\nbroken\n", "0 A 1\n1_000 A 1\n"):
+        trace = write(tmp_path / "bad.trace", text)
+        rc = main(["simulate", "--trace", trace, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "line 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config_text", [

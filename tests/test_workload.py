@@ -1,7 +1,11 @@
 import hashlib
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsim.workload import (
     AluBursts,
@@ -22,6 +26,7 @@ from emsim.workload import (
     save_trace,
     serialize_trace,
 )
+from reference_models import ref_parse_trace
 
 MIXED = """\
 # sample trace
@@ -73,10 +78,100 @@ def test_parse_empty():
     ("0 M W -8 D", "address must be non-negative"),
     ("-1 A 1", "non-negative"),
     ("zero A 1", "malformed record"),
+    # integers are ASCII decimal only, though int() takes all of these
+    ("1_000 A 1", "malformed record: not an ASCII decimal integer"),
+    ("+5 A 1", "malformed record: not an ASCII decimal integer"),
+    ("\u0663 A 1", "malformed record: not an ASCII decimal integer"),
+    ("0 R GPR +3", "malformed record: not an ASCII decimal integer"),
+    ("0 A \uff12", "malformed record: not an ASCII decimal integer"),
+    ("0 M W 6_4 D", "malformed record: not an ASCII decimal integer"),
 ])
 def test_parse_rejects(text, needle):
     with pytest.raises(TraceParseError, match=needle):
         parse_trace([text])
+
+
+def test_parse_shares_identical_payloads():
+    events = parse_trace(["0 A 2", "0 R GPR 5", "1 A 2", "1 R GPR 5", "2 R GPR 05",
+                          "2 M W 64 D", "3 M W 64 D"])
+    assert events[0].payload is events[2].payload
+    assert events[1].payload is events[3].payload
+    assert events[4].payload == events[3].payload
+    assert events[5].payload is not events[6].payload
+
+
+def test_readme_trace_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Trace format", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    events = parse_trace(block.splitlines())
+    assert [type(e.payload) for e in events] == [AluIssue, RegWrite, MemAccess]
+
+
+# --- differential test against the reference parser --------------------------
+
+LAX_INTS = ["1_0", "+5", "+0", "\u0663", "1\u0661", "\uff15", "-0", "007",
+            "1__0", "_1", "+", "-", "--1", "+-1", "x", "1.0"]
+RECORDS = [  # {c}: cycle text, {i}: integer text
+    "{c} A {i}", "{c} R GPR {i}", "{c} R FP {i}", "{c} R FLAGS {i}", "{c} R SP {i}",
+    "{c} M R {i} D", "{c} M W {i} I",
+]
+BAD_RECORDS = [
+    "{c} A", "{c} A {i} 1", "{c} R GPR", "{c} R GPR {i} 1", "{c} R VEC {i}",
+    "{c} M W {i}", "{c} M X {i} D", "{c} M R {i} Q", "{c} Z {i}", "{c} # {i}", "{c}",
+]
+NOISE = ["", "   ", "\t", "# comment", "  # x 1 2", "#0 A 1"]
+
+
+@st.composite
+def trace_lines(draw):
+    """Mostly well-formed traces with cycles that creep upward, salted with
+    comments, blank and padded lines, bad records, lax and negative
+    integers, decreasing cycles and repeated ALU records in one cycle."""
+    steps = draw(st.lists(st.tuples(
+        st.integers(0, 39),                         # line shape, see below
+        st.sampled_from([0, 0, 0, 1, 1, 2, 1000]),  # cycle step
+        st.integers(0, 255),                        # picks a template
+        st.integers(0, 300)), max_size=40))
+    lines = []
+    cycle = 0
+    for shape, step, pick, value in steps:
+        if shape == 0:
+            lines.append(NOISE[pick % len(NOISE)])
+            continue
+        cycle += step
+        c, i = str(cycle), str(value)
+        template = RECORDS[0] if pick < 64 else RECORDS[pick % len(RECORDS)]
+        if shape == 1:
+            c = str(cycle - 1)
+        elif shape == 2:
+            c = str(-cycle)
+        elif shape == 3:
+            c = LAX_INTS[pick % len(LAX_INTS)]
+        elif shape == 4:
+            i = LAX_INTS[pick % len(LAX_INTS)]
+        elif shape == 5:
+            i = f"-{value}"
+        elif shape == 6:
+            template = BAD_RECORDS[pick % len(BAD_RECORDS)]
+        line = template.format(c=c, i=i)
+        if shape == 7:
+            line = "  " + line.replace(" ", " \t ") + "  \n"
+        lines.append(line)
+    return lines
+
+
+@settings(max_examples=600, deadline=None)
+@given(lines=trace_lines())
+def test_parse_matches_reference(lines):
+    try:
+        want = ref_parse_trace(lines)
+    except TraceParseError as exc:
+        with pytest.raises(TraceParseError) as got:
+            parse_trace(lines)
+        assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+    else:
+        assert parse_trace(lines) == want
 
 
 def test_parse_error_carries_line_number():
