@@ -18,21 +18,11 @@ Three policies over N identical units:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 FIXED_PRIORITY = "fixed-priority"
 COUNTER_ROTATE = "counter-rotate"
 TOGGLE_BALANCE = "toggle-balance"
 
 POLICIES = (FIXED_PRIORITY, COUNTER_ROTATE, TOGGLE_BALANCE)
-
-
-@dataclass(frozen=True, slots=True)
-class AllocResult:
-    """Units granted by one allocation, in grant order, plus the bit mask."""
-
-    units: tuple[int, ...]
-    mask: int
 
 
 class AluAllocator:
@@ -59,22 +49,23 @@ class AluAllocator:
         self.policy = policy
         self.usage = [0] * num_units
         self._state = 0
-        # (state, k) -> (AllocResult, next state); results are frozen, so
-        # the table and its entries can be shared, clones included
-        self._table: dict[tuple[int, int], tuple[AllocResult, int]] = {}
+        # (state, k) -> (granted units, next state); entries are immutable,
+        # so the table can be shared, clones included
+        self._table: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
-    def allocate(self, k: int) -> AllocResult:
-        """Grant k of the N units for this cycle and bump their usage."""
+    def allocate(self, k: int) -> tuple[int, ...]:
+        """Grant k of the N units for this cycle, bump their usage and
+        return them in grant order."""
         entry = self._table.get((self._state, k))
         if entry is None:
             entry = self._transition(k)
-        result, self._state = entry
+        units, self._state = entry
         usage = self.usage
-        for i in result.units:
+        for i in units:
             usage[i] += 1
-        return result
+        return units
 
-    def _transition(self, k: int) -> tuple[AllocResult, int]:
+    def _transition(self, k: int) -> tuple[tuple[int, ...], int]:
         """Run the policy for k from the current state and memoise it."""
         if not 0 <= k <= self.num_units:
             raise ValueError(f"k must be in [0, {self.num_units}], got {k}")
@@ -89,10 +80,7 @@ class AluAllocator:
             nxt = ((lead + 1) % n) << (n + 1)
         else:
             units, nxt = self._toggle_balance(state, k)
-        mask = 0
-        for i in units:
-            mask |= 1 << i
-        entry = (AllocResult(units=units, mask=mask), nxt)
+        entry = (units, nxt)
         self._table[state, k] = entry
         return entry
 

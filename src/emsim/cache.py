@@ -46,6 +46,13 @@ class CacheConfig:
     write_allocate: bool = True
 
     def __post_init__(self):
+        for field in ("sets", "ways", "line_bytes", "rotation_period"):
+            value = getattr(self, field)
+            if type(value) is not int and not (field == "rotation_period" and value is None):
+                raise ValueError(f"{self.name}: {field} must be an integer, got {value!r}")
+        if type(self.write_allocate) is not bool:
+            raise ValueError(f"{self.name}: write_allocate must be a boolean, "
+                             f"got {self.write_allocate!r}")
         if not _power_of_two(self.sets):
             raise ValueError(f"{self.name}: sets must be a power of two, got {self.sets}")
         if not _power_of_two(self.line_bytes):
@@ -215,27 +222,44 @@ class Hierarchy:
         self._walk(path, 0, address, kind)
 
 
+def rotation_period_from_json(value) -> int | None:
+    """A rotation period as a config file gives it: a positive integer, or
+    "never" or null for no rotation (returned as None)."""
+    if value is None or value == "never":
+        return None
+    if type(value) is int and value >= 1:
+        return value
+    raise ConfigError(f"rotation_period must be a positive integer or \"never\", "
+                      f"got {value!r}")
+
+
 def build_hierarchy(rotation_period: int | None = None,
                     overrides: dict | None = None,
                     charge_rotation_writebacks: bool = True) -> Hierarchy:
     """Assemble a hierarchy from defaults plus per-level overrides.
 
-    rotation_period applies to every level (None = no rotation anywhere);
-    overrides is {role: {sets|ways|line_bytes|rotation_period|write_allocate}}
-    and wins over the global period for the levels it names.
+    rotation_period applies to every level (None = no rotation anywhere).
+    overrides is the "levels" object of a config file,
+    {role: {sets|ways|line_bytes|rotation_period|write_allocate}}; it wins
+    over the global period for the levels it names, and a per-level period
+    of "never" or None pins that level.
     """
-    caches = {}
-    overrides = overrides or {}
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ConfigError("levels must be an object")
     unknown = set(overrides) - set(LEVEL_ROLES)
     if unknown:
         raise ConfigError(f"unknown hierarchy levels: {sorted(unknown)}")
+    caches = {}
     for role, geom in _DEFAULT_GEOMETRY.items():
         fields = dict(geom, rotation_period=rotation_period, write_allocate=True)
-        for key, value in overrides.get(role, {}).items():
-            if key not in ("sets", "ways", "line_bytes", "rotation_period",
-                           "write_allocate"):
+        level = overrides.get(role, {})
+        if not isinstance(level, dict):
+            raise ConfigError(f"level {role} config must be an object")
+        for key, value in level.items():
+            if key not in fields:
                 raise ConfigError(f"unknown cache config field {key!r} for {role}")
-            fields[key] = value
+            fields[key] = rotation_period_from_json(value) if key == "rotation_period" else value
         try:
             cfg = CacheConfig(name=role, **fields)
         except ValueError as exc:
@@ -243,57 +267,3 @@ def build_hierarchy(rotation_period: int | None = None,
         caches[role] = RotatingCache(
             cfg, charge_rotation_writebacks=charge_rotation_writebacks)
     return Hierarchy(caches)
-
-
-def hierarchy_overrides_from_json(doc) -> dict:
-    """Normalize a parsed JSON hierarchy config into build_hierarchy overrides.
-
-    Accepted shape (all parts optional):
-
-        {"rotation_period": 10000000 | "never",
-         "count_rotation_writebacks": true,
-         "levels": {"L1D": {"sets": 64, "ways": 8, "line_bytes": 64,
-                            "rotation_period": "never" | 123,
-                            "write_allocate": true}, ...}}
-
-    Returns {"rotation_period": ..., "count_rotation_writebacks": ...,
-    "levels": ...} with "never"/null mapped to None; absent keys omitted.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError("hierarchy config must be a JSON object")
-    unknown = set(doc) - {"rotation_period", "count_rotation_writebacks", "levels"}
-    if unknown:
-        raise ConfigError(f"unknown hierarchy config fields: {sorted(unknown)}")
-
-    def norm_period(value):
-        if value is None or value == "never":
-            return None
-        if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
-            return value
-        raise ConfigError(f"rotation_period must be a positive integer or \"never\", "
-                          f"got {value!r}")
-
-    result: dict = {}
-    if "rotation_period" in doc:
-        result["rotation_period"] = norm_period(doc["rotation_period"])
-    if "count_rotation_writebacks" in doc:
-        flag = doc["count_rotation_writebacks"]
-        if not isinstance(flag, bool):
-            raise ConfigError("count_rotation_writebacks must be a boolean")
-        result["count_rotation_writebacks"] = flag
-    if "levels" in doc:
-        levels = doc["levels"]
-        if not isinstance(levels, dict):
-            raise ConfigError("levels must be an object")
-        normalized = {}
-        for role, fields in levels.items():
-            if role not in LEVEL_ROLES:
-                raise ConfigError(f"unknown hierarchy level {role!r}")
-            if not isinstance(fields, dict):
-                raise ConfigError(f"level {role} config must be an object")
-            fields = dict(fields)
-            if "rotation_period" in fields:
-                fields["rotation_period"] = norm_period(fields["rotation_period"])
-            normalized[role] = fields
-        result["levels"] = normalized
-    return result

@@ -1,8 +1,9 @@
 """Command-line front end: trace generation, side-by-side simulation,
 wire-lifetime arithmetic, and cross-run report merging.
 
-Exit codes: 0 success, 2 configuration/input-file problem, 3 malformed
-trace, 4 domain error (a model precondition was violated).
+Exit codes: 0 success, 2 configuration/input-file problem (an unreadable
+file, or one that is not UTF-8 text), 3 malformed trace, 4 domain error (a
+model precondition was violated).
 """
 
 from __future__ import annotations
@@ -12,24 +13,9 @@ import json
 import os
 import sys
 
+from . import em_models as em
 from .alu_alloc import COUNTER_ROTATE, TOGGLE_BALANCE
-from .em_models import (
-    UNBOUNDED,
-    RmsLimit,
-    SignalElectricals,
-    TechParams,
-    WireGeometry,
-    black_mtf,
-    celsius_to_kelvin,
-    current_density,
-    k1,
-    k2,
-    lifetime_extension_from_current_ratio,
-    mtf_improvement,
-    reduced_rms_current,
-    rms_em_mtf,
-)
-from .cache import hierarchy_overrides_from_json
+from .cache import rotation_period_from_json
 from .simulate import (
     DEFAULT_ROTATION_PERIOD,
     STRUCTURES,
@@ -37,7 +23,13 @@ from .simulate import (
     run_simulation,
     write_report_files,
 )
-from .wear_stats import geo_mean
+from .wear_stats import (
+    geo_mean,
+    improvement_cell,
+    improvement_display,
+    improvement_from_json,
+    improvement_to_json,
+)
 from .workload import (
     ConfigError,
     TraceParseError,
@@ -52,18 +44,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, TraceParseError):
+            return 3
+        # an unreadable file, or one that is not UTF-8 text, is an input-file
+        # problem; any other ValueError is a model's domain error
+        return 2 if isinstance(exc, (ConfigError, OSError, UnicodeDecodeError)) else 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- simulate -----------------------------------------------------------------
 
+# The sections of a --config file, the fields each takes, and the SimConfig
+# field each one sets
+CONFIG_FIELDS = {
+    "alu": {"units": "alu_units", "policy": "alu_policy"},
+    "regfile": {"preset": "regfile_preset"},
+    "cache": {"rotation_period": "rotation_period",
+              "count_rotation_writebacks": "charge_rotation_writebacks",
+              "levels": "cache_overrides"},
+}
+
+
 def _add_simulate(sub) -> None:
     p = sub.add_parser("simulate", help="replay a trace through baseline and "
                                         "wear-aware structure variants")
@@ -94,14 +92,15 @@ def _add_simulate(sub) -> None:
     p.add_argument("--policy", default=None,
                    choices=[COUNTER_ROTATE, TOGGLE_BALANCE],
                    help="aware ALU policy (default toggle-balance)")
-    p.add_argument("--config", help="JSON config file: "
-                                    '{"alu": {"units", "policy"}, '
-                                    '"regfile": {"preset"}, "cache": {...}}')
+    p.add_argument("--config", help="JSON config file with the sections "
+                                    f"{', '.join(CONFIG_FIELDS)} (see README)")
     p.add_argument("--out", required=True, help="output directory for reports")
     p.add_argument("--seed", type=int, default=None,
                    help="override the generator spec seed (--gen only)")
     p.add_argument("--rotation-period", type=int, default=None,
-                   help=f"rotation interval for the aware variants "
+                   help=f"rotation interval N of the aware variants: the "
+                        f"register file rotates every N cycles, each cache "
+                        f"level after every N accesses to that level "
                         f"(default {DEFAULT_ROTATION_PERIOD})")
     p.add_argument("--count-rotation-shifts", action="store_true",
                    help="charge register-file rotation shifts as writes")
@@ -123,70 +122,55 @@ def _load_genspec(arg: str, seed_override):
     return genspec_from_json(doc)
 
 
-def _load_run_config(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(doc) - {"alu", "regfile", "cache"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for section in ("alu", "regfile"):
-        if section in doc and not isinstance(doc[section], dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-    alu = doc.get("alu", {})
-    if set(alu) - {"units", "policy"}:
-        raise ConfigError(f"unknown alu config fields: "
-                          f"{sorted(set(alu) - {'units', 'policy'})}")
-    reg = doc.get("regfile", {})
-    if set(reg) - {"preset"}:
-        raise ConfigError(f"unknown regfile config fields: "
-                          f"{sorted(set(reg) - {'preset'})}")
-    cache = hierarchy_overrides_from_json(doc["cache"]) if "cache" in doc else {}
-    return {"alu": alu, "regfile": reg, "cache": cache}
-
-
 def cmd_simulate(args) -> int:
     if args.seed is not None and not args.gen:
         raise ConfigError("--seed only applies to --gen runs")
-    conf = _load_run_config(args.config)
+    # the config file's sections, fields and cache rotation_period are
+    # checked before the trace is read; its other values after, by SimConfig
+    # and build_hierarchy
+    settings = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(doc) - set(CONFIG_FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        for section, fields in doc.items():
+            if not isinstance(fields, dict):
+                raise ConfigError("hierarchy config must be a JSON object"
+                                  if section == "cache" else
+                                  f"config section {section!r} must be an object")
+            unknown = set(fields) - set(CONFIG_FIELDS[section])
+            if unknown:
+                noun = "hierarchy" if section == "cache" else section
+                raise ConfigError(f"unknown {noun} config fields: {sorted(unknown)}")
+            settings.update((CONFIG_FIELDS[section][k], v) for k, v in fields.items())
+        if "rotation_period" in settings:
+            settings["rotation_period"] = rotation_period_from_json(
+                settings["rotation_period"])
+    # flags beat the config file, which beats SimConfig's defaults
+    if args.policy is not None:
+        settings["alu_policy"] = args.policy
+    if args.rotation_period is not None:
+        settings["rotation_period"] = args.rotation_period
 
     if args.trace:
         events = load_trace(args.trace)
     else:
         events = generate(_load_genspec(args.gen, args.seed))
 
-    # flags beat the config file; the config's cache-global period beats
-    # the built-in default
-    period = args.rotation_period
-    if period is None:
-        cache_conf = conf.get("cache", {})
-        if "rotation_period" in cache_conf:
-            period = cache_conf["rotation_period"]
-            if period is None:
-                raise ConfigError(
-                    'the aware run needs a finite rotation period; use a '
-                    'per-level "never" to pin individual cache levels')
-        else:
-            period = DEFAULT_ROTATION_PERIOD
-    policy = args.policy or conf.get("alu", {}).get("policy") or TOGGLE_BALANCE
-
+    if "rotation_period" in settings and settings["rotation_period"] is None:
+        raise ConfigError(
+            'the aware run needs a finite rotation period; use a '
+            'per-level "never" to pin individual cache levels')
     cfg = SimConfig(
         structures=STRUCTURES if args.structure == "all" else (args.structure,),
-        alu_units=conf.get("alu", {}).get("units", 3),
-        alu_policy=policy,
-        regfile_preset=conf.get("regfile", {}).get("preset", "gpr16"),
-        rotation_period=period,
-        count_rotation_shifts=args.count_rotation_shifts,
-        cache_overrides=conf.get("cache", {}).get("levels"),
-        charge_rotation_writebacks=conf.get("cache", {}).get(
-            "count_rotation_writebacks", True),
-    )
+        count_rotation_shifts=args.count_rotation_shifts, **settings)
     reports, summary = run_simulation(events, cfg)
     csv_path, json_path = write_report_files(reports, summary, args.out)
     _print_summary(reports, summary)
@@ -198,18 +182,14 @@ def _print_summary(reports, summary) -> None:
     print(f"{'structure':<24}{'entries':>9}{'max_base':>10}"
           f"{'max_aware':>11}{'improvement':>13}")
     for r in reports:
-        imp = r.mtf_improvement
-        shown = "unbounded" if imp is UNBOUNDED else f"{imp * 100:.2f}%"
         print(f"{r.structure:<24}{r.num_entries:>9}"
               f"{r.histogram_baseline.max_writes:>10}"
-              f"{r.histogram_aware.max_writes:>11}{shown:>13}")
+              f"{r.histogram_aware.max_writes:>11}"
+              f"{improvement_display(r.mtf_improvement):>13}")
     agg = summary["geo_mean_improvement"]
-    if agg is None:
-        print("geo-mean improvement: n/a (no structure saw writes)")
-    elif agg == "unbounded":
-        print("geo-mean improvement: unbounded")
-    else:
-        print(f"geo-mean improvement: {agg * 100:.2f}%")
+    shown = ("n/a (no structure saw writes)" if agg is None
+             else improvement_display(improvement_from_json(agg)))
+    print(f"geo-mean improvement: {shown}")
 
 
 # --- gen-trace ------------------------------------------------------------
@@ -236,12 +216,8 @@ def cmd_gen_trace(args) -> int:
 
 # --- em-calc --------------------------------------------------------------
 
-def _temp_kelvin(args) -> float:
-    if args.temp_c is not None:
-        return celsius_to_kelvin(args.temp_c)
-    if args.temp_k is not None:
-        return args.temp_k
-    return 378.15  # 105 C
+def _float_arg(*names, **kwargs):
+    return lambda p: p.add_argument(*names, type=float, **kwargs)
 
 
 def _add_tech_flags(p) -> None:
@@ -252,144 +228,109 @@ def _add_tech_flags(p) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--temp-c", type=float, default=None,
                    help="temperature in Celsius (default 105)")
-    g.add_argument("--temp-k", type=float, default=None,
+    g.add_argument("--temp-k", type=float, default=378.15,  # 105 C
                    help="temperature in kelvin")
 
 
-def _add_geom_flags(p) -> None:
-    p.add_argument("--width", type=float, required=True, help="wire width, m")
-    p.add_argument("--height", type=float, required=True, help="wire height, m")
+_GEOM_FLAGS = (_float_arg("--width", required=True, help="wire width, m"),
+               _float_arg("--height", required=True, help="wire height, m"))
+_SIGNAL_FLAGS = (
+    _float_arg("--capacitance", required=True, help="farads"),
+    _float_arg("--vdd", required=True, help="supply, V"),
+    _float_arg("--freq", required=True, help="clock, Hz"),
+    _float_arg("--toggle", required=True, help="switching probability in [0, 1]"),
+    _float_arg("--rise", default=1e-10, help="rise time, s"),
+    _float_arg("--fall", default=1e-10, help="fall time, s"),
+)
 
 
-def _add_signal_flags(p) -> None:
-    p.add_argument("--capacitance", type=float, required=True, help="farads")
-    p.add_argument("--vdd", type=float, required=True, help="supply, V")
-    p.add_argument("--freq", type=float, required=True, help="clock, Hz")
-    p.add_argument("--toggle", type=float, required=True,
-                   help="switching probability in [0, 1]")
-    p.add_argument("--rise", type=float, default=1e-10, help="rise time, s")
-    p.add_argument("--fall", type=float, default=1e-10, help="fall time, s")
+def _tech(a) -> em.TechParams:
+    return em.TechParams(scale_A=a.scale_a, exponent_n=a.exponent_n,
+                         activation_energy_ea=a.activation_ea,
+                         temperature_t=a.temp_k if a.temp_c is None
+                         else em.celsius_to_kelvin(a.temp_c))
 
 
-def _tech(args) -> TechParams:
-    return TechParams(scale_A=args.scale_a, exponent_n=args.exponent_n,
-                      activation_energy_ea=args.activation_ea,
-                      temperature_t=_temp_kelvin(args))
+def _geom(a) -> em.WireGeometry:
+    return em.WireGeometry(a.width, a.height)
 
 
-def _signal(args) -> SignalElectricals:
-    return SignalElectricals(capacitance_c=args.capacitance, supply_vdd=args.vdd,
-                             frequency_f=args.freq, toggle_p=args.toggle,
-                             rise_tr=args.rise, fall_tf=args.fall)
+def _signal(a) -> em.SignalElectricals:
+    return em.SignalElectricals(capacitance_c=a.capacitance, supply_vdd=a.vdd,
+                                frequency_f=a.freq, toggle_p=a.toggle,
+                                rise_tr=a.rise, fall_tf=a.fall)
+
+
+# subcommand -> (help, argument adders, computation, unit after the value;
+# the unit is a format string given the value)
+EM_CALC = {
+    "black-mtf": (
+        "median time to failure at a given current density",
+        (_add_tech_flags, _float_arg("--current-density", required=True, help="A/m^2")),
+        lambda a: em.black_mtf(_tech(a), a.current_density),
+        "time-units"),
+    "current-density": (
+        "average density of the switching current",
+        (*_SIGNAL_FLAGS, *_GEOM_FLAGS),
+        lambda a: em.current_density(_signal(a), _geom(a)),
+        "A/m^2"),
+    "reduced-irms": (
+        "allowed RMS current for a longer target lifetime",
+        (_float_arg("--i-max", required=True, help="sign-off RMS current limit, A"),
+         _float_arg("--mtf-tech", default=10.0,
+                    help="lifetime the limit is specified for"),
+         _float_arg("--mtf-reduced", required=True, help="target lifetime")),
+        lambda a: em.reduced_rms_current(
+            em.RmsLimit(i_rms_max=a.i_max, mtf_technology=a.mtf_tech), a.mtf_reduced),
+        "A"),
+    "lifetime-extension": (
+        "lifetime factor from an RMS-current ratio",
+        (_float_arg("ratio", help="reduced/original RMS current"),),
+        lambda a: em.lifetime_extension_from_current_ratio(a.ratio),
+        "x"),
+    "k1": (
+        "technology/geometry constant",
+        (_add_tech_flags, *_GEOM_FLAGS),
+        lambda a: em.k1(_tech(a), _geom(a)),
+        "(tech composite)"),
+    "k2": (
+        "edge-rate constant",
+        (_float_arg("--rise", required=True, help="rise time, s"),
+         _float_arg("--fall", required=True, help="fall time, s")),
+        lambda a: em.k2(em.SignalElectricals(capacitance_c=1.0, supply_vdd=1.0,
+                                             frequency_f=1.0, toggle_p=0.5,
+                                             rise_tr=a.rise, fall_tf=a.fall)),
+        "s^-1/2"),
+    "rms-mtf": (
+        "RMS-heating lifetime of a signal wire",
+        (_add_tech_flags, *_GEOM_FLAGS, *_SIGNAL_FLAGS),
+        lambda a: em.rms_em_mtf(_tech(a), _geom(a), _signal(a)),
+        "time-units"),
+    "improvement": (
+        "hotspot lifetime improvement from two toggle maxima",
+        (_float_arg("p_original"), _float_arg("p_aware")),
+        lambda a: em.mtf_improvement(a.p_original, a.p_aware),
+        "({:.2%})"),
+}
 
 
 def _add_em_calc(sub) -> None:
     p = sub.add_parser("em-calc", help="wire-lifetime model arithmetic")
     calc = p.add_subparsers(dest="calc", required=True)
-
-    b = calc.add_parser("black-mtf", help="median time to failure at a "
-                                          "given current density")
-    _add_tech_flags(b)
-    b.add_argument("--current-density", type=float, required=True, help="A/m^2")
-    b.set_defaults(func=cmd_black_mtf)
-
-    c = calc.add_parser("current-density", help="average density of the "
-                                                "switching current")
-    _add_signal_flags(c)
-    _add_geom_flags(c)
-    c.set_defaults(func=cmd_current_density)
-
-    r = calc.add_parser("reduced-irms", help="allowed RMS current for a "
-                                             "longer target lifetime")
-    r.add_argument("--i-max", type=float, required=True,
-                   help="sign-off RMS current limit, A")
-    r.add_argument("--mtf-tech", type=float, default=10.0,
-                   help="lifetime the limit is specified for")
-    r.add_argument("--mtf-reduced", type=float, required=True,
-                   help="target lifetime")
-    r.set_defaults(func=cmd_reduced_irms)
-
-    e = calc.add_parser("lifetime-extension", help="lifetime factor from an "
-                                                   "RMS-current ratio")
-    e.add_argument("ratio", type=float, help="reduced/original RMS current")
-    e.set_defaults(func=cmd_lifetime_extension)
-
-    one = calc.add_parser("k1", help="technology/geometry constant")
-    _add_tech_flags(one)
-    _add_geom_flags(one)
-    one.set_defaults(func=cmd_k1)
-
-    two = calc.add_parser("k2", help="edge-rate constant")
-    two.add_argument("--rise", type=float, required=True, help="rise time, s")
-    two.add_argument("--fall", type=float, required=True, help="fall time, s")
-    two.set_defaults(func=cmd_k2)
-
-    m = calc.add_parser("rms-mtf", help="RMS-heating lifetime of a signal wire")
-    _add_tech_flags(m)
-    _add_geom_flags(m)
-    _add_signal_flags(m)
-    m.set_defaults(func=cmd_rms_mtf)
-
-    i = calc.add_parser("improvement", help="hotspot lifetime improvement "
-                                            "from two toggle maxima")
-    i.add_argument("p_original", type=float)
-    i.add_argument("p_aware", type=float)
-    i.set_defaults(func=cmd_improvement)
+    for name, (help_text, adders, _, _) in EM_CALC.items():
+        c = calc.add_parser(name, help=help_text)
+        for add in adders:
+            add(c)
+    p.set_defaults(func=cmd_em_calc)
 
 
-def cmd_black_mtf(args) -> int:
-    value = black_mtf(_tech(args), args.current_density)
-    print(f"black-mtf = {value!r} time-units")
-    return 0
-
-
-def cmd_current_density(args) -> int:
-    value = current_density(_signal(args), WireGeometry(args.width, args.height))
-    print(f"current-density = {value!r} A/m^2")
-    return 0
-
-
-def cmd_reduced_irms(args) -> int:
-    value = reduced_rms_current(
-        RmsLimit(i_rms_max=args.i_max, mtf_technology=args.mtf_tech),
-        args.mtf_reduced)
-    print(f"reduced-irms = {value!r} A")
-    return 0
-
-
-def cmd_lifetime_extension(args) -> int:
-    value = lifetime_extension_from_current_ratio(args.ratio)
-    print(f"lifetime-extension = {value!r} x")
-    return 0
-
-
-def cmd_k1(args) -> int:
-    value = k1(_tech(args), WireGeometry(args.width, args.height))
-    print(f"k1 = {value!r} (tech composite)")
-    return 0
-
-
-def cmd_k2(args) -> int:
-    value = k2(SignalElectricals(capacitance_c=1.0, supply_vdd=1.0,
-                                 frequency_f=1.0, toggle_p=0.5,
-                                 rise_tr=args.rise, fall_tf=args.fall))
-    print(f"k2 = {value!r} s^-1/2")
-    return 0
-
-
-def cmd_rms_mtf(args) -> int:
-    value = rms_em_mtf(_tech(args), WireGeometry(args.width, args.height),
-                       _signal(args))
-    if value is UNBOUNDED:
-        print("rms-mtf = unbounded (zero toggle probability)")
+def cmd_em_calc(args) -> int:
+    _, _, compute, unit = EM_CALC[args.calc]
+    value = compute(args)
+    if value is em.UNBOUNDED:  # rms-mtf of a wire that never toggles
+        print(f"{args.calc} = unbounded (zero toggle probability)")
     else:
-        print(f"rms-mtf = {value!r} time-units")
-    return 0
-
-
-def cmd_improvement(args) -> int:
-    value = mtf_improvement(args.p_original, args.p_aware)
-    print(f"improvement = {value!r} ({value * 100:.2f}%)")
+        print(f"{args.calc} = {value!r} {unit.format(value)}")
     return 0
 
 
@@ -416,19 +357,13 @@ def cmd_report_merge(args) -> int:
         runs.append({row["structure"]: row["mtf_improvement"]
                      for row in doc["reports"]})
 
-    order = []
-    for path, run in zip(args.reports, runs):
-        for structure in run:
-            if structure not in order:
-                order.append(structure)
     merged = []
-    for structure in order:
+    for structure in dict.fromkeys(s for run in runs for s in run):
         missing = [p for p, run in zip(args.reports, runs) if structure not in run]
         if missing:
             raise ConfigError(f"structure {structure!r} missing from "
                               f"{missing[0]}; merge needs matching runs")
-        vals = [UNBOUNDED if run[structure] == "unbounded" else run[structure]
-                for run in runs]
+        vals = [improvement_from_json(run[structure]) for run in runs]
         agg = geo_mean(vals)
         merged.append((structure, len(vals), agg))
 
@@ -438,21 +373,18 @@ def cmd_report_merge(args) -> int:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("structure,runs,geo_mean_improvement,geo_mean_display\n")
         for structure, n, agg in merged:
-            cell = "unbounded" if agg is UNBOUNDED else repr(agg)
-            shown = "unbounded" if agg is UNBOUNDED else f"{agg * 100:.2f}%"
-            fh.write(f"{structure},{n},{cell},{shown}\n")
+            fh.write(f"{structure},{n},{improvement_cell(agg)},"
+                     f"{improvement_display(agg)}\n")
     doc = {"sources": list(args.reports),
            "merged": [{"structure": s, "runs": n,
-                       "geo_mean_improvement":
-                           "unbounded" if agg is UNBOUNDED else agg}
+                       "geo_mean_improvement": improvement_to_json(agg)}
                       for s, n, agg in merged]}
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
     for structure, n, agg in merged:
-        shown = "unbounded" if agg is UNBOUNDED else f"{agg * 100:.2f}%"
-        print(f"{structure:<24}{n:>5} runs  {shown:>12}")
+        print(f"{structure:<24}{n:>5} runs  {improvement_display(agg):>12}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

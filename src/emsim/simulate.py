@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import LEVEL_ROLES, build_hierarchy
-from .em_models import UNBOUNDED
 from .regfile import DEFAULT_ROTATION_PERIOD, RotatingRegFile, ring_preset
 from .wear_stats import (
     StructureReport,
     geo_mean,
     improvement_report,
+    improvement_to_json,
     write_reports_csv,
     write_reports_json,
 )
@@ -61,10 +61,16 @@ class SimConfig:
             raise ConfigError(
                 f"aware ALU policy must be one of {AWARE_ALU_POLICIES}, "
                 f"got {self.alu_policy!r}")
+        for name in ("alu_units", "rotation_period"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.alu_units < 1:
             raise ConfigError("alu_units must be >= 1")
         if self.rotation_period < 1:
             raise ConfigError("rotation_period must be >= 1")
+        if type(self.charge_rotation_writebacks) is not bool:
+            raise ConfigError("count_rotation_writebacks must be a boolean")
 
 
 def _strip_rotation(overrides: dict | None) -> dict | None:
@@ -90,13 +96,14 @@ def run_simulation(events: list[Event], cfg: SimConfig):
         rf_aware = RotatingRegFile(ring, rotation_period=cfg.rotation_period,
                                    count_rotation_shifts=cfg.count_rotation_shifts)
     if do_cache:
-        hier_base = build_hierarchy(
-            rotation_period=None,
-            overrides=_strip_rotation(cfg.cache_overrides),
-            charge_rotation_writebacks=cfg.charge_rotation_writebacks)
+        # the aware build checks the overrides that _strip_rotation walks
         hier_aware = build_hierarchy(
             rotation_period=cfg.rotation_period,
             overrides=cfg.cache_overrides,
+            charge_rotation_writebacks=cfg.charge_rotation_writebacks)
+        hier_base = build_hierarchy(
+            rotation_period=None,
+            overrides=_strip_rotation(cfg.cache_overrides),
             charge_rotation_writebacks=cfg.charge_rotation_writebacks)
 
     # hot loop: dispatch on the exact payload type, methods bound once
@@ -179,8 +186,7 @@ def _aggregate(reports):
             if r.histogram_baseline.max_writes > 0]
     if not vals:
         return None
-    agg = geo_mean(vals)
-    return "unbounded" if agg is UNBOUNDED else agg
+    return improvement_to_json(geo_mean(vals))
 
 
 def write_report_files(reports, summary, out_dir):

@@ -149,12 +149,22 @@ CSV_COLUMNS = (
 )
 
 
-def _improvement_cell(value: Improvement) -> str:
+def improvement_cell(value: Improvement) -> str:
+    """CSV form: the exact float, or "unbounded"."""
     return "unbounded" if value is UNBOUNDED else repr(value)
 
 
-def _improvement_display(value: Improvement) -> str:
+def improvement_display(value: Improvement) -> str:
+    """Percent form for people: "194.12%", or "unbounded"."""
     return "unbounded" if value is UNBOUNDED else f"{value * 100:.2f}%"
+
+
+def improvement_to_json(value: Improvement) -> float | str:
+    return "unbounded" if value is UNBOUNDED else value
+
+
+def improvement_from_json(value: float | str) -> Improvement:
+    return UNBOUNDED if value == "unbounded" else value
 
 
 def report_rows(reports: Iterable[StructureReport]):
@@ -168,8 +178,8 @@ def report_rows(reports: Iterable[StructureReport]):
             repr(r.avg_to_max_aware),
             *(str(b) for b in r.histogram_baseline.bins),
             *(str(b) for b in r.histogram_aware.bins),
-            _improvement_cell(r.mtf_improvement),
-            _improvement_display(r.mtf_improvement),
+            improvement_cell(r.mtf_improvement),
+            improvement_display(r.mtf_improvement),
         ]
 
 
@@ -194,8 +204,7 @@ def reports_to_doc(reports: Iterable[StructureReport],
             "avg_to_max_aware": r.avg_to_max_aware,
             "bins_baseline": list(r.histogram_baseline.bins),
             "bins_aware": list(r.histogram_aware.bins),
-            "mtf_improvement": ("unbounded" if r.mtf_improvement is UNBOUNDED
-                                else r.mtf_improvement),
+            "mtf_improvement": improvement_to_json(r.mtf_improvement),
         }
         if r.counts_baseline is not None:
             entry["counts_baseline"] = list(r.counts_baseline)

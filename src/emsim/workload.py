@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 
@@ -322,17 +323,39 @@ def generate(spec: GenSpec) -> list[Event]:
 # --- GenSpec JSON form --------------------------------------------------------
 
 _KIND_FIELDS = {
-    ZipfRegWrites.KIND: (ZipfRegWrites, ("num_regs", "zipf_s")),
-    SkewedAddrs.KIND: (SkewedAddrs, ("working_set_lines", "hot_fraction",
-                                     "hot_weight", "line_bytes")),
-    AluBursts.KIND: (AluBursts, ("max_width", "width_distribution")),
+    ZipfRegWrites.KIND: (ZipfRegWrites, {"num_regs": int, "zipf_s": float}),
+    SkewedAddrs.KIND: (SkewedAddrs, {"working_set_lines": int, "hot_fraction": float,
+                                     "hot_weight": float, "line_bytes": int}),
+    AluBursts.KIND: (AluBursts, {"max_width": int, "width_distribution": tuple}),
 }
+_EXPECTED = {int: "an integer", float: "a finite number", tuple: "a list of finite numbers"}
+
+
+def _json_number(value, integer: bool) -> bool:
+    """A JSON integer, or unless integer is set any finite JSON number; a
+    bool is neither."""
+    return type(value) is int or (not integer and type(value) is float
+                                  and math.isfinite(value))
+
+
+def _typed(doc: dict, field: str, want: type):
+    """doc[field] as a spec field of type want (int, float or tuple)."""
+    value = doc[field]
+    if want is tuple:
+        ok = isinstance(value, list) and all(_json_number(v, False) for v in value)
+    else:
+        ok = _json_number(value, want is int)
+    if not ok:
+        raise ConfigError(f"{field} must be {_EXPECTED[want]}, got {value!r}")
+    return tuple(value) if want is tuple else value
 
 
 def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     """Build a GenSpec from a JSON document (text or already-parsed dict).
 
     Expected shape: {"seed": int, "length": int, "kind": str, ...kind fields}.
+    Integer fields must be JSON integers, other numeric fields finite JSON
+    numbers; a field of the wrong type raises ConfigError.
     """
     if isinstance(doc, str):
         try:
@@ -343,32 +366,24 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
         raise ConfigError("generator spec must be a JSON object")
     try:
         kind_name = doc["kind"]
-        seed = int(doc["seed"])
-        length = int(doc["length"])
+        seed = _typed(doc, "seed", int)
+        length = _typed(doc, "length", int)
     except KeyError as exc:
         raise ConfigError(f"generator spec missing field {exc}") from exc
-    if kind_name not in _KIND_FIELDS:
+    if not isinstance(kind_name, str) or kind_name not in _KIND_FIELDS:
         raise ConfigError(f"unknown generator kind {kind_name!r}; "
                           f"expected one of {sorted(_KIND_FIELDS)}")
     cls, fields = _KIND_FIELDS[kind_name]
     kwargs = {}
-    for field in fields:
+    for field, want in fields.items():
         if field in doc:
-            kwargs[field] = doc[field]
-        elif field == "line_bytes":
-            continue  # has a default
-        else:
+            kwargs[field] = _typed(doc, field, want)
+        elif field != "line_bytes":  # the one field with a default
             raise ConfigError(f"generator kind {kind_name!r} requires field {field!r}")
-    if "width_distribution" in kwargs:
-        kwargs["width_distribution"] = tuple(kwargs["width_distribution"])
     extra = set(doc) - {"kind", "seed", "length", *fields}
     if extra:
         raise ConfigError(f"unknown generator spec fields: {sorted(extra)}")
-    try:
-        kind = cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad generator spec: {exc}") from exc
-    return GenSpec(seed=seed, length=length, kind=kind)
+    return GenSpec(seed=seed, length=length, kind=cls(**kwargs))
 
 
 def genspec_to_json(spec: GenSpec) -> dict:

@@ -190,7 +190,7 @@ class RefAluAllocator:
         self.global_bit = 0
 
     def allocate(self, k):
-        """Returns (units granted in order, bit mask of them)."""
+        """Returns the units granted, in grant order."""
         if self.policy == "fixed-priority":
             units = list(range(k))
         elif self.policy == "counter-rotate":
@@ -207,7 +207,7 @@ class RefAluAllocator:
                 self.bits[u] = 1 - self.bits[u]
         for u in units:
             self.usage[u] += 1
-        return tuple(units), sum(2 ** u for u in units)
+        return tuple(units)
 
 
 _REF_KIND = {"R": "READ", "W": "WRITE"}

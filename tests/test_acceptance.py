@@ -56,7 +56,7 @@ def test_c1_golden_alu_sequence():
     got = []
     for k in (0, 2, 2, 3):
         res = alloc.allocate(k)
-        got.append((res.units, alloc.ex_bits, alloc.global_bit))
+        got.append((res, alloc.ex_bits, alloc.global_bit))
     usage = alloc.usage_snapshot()
     elapsed = time.perf_counter() - t0
     assert got == expected

@@ -23,19 +23,19 @@ def test_toggle_balance_worked_example():
     assert alloc.ex_bits == (0, 0, 0) and alloc.global_bit == 0
 
     r = alloc.allocate(0)
-    assert r.units == ()
+    assert r == ()
     assert alloc.ex_bits == (0, 0, 0) and alloc.global_bit == 0
 
     r = alloc.allocate(2)
-    assert r.units == (0, 1)
+    assert r == (0, 1)
     assert alloc.ex_bits == (1, 1, 0) and alloc.global_bit == 0
 
     r = alloc.allocate(2)
-    assert r.units == (2, 0)
+    assert r == (2, 0)
     assert alloc.ex_bits == (0, 1, 1) and alloc.global_bit == 1
 
     r = alloc.allocate(3)
-    assert r.units == (1, 2, 0)
+    assert r == (1, 2, 0)
     assert alloc.ex_bits == (1, 0, 0) and alloc.global_bit == 0
 
     assert alloc.usage_snapshot() == (3, 2, 2)
@@ -43,9 +43,9 @@ def test_toggle_balance_worked_example():
 
 def test_fixed_priority_selects_prefix():
     alloc = AluAllocator(4, FIXED_PRIORITY)
-    assert alloc.allocate(3).units == (0, 1, 2)
-    assert alloc.allocate(1).units == (0,)
-    assert alloc.allocate(4).units == (0, 1, 2, 3)
+    assert alloc.allocate(3) == (0, 1, 2)
+    assert alloc.allocate(1) == (0,)
+    assert alloc.allocate(4) == (0, 1, 2, 3)
     assert alloc.usage_snapshot() == (3, 2, 2, 1)
 
 
@@ -59,16 +59,16 @@ def test_fixed_priority_usage_monotone():
 
 def test_counter_rotate_round_robin():
     alloc = AluAllocator(3, COUNTER_ROTATE)
-    picks = [alloc.allocate(1).units[0] for _ in range(6)]
+    picks = [alloc.allocate(1)[0] for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
     assert alloc.usage_snapshot() == (2, 2, 2)
 
 
 def test_counter_rotate_window_walks():
     alloc = AluAllocator(3, COUNTER_ROTATE)
-    assert alloc.allocate(2).units == (0, 1)
-    assert alloc.allocate(2).units == (1, 2)
-    assert alloc.allocate(2).units == (2, 0)
+    assert alloc.allocate(2) == (0, 1)
+    assert alloc.allocate(2) == (1, 2)
+    assert alloc.allocate(2) == (2, 0)
     assert alloc.usage_snapshot() == (2, 2, 2)
 
 
@@ -96,7 +96,7 @@ def test_k_zero_changes_nothing(policy):
     alloc = AluAllocator(3, policy)
     before = (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit)
     r = alloc.allocate(0)
-    assert r.units == () and r.mask == 0
+    assert r == ()
     # counter-rotate still advances its cycle counter; usage must not move
     assert alloc.usage_snapshot() == before[0]
     if policy == TOGGLE_BALANCE:
@@ -122,17 +122,15 @@ def test_bad_construction():
 @pytest.mark.parametrize("policy", POLICIES)
 def test_result_shape_exhaustive(policy):
     # every k-sequence of length 4 over 3 units: grant size, uniqueness,
-    # range, mask consistency, and usage conservation
+    # range, and usage conservation
     n = 3
     for seq in itertools.product(range(n + 1), repeat=4):
         alloc = AluAllocator(n, policy)
         for k in seq:
             r = alloc.allocate(k)
-            assert len(r.units) == k
-            assert len(set(r.units)) == k
-            assert all(0 <= u < n for u in r.units)
-            assert r.mask.bit_count() == k
-            assert r.mask == sum(1 << u for u in r.units)
+            assert len(r) == k
+            assert len(set(r)) == k
+            assert all(0 <= u < n for u in r)
         assert sum(alloc.usage_snapshot()) == sum(seq)
 
 
@@ -190,7 +188,7 @@ def test_matches_reference_allocator(data, n, policy):
     mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
     for k in ks[:split]:
         r = mine.allocate(k)
-        assert (r.units, r.mask) == ref.allocate(k)
+        assert r == ref.allocate(k)
         _same_state(mine, ref)
     twin = mine.clone()
     frozen = (mine.usage_snapshot(), mine.ex_bits, mine.global_bit)
@@ -199,12 +197,12 @@ def test_matches_reference_allocator(data, n, policy):
     twin_ref.bits, twin_ref.global_bit = list(ref.bits), ref.global_bit
     for k in ks[split:]:
         r = twin.allocate(k)
-        assert (r.units, r.mask) == twin_ref.allocate(k)
+        assert r == twin_ref.allocate(k)
         _same_state(twin, twin_ref)
     assert (mine.usage_snapshot(), mine.ex_bits, mine.global_bit) == frozen
     for k in ks[split:]:
         r = mine.allocate(k)
-        assert (r.units, r.mask) == ref.allocate(k)
+        assert r == ref.allocate(k)
         _same_state(mine, ref)
 
 

@@ -1,12 +1,11 @@
+import json
+
 import pytest
 
-from emsim.cache import (
-    CacheConfig,
-    RotatingCache,
-    build_hierarchy,
-    hierarchy_overrides_from_json,
-)
+from emsim import cli
+from emsim.cache import CacheConfig, RotatingCache, build_hierarchy
 from emsim.rng import SplitMix64
+from emsim.simulate import run_simulation
 from emsim.workload import ConfigError
 from reference_models import RefSetAssocLRU
 
@@ -255,16 +254,39 @@ def test_hierarchy_rejects_bad_input():
         build_hierarchy(overrides={"L1D": {"sets": 3}})
 
 
-def test_overrides_from_json():
+def _simulate_with_cache_config(tmp_path, cache, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cache": cache}), encoding="utf-8")
+    trace = tmp_path / "t.trace"
+    trace.write_text("0 M W 64 D\n1 M R 4096 I\n", encoding="utf-8")
+    return cli.main(["simulate", "--trace", str(trace), "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), *flags])
+
+
+def test_overrides_from_json(tmp_path, monkeypatch):
+    # a config file's cache section reaches SimConfig as given, and
+    # build_hierarchy maps a per-level "never" to no rotation
     doc = {"rotation_period": "never",
            "count_rotation_writebacks": False,
            "levels": {"L1D": {"sets": 16, "rotation_period": 1000},
+                      "L2": {"rotation_period": "never"},
                       "STLB": {"ways": 8}}}
-    norm = hierarchy_overrides_from_json(doc)
-    assert norm["rotation_period"] is None
-    assert norm["count_rotation_writebacks"] is False
-    assert norm["levels"]["L1D"] == {"sets": 16, "rotation_period": 1000}
-    assert norm["levels"]["STLB"] == {"ways": 8}
+    seen = []
+    monkeypatch.setattr(cli, "run_simulation",
+                        lambda events, cfg: seen.append(cfg) or run_simulation(events, cfg))
+    assert _simulate_with_cache_config(tmp_path, doc, "--rotation-period", "7") == 0
+    (cfg,) = seen
+    assert cfg.rotation_period == 7
+    assert cfg.charge_rotation_writebacks is False
+    assert cfg.cache_overrides == doc["levels"]
+    levels = {role: c.config for role, c in build_hierarchy(
+        rotation_period=cfg.rotation_period, overrides=cfg.cache_overrides).caches.items()}
+    assert (levels["L1D"].sets, levels["L1D"].rotation_period) == (16, 1000)
+    assert levels["L2"].rotation_period is None
+    assert (levels["STLB"].ways, levels["STLB"].rotation_period) == (8, 7)
+    # the flag wins over the config's period, which is still checked
+    assert _simulate_with_cache_config(
+        tmp_path, {"rotation_period": -5}, "--rotation-period", "7") == 2
 
 
 @pytest.mark.parametrize("doc,needle", [
@@ -277,6 +299,6 @@ def test_overrides_from_json():
     ({"levels": []}, "levels must be an object"),
     ({"extra": 1}, "unknown hierarchy config fields"),
 ])
-def test_overrides_from_json_errors(doc, needle):
-    with pytest.raises(ConfigError, match=needle):
-        hierarchy_overrides_from_json(doc)
+def test_overrides_from_json_errors(tmp_path, capsys, doc, needle):
+    assert _simulate_with_cache_config(tmp_path, doc) == 2
+    assert needle in capsys.readouterr().err

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emsim.cache import LEVEL_ROLES
 from emsim.cli import main
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
@@ -156,6 +161,10 @@ def test_aware_cache_rotation_spreads_tag_writes():
     dict(alu_policy="nope"),
     dict(alu_units=0),
     dict(rotation_period=0),
+    dict(alu_units=True),
+    dict(alu_units=2.5),
+    dict(rotation_period="5"),
+    dict(charge_rotation_writebacks="yes"),
 ])
 def test_simconfig_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -344,6 +353,19 @@ def test_cli_missing_trace_exits_2(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    trace = write(tmp_path / "t.trace", WORKED_ALU_TRACE)
+    out = str(tmp_path / "o")
+    for argv in (["simulate", "--trace", str(bad), "--out", out],
+                 ["simulate", "--trace", trace, "--config", str(bad), "--out", out],
+                 ["gen-trace", "--gen", str(bad), "--out", str(tmp_path / "g")],
+                 ["report-merge", str(bad), "--out", out]):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_cli_malformed_trace_exits_3(tmp_path, capsys):
     # the second trace's cycle is one int() takes but the grammar does not
     for text in ("0 A 1\nbroken\n", "0 A 1\n1_000 A 1\n"):
@@ -359,13 +381,23 @@ def test_cli_malformed_trace_exits_3(tmp_path, capsys):
     '{"alu": {"width": 3}}',
     '{"cache": {"levels": {"L9": {"sets": 4}}}}',
     '{"cache": {"rotation_period": "never"}}',
+    '{"alu": {"units": "3"}}',
+    '{"alu": {"units": 2.5}}',
+    '{"alu": {"units": true}}',
+    '{"cache": {"levels": {"L1D": {"sets": "64"}}}}',
+    '{"cache": {"levels": {"L1D": {"ways": 1.5}}}}',
+    '{"cache": {"levels": {"L1D": {"write_allocate": "no"}}}}',
+    '{"cache": {"levels": {"L2": {"line_bytes": true}}}}',
+    '{"cache": {"levels": {"L3": {"rotation_period": 2.5}}}}',
+    '{"cache": {"rotation_period": 0}}',
 ])
-def test_cli_bad_config_exits_2(tmp_path, config_text):
+def test_cli_bad_config_exits_2(tmp_path, capsys, config_text):
     cfg = write(tmp_path / "cfg.json", config_text)
     trace = write(tmp_path / "t.trace", WORKED_ALU_TRACE)
     rc = main(["simulate", "--trace", trace, "--config", cfg,
                "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_seed_with_trace_exits_2(tmp_path):
@@ -380,6 +412,53 @@ def test_cli_domain_error_exits_4(capsys):
     assert main(["em-calc", "black-mtf", "--current-density", "0"]) == 4
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+# Random JSON for the config and generator-spec loaders: objects over the
+# field names each loader knows plus one it does not, holding small values
+# of every JSON type (so any geometry or trace length stays tiny), nested
+# where the loaders expect nesting.
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 16) | st.floats(-2, 16)
+           | st.sampled_from([float("nan"), float("inf"), "never", "16", "gpr16",
+                              "toggle-balance", "zipf-reg-writes", "skewed-addrs",
+                              "alu-bursts"]))
+ANY_JSON = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=6)
+
+
+def json_objects(keys, values):
+    return st.dictionaries(st.sampled_from([*keys, "bogus"]), values | ANY_JSON,
+                           max_size=4)
+
+
+LEVELS = json_objects(LEVEL_ROLES, json_objects(
+    ["sets", "ways", "line_bytes", "rotation_period", "write_allocate"], SCALARS))
+CONFIGS = json_objects(["alu", "regfile", "cache"], json_objects(
+    ["units", "policy", "preset", "rotation_period", "count_rotation_writebacks",
+     "levels"], SCALARS | LEVELS))
+GENSPECS = json_objects(
+    ["kind", "seed", "length", "num_regs", "zipf_s", "working_set_lines",
+     "hot_fraction", "hot_weight", "line_bytes", "max_width", "width_distribution"],
+    SCALARS | st.lists(SCALARS, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=CONFIGS | ANY_JSON, spec=GENSPECS | ANY_JSON)
+def test_cli_random_config_and_spec_exit_0_or_2(config, spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("cfg.json", json.dumps(config)),
+                           ("spec.json", json.dumps(spec)),
+                           ("t.trace", MIXED_TRACE)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out = os.path.join(tmp, "o")
+        assert main(["simulate", "--trace", paths["t.trace"],
+                     "--config", paths["cfg.json"], "--out", out]) in (0, 2)
+        assert main(["gen-trace", "--gen", paths["spec.json"],
+                     "--out", os.path.join(out, "g.trace")]) in (0, 2)
 
 
 # --- CLI: gen-trace ---------------------------------------------------------
@@ -477,6 +556,43 @@ def test_cli_em_calc_k2(capsys):
     assert main(["em-calc", "k2", "--rise", "1e-11", "--fall", "1e-11"]) == 0
     value = float(out_line(capsys).split()[2])
     assert value == pytest.approx((2e11) ** 0.5)
+
+
+# one invocation per subcommand and flag group; stdout pinned byte for byte
+EM_CALC_GOLDEN = [
+    ("black-mtf --scale-a 8.0 --exponent-n 2.0 --activation-ea 0.7 "
+     "--current-density 3e9 --temp-k 350",
+     "black-mtf = 1.067588405228857e-08 time-units"),
+    ("black-mtf --scale-a 8.0 --activation-ea 0.7 --current-density 3e9 "
+     "--temp-c 105",
+     "black-mtf = 1.8970027982881746e-09 time-units"),
+    ("black-mtf --current-density 2e10", "black-mtf = 2.5e-21 time-units"),
+    ("current-density --capacitance 1e-15 --vdd 1.1 --freq 3e9 --toggle 0.25 "
+     "--rise 2e-11 --fall 3e-11 --width 1e-7 --height 2e-7",
+     "current-density = 41250000.00000001 A/m^2"),
+    ("reduced-irms --i-max 2e-3 --mtf-tech 7 --mtf-reduced 10",
+     "reduced-irms = 0.001673320053068151 A"),
+    ("reduced-irms --i-max 1.0 --mtf-reduced 40", "reduced-irms = 0.5 A"),
+    ("lifetime-extension 0.7", "lifetime-extension = 2.0408163265306123 x"),
+    ("k1 --scale-a 2.0 --exponent-n 1.5 --activation-ea 0.5 --temp-c 85 "
+     "--width 1e-7 --height 2e-7",
+     "k1 = 6.143606006892293e-14 (tech composite)"),
+    ("k1 --width 5e-8 --height 1e-7", "k1 = 2.499999999999999e-29 (tech composite)"),
+    ("k2 --rise 1e-11 --fall 3e-11", "k2 = 365148.37167011073 s^-1/2"),
+    ("rms-mtf --scale-a 2.0 --activation-ea 0.5 --temp-k 360 --width 1e-7 "
+     "--height 2e-7 --capacitance 1e-15 --vdd 1.1 --freq 3e9 --toggle 0.3",
+     "rms-mtf = 2.9343096842629107e-30 time-units"),
+    ("rms-mtf --width 1e-7 --height 2e-7 --capacitance 1e-15 --vdd 1.1 "
+     "--freq 3e9 --toggle 0",
+     "rms-mtf = unbounded (zero toggle probability)"),
+    ("improvement 100 34", "improvement = 1.9411764705882355 (194.12%)"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", EM_CALC_GOLDEN)
+def test_cli_em_calc_golden_stdout(capsys, argv, stdout):
+    assert main(["em-calc", *argv.split()]) == 0
+    assert capsys.readouterr().out == stdout + "\n"
 
 
 def test_cli_em_calc_temp_c_matches_kelvin(capsys):

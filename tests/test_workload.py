@@ -288,6 +288,14 @@ def test_genspec_json_round_trip():
         assert genspec_from_json(json.dumps(doc)) == spec
 
 
+ZIPF_DOC = {"kind": "zipf-reg-writes", "seed": 1, "length": 1,
+            "num_regs": 4, "zipf_s": 1.0}
+SKEWED_DOC = {"kind": "skewed-addrs", "seed": 1, "length": 1,
+              "working_set_lines": 8, "hot_fraction": 0.5, "hot_weight": 2.0}
+ALU_DOC = {"kind": "alu-bursts", "seed": 1, "length": 1, "max_width": 2,
+           "width_distribution": [1, 1, 1]}
+
+
 @pytest.mark.parametrize("doc,needle", [
     ("{not json", "not valid JSON"),
     ("[1, 2]", "must be a JSON object"),
@@ -296,6 +304,22 @@ def test_genspec_json_round_trip():
     ({"kind": "zipf-reg-writes", "seed": 1, "length": 1,
       "num_regs": 4, "zipf_s": 1.0, "bogus": 9}, "unknown generator spec fields"),
     ({"seed": 1, "length": 1}, "missing field"),
+    ({**ZIPF_DOC, "num_regs": "16"}, "num_regs must be an integer"),
+    ({**ZIPF_DOC, "num_regs": True}, "num_regs must be an integer"),
+    ({**ZIPF_DOC, "zipf_s": "a"}, "zipf_s must be a finite number"),
+    ({**ZIPF_DOC, "zipf_s": float("nan")}, "zipf_s must be a finite number"),
+    ({**ZIPF_DOC, "seed": "x"}, "seed must be an integer"),
+    ({**ZIPF_DOC, "seed": 1.9}, "seed must be an integer"),
+    ({**ZIPF_DOC, "length": 3.7}, "length must be an integer"),
+    ({**ZIPF_DOC, "kind": ["zipf-reg-writes"]}, "unknown generator kind"),
+    ({**SKEWED_DOC, "working_set_lines": 2.5}, "working_set_lines must be an integer"),
+    ({**SKEWED_DOC, "line_bytes": 1.5}, "line_bytes must be an integer"),
+    ({**SKEWED_DOC, "hot_weight": float("inf")}, "hot_weight must be a finite number"),
+    ({**ALU_DOC, "width_distribution": 5}, "width_distribution must be a list"),
+    ({**ALU_DOC, "width_distribution": ["a", "b", "c"]},
+     "width_distribution must be a list"),
+    ({**ALU_DOC, "width_distribution": [1, False, 1]},
+     "width_distribution must be a list"),
 ])
 def test_genspec_json_errors(doc, needle):
     with pytest.raises(ConfigError, match=needle):
