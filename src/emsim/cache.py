@@ -138,15 +138,16 @@ class RotatingCache:
     def rotate(self) -> None:
         cfg = self.config
         sink = self.writeback_sink if self.charge_rotation_writebacks else None
-        # set-major, way-ascending: the order the write-backs reach the level
-        # below decides its LRU state
-        for s, lru in enumerate(self._lru):
-            for e in range(s * cfg.ways, s * cfg.ways + len(lru)):
-                if self._dirty[e]:
-                    self.rotation_writebacks += 1
-                    if sink is not None:
-                        sink(self._tag[e] * cfg.line_bytes)
-            lru.clear()
+        # resident lines only, set-major and way-ascending (entry index order):
+        # the order the write-backs reach the level below decides its LRU state
+        resident = sorted(self._where.values())
+        for e in resident:
+            if self._dirty[e]:
+                self.rotation_writebacks += 1
+                if sink is not None:
+                    sink(self._tag[e] * cfg.line_bytes)
+        for s in {e // cfg.ways for e in resident}:
+            self._lru[s].clear()
         self._where.clear()
         self.rot_counter = (self.rot_counter + 1) % cfg.sets
         self.invalidations += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,7 @@ from .wear_stats import (
 )
 from .workload import (
     ConfigError,
+    Trace,
     TraceParseError,
     generate,
     genspec_from_json,
@@ -160,9 +162,9 @@ def cmd_simulate(args) -> int:
         settings["rotation_period"] = args.rotation_period
 
     if args.trace:
-        events = load_trace(args.trace)
+        trace = load_trace(args.trace)
     else:
-        events = generate(_load_genspec(args.gen, args.seed))
+        trace = Trace.from_events(generate(_load_genspec(args.gen, args.seed)))
 
     if "rotation_period" in settings and settings["rotation_period"] is None:
         raise ConfigError(
@@ -171,7 +173,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(
         structures=STRUCTURES if args.structure == "all" else (args.structure,),
         count_rotation_shifts=args.count_rotation_shifts, **settings)
-    reports, summary = run_simulation(events, cfg)
+    reports, summary = run_simulation(trace, cfg)
     csv_path, json_path = write_report_files(reports, summary, args.out)
     _print_summary(reports, summary)
     print(f"wrote {csv_path} and {json_path}")
@@ -352,10 +354,22 @@ def cmd_report_merge(args) -> int:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "reports" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("reports"), list):
             raise ConfigError(f"{path}: not a simulation report")
-        runs.append({row["structure"]: row["mtf_improvement"]
-                     for row in doc["reports"]})
+        run = {}
+        for i, row in enumerate(doc["reports"]):
+            if not isinstance(row, dict):
+                raise ConfigError(f"{path}: report row {i} is not an object")
+            structure, value = row.get("structure"), row.get("mtf_improvement")
+            if not isinstance(structure, str):
+                raise ConfigError(f"{path}: report row {i}: structure must be "
+                                  f"a string, got {structure!r}")
+            if value != "unbounded" and not (type(value) in (int, float)
+                                             and math.isfinite(value)):
+                raise ConfigError(f"{path}: report row {i}: mtf_improvement must be "
+                                  f'a finite number or "unbounded", got {value!r}')
+            run[structure] = value
+        runs.append(run)
 
     merged = []
     for structure in dict.fromkeys(s for run in runs for s in run):

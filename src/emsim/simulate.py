@@ -34,7 +34,7 @@ from .wear_stats import (
     write_reports_csv,
     write_reports_json,
 )
-from .workload import AluIssue, ConfigError, Event, MemAccess, RegWrite
+from .workload import AluIssue, ConfigError, RegWrite, Trace
 
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
@@ -81,7 +81,7 @@ def _strip_rotation(overrides: dict | None) -> dict | None:
             for role, fields in overrides.items()}
 
 
-def run_simulation(events: list[Event], cfg: SimConfig):
+def run_simulation(trace: Trace, cfg: SimConfig):
     """Returns (reports, summary)."""
     do_alu = "alu" in cfg.structures
     do_reg = "regfile" in cfg.structures
@@ -117,8 +117,7 @@ def run_simulation(events: list[Event], cfg: SimConfig):
     if do_cache:
         base_access, aware_access = hier_base.access, hier_aware.access
     n_alu = n_reg = 0
-    for ev in events:
-        p = ev.payload
+    for cycle, p in zip(trace.cycles, trace.payloads):
         cls = type(p)
         if cls is AluIssue:
             n_alu += 1
@@ -133,7 +132,6 @@ def run_simulation(events: list[Event], cfg: SimConfig):
             if do_reg:
                 idx = member_index(p.reg_class, p.arch_id)
                 if idx is not None:
-                    cycle = ev.cycle
                     owed = cycle // period - rf_aware.rotations_done
                     if owed > 0:
                         rf_aware.rotate(owed)
@@ -142,7 +140,8 @@ def run_simulation(events: list[Event], cfg: SimConfig):
         elif do_cache:
             base_access(p.address, p.kind, p.space)
             aware_access(p.address, p.kind, p.space)
-    n_mem = len(events) - n_alu - n_reg
+    n_events = len(trace)
+    n_mem = n_events - n_alu - n_reg
 
     reports: list[StructureReport] = []
     if do_alu:
@@ -170,11 +169,11 @@ def run_simulation(events: list[Event], cfg: SimConfig):
         "regfile_preset": cfg.regfile_preset,
         "rotation_period": cfg.rotation_period,
         "count_rotation_shifts": cfg.count_rotation_shifts,
-        "events": len(events),
+        "events": n_events,
         "alu_issues": n_alu,
         "reg_writes": n_reg,
         "mem_accesses": n_mem,
-        "cycles": events[-1].cycle + 1 if events else 0,
+        "cycles": trace.cycles[-1] + 1 if n_events else 0,
         "geo_mean_improvement": _aggregate(reports),
     }
     return reports, summary

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -59,14 +60,15 @@ def histogram(counts: Sequence[int]) -> WriteHistogram:
     if m == 0:
         bins[0] = len(counts)
     else:
-        for c in counts:
+        # wear counters repeat a lot: place each distinct value once
+        for c, n in Counter(counts).items():
             scaled = 100 * c
             for b, upper in enumerate(_BIN_UPPER):
                 if scaled <= upper * m:
-                    bins[b] += 1
+                    bins[b] += n
                     break
             else:
-                bins[4] += 1
+                bins[4] += n
     return WriteHistogram(bins=tuple(bins), max_writes=m,
                           avg_writes=sum(counts) / len(counts),
                           num_entries=len(counts))

@@ -69,6 +69,30 @@ class Event:
     payload: Payload
 
 
+@dataclass(frozen=True, slots=True)
+class Trace:
+    """A trace held as two parallel columns: event i happens in cycles[i]
+    and carries payloads[i]. Iterating yields Events."""
+
+    cycles: list[int]
+    payloads: list[Payload]
+
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> Trace:
+        cycles: list[int] = []
+        payloads: list[Payload] = []
+        for ev in events:
+            cycles.append(ev.cycle)
+            payloads.append(ev.payload)
+        return cls(cycles, payloads)
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(Event, self.cycles, self.payloads)
+
+
 # --- parsing / serialization -------------------------------------------------
 
 _KIND_CODE = {"R": "READ", "W": "WRITE"}
@@ -85,7 +109,7 @@ def _strict_int(text: str) -> int:
     return value
 
 
-def parse_trace(lines: Iterable[str]) -> list[Event]:
+def parse_trace(lines: Iterable[str]) -> Trace:
     """Parse a trace from an iterable of text lines (an open file works).
 
     Integers are ASCII decimal with an optional leading '-' (negative values
@@ -93,12 +117,15 @@ def parse_trace(lines: Iterable[str]) -> list[Event]:
     with the offending line number on malformed input, decreasing cycles, or
     two ALU issues in one cycle.
 
-    Identical ALU and register records share one immutable payload object,
-    looked up by their raw field strings, so a long trace holds one payload
-    per distinct record rather than one per line.
+    Returns the trace as two columns, not one Event per line. Identical ALU
+    and register records share one immutable payload object, looked up by
+    their raw field strings, and the records of one cycle share its int, so
+    a long trace holds two list slots per line plus one payload per distinct
+    record (one per memory record).
     """
-    events: list[Event] = []
-    append = events.append
+    cycles: list[int] = []
+    payloads: list[Payload] = []
+    append_cycle, append_payload = cycles.append, payloads.append
     alu_payloads: dict[str, AluIssue] = {}
     reg_payloads: dict[str, dict[str, RegWrite]] = {c: {} for c in REG_CLASSES}
     last_cycle = -1
@@ -167,8 +194,9 @@ def parse_trace(lines: Iterable[str]) -> list[Event]:
             alu_cycle = cycle
         last_cycle = cycle
         last_cycle_text = fields[0]
-        append(Event(cycle, payload))
-    return events
+        append_cycle(cycle)
+        append_payload(payload)
+    return Trace(cycles, payloads)
 
 
 def serialize_event(event: Event) -> str:
@@ -186,7 +214,7 @@ def serialize_trace(events: Iterable[Event]) -> Iterator[str]:
         yield serialize_event(event)
 
 
-def load_trace(path) -> list[Event]:
+def load_trace(path) -> Trace:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trace(fh)
 

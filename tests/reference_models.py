@@ -14,7 +14,8 @@ RefAluAllocator runs the three ALU policies step by step on plain lists,
 straight from their definitions. ref_parse_trace is the straightforward
 line-by-line trace parser: one int conversion per integer field and one new
 payload per record. It shares only the event types and the error class with
-the package, so that its results can be compared directly.
+the package, so that its results can be compared directly. ref_histogram
+places one entry at a time in the five wear bins.
 """
 
 import re
@@ -281,3 +282,25 @@ def ref_parse_trace(lines):
         last_cycle = cycle
         events.append(Event(cycle, payload))
     return events
+
+
+def ref_histogram(counts):
+    """(bins, max, mean, entries) of the five-bin write histogram, placing
+    one entry at a time: r = 100*c/max lands in r <= 25, 25 < r <= 50,
+    50 < r <= 75, 75 < r <= 90 or r > 90, compared exactly as
+    100*c <= edge*max (with max 0 every entry lands in the first bin)."""
+    counts = list(counts)
+    m = max(counts)
+    bins = [0] * 5
+    for c in counts:
+        if 100 * c <= 25 * m:
+            bins[0] += 1
+        elif 100 * c <= 50 * m:
+            bins[1] += 1
+        elif 100 * c <= 75 * m:
+            bins[2] += 1
+        elif 100 * c <= 90 * m:
+            bins[3] += 1
+        else:
+            bins[4] += 1
+    return tuple(bins), m, sum(counts) / len(counts), len(counts)

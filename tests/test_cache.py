@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -76,6 +77,19 @@ def test_rotate_on_empty_cache():
     for _ in range(7):
         c.rotate()
     assert c.rot_counter == 0
+
+
+def test_rotation_cost_follows_resident_lines_not_sets():
+    # 65,536 sets but one resident line per rotation: each rotate() visits
+    # that line, not every set
+    c = make(sets=65536, ways=1)
+    t0 = time.perf_counter()
+    for i in range(2000):
+        c.access(i * 64, "WRITE")
+        c.rotate()
+    elapsed = time.perf_counter() - t0
+    assert c.rotation_writebacks == 2000 and c.invalidations == 2000
+    assert elapsed < 1.0
 
 
 def test_rotation_invalidates_everything():

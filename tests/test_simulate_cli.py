@@ -14,7 +14,7 @@ from emsim.cache import LEVEL_ROLES
 from emsim.cli import main
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
-from emsim.workload import ConfigError, parse_trace
+from emsim.workload import ConfigError, Trace, parse_trace
 
 WORKED_ALU_TRACE = """\
 # emsim trace v1
@@ -59,7 +59,7 @@ def test_worked_alu_sequence_side_by_side():
 
 
 def test_empty_event_list():
-    reports, summary = run_simulation([], SimConfig())
+    reports, summary = run_simulation(Trace([], []), SimConfig())
     assert all(r.histogram_baseline.max_writes == 0 for r in reports)
     assert all(r.mtf_improvement == 0.0 for r in reports)
     assert summary["cycles"] == 0
@@ -461,6 +461,33 @@ def test_cli_random_config_and_spec_exit_0_or_2(config, spec):
                      "--out", os.path.join(out, "g.trace")]) in (0, 2)
 
 
+# Random trace lines from the grammar's own tokens plus the near misses:
+# signs, digit separators, non-ASCII digits, unknown tags and classes, and
+# comment marks anywhere in a line.
+TRACE_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "07", "-", "-1", "_", "1_0", "+", "+3", "#", "#0",
+     "A", "R", "M", "GPR", "FP", "FLAGS", "SP", "VEC", "W", "D", "I", "Q", "x",
+     "\u0663", "1\u0661", "\uff15", "1.0"]) | st.integers(0, 10**12).map(str)
+TRACE_LINES = st.lists(st.tuples(st.sampled_from([" ", "\t", "  "]), TRACE_TOKENS),
+                       max_size=6).map(lambda parts: "".join(s + t for s, t in parts))
+VALID_LINES = st.builds(
+    lambda c, rec, i: rec.format(c=c, i=i), st.integers(0, 3),
+    st.sampled_from(["{c} A {i}", "{c} R GPR {i}", "{c} R SP {i}",
+                     "{c} M R {i} D", "{c} M W {i} I"]), st.integers(0, 4096))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(VALID_LINES | TRACE_LINES, max_size=10),
+       structure=st.sampled_from(["alu", "regfile", "cache", "all"]))
+def test_cli_random_trace_exit_0_or_3(lines, structure):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "t.trace")
+        with open(trace, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["simulate", "--trace", trace, "--structure", structure,
+                     "--out", os.path.join(tmp, "o")]) in (0, 3)
+
+
 # --- CLI: gen-trace ---------------------------------------------------------
 
 
@@ -664,3 +691,59 @@ def test_cli_report_merge_rejects_non_report_json(tmp_path):
     p = tmp_path / "x.json"
     p.write_text("[1, 2, 3]")
     assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 2
+
+
+@pytest.mark.parametrize("doc,needle", [
+    ({"reports": [1]}, "report row 0 is not an object"),
+    ({"reports": 5}, "not a simulation report"),
+    ({"reports": [{"structure": "alu"}]}, "mtf_improvement must be"),
+    ({"reports": [{"structure": "alu", "mtf_improvement": "x"}]},
+     "mtf_improvement must be"),
+    ({"reports": [{"structure": ["alu"], "mtf_improvement": 1.0}]},
+     "structure must be a string"),
+    ({"reports": [{"structure": "alu", "mtf_improvement": float("nan")}]},
+     "mtf_improvement must be"),
+])
+def test_cli_report_merge_bad_shape_exits_2(tmp_path, capsys, doc, needle):
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps(doc))
+    assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
+def test_cli_report_merge_total_regression_is_a_domain_error(tmp_path, capsys):
+    # -1 (an idle baseline against a busy aware run) has no ratio-space mean
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"reports": [{"structure": "alu", "mtf_improvement": -1.0}]}))
+    assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 4
+    assert "improvements must be > -1" in capsys.readouterr().err
+
+
+# Random JSON shaped more or less like report.json. Improvements stay above
+# -1, since -1 and below are a domain error (exit 4, tested above).
+MERGE_SCALARS = (st.none() | st.booleans() | st.integers(0, 16)
+                 | st.floats(-0.99, 16) | st.sampled_from(
+                     [float("nan"), float("inf"), "unbounded", "alu", "x"]))
+MERGE_JSON = st.recursive(
+    MERGE_SCALARS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=6)
+MERGE_ROWS = st.fixed_dictionaries(
+    {"structure": st.sampled_from(["alu", "cache.L1D.lines"]),
+     "mtf_improvement": st.floats(-0.99, 16) | st.just("unbounded")}) | st.dictionaries(
+    st.sampled_from(["structure", "mtf_improvement", "bogus"]), MERGE_JSON, max_size=3)
+MERGE_DOCS = st.dictionaries(
+    st.sampled_from(["reports", "bogus"]),
+    st.lists(MERGE_ROWS | MERGE_JSON, max_size=3) | MERGE_JSON, max_size=2) | MERGE_JSON
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=st.lists(MERGE_DOCS, min_size=1, max_size=2))
+def test_cli_random_report_merge_exit_0_or_2(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(os.path.join(tmp, f"r{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        assert main(["report-merge", *paths, "--out", os.path.join(tmp, "m")]) in (0, 2)

@@ -17,6 +17,8 @@ from emsim.wear_stats import (
     write_reports_json,
 )
 
+from reference_models import ref_histogram
+
 count_vectors = st.lists(st.integers(min_value=0, max_value=10_000),
                          min_size=1, max_size=60)
 
@@ -83,6 +85,23 @@ def test_histogram_conserves_entries(counts):
 @given(count_vectors, st.integers(min_value=1, max_value=997))
 def test_histogram_scale_invariant(counts, k):
     assert histogram(counts).bins == histogram([k * c for c in counts]).bins
+
+
+@st.composite
+def repetitive_count_vectors(draw):
+    """Wear-like vectors: few distinct values, many repeats, and counts at
+    exactly 25/50/75/90% of the maximum."""
+    m = draw(st.integers(min_value=0, max_value=10**12))
+    pool = draw(st.lists(st.integers(min_value=0, max_value=m), min_size=1, max_size=6))
+    pool += [m * pct // 100 for pct in (25, 50, 75, 90, 100)]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+
+
+@settings(max_examples=300)
+@given(count_vectors | repetitive_count_vectors())
+def test_histogram_matches_reference(counts):
+    h = histogram(counts)
+    assert (h.bins, h.max_writes, h.avg_writes, h.num_entries) == ref_histogram(counts)
 
 
 def test_avg_to_max():

@@ -16,6 +16,7 @@ from emsim.workload import (
     MemAccess,
     RegWrite,
     SkewedAddrs,
+    Trace,
     TraceParseError,
     ZipfRegWrites,
     generate,
@@ -42,8 +43,8 @@ MIXED = """\
 
 
 def test_parse_mixed_trace():
-    events = parse_trace(MIXED.splitlines())
-    assert events == [
+    trace = parse_trace(MIXED.splitlines())
+    assert list(trace) == [
         Event(0, AluIssue(2)),
         Event(0, RegWrite("GPR", 5)),
         Event(1, MemAccess("WRITE", 4096, "DATA")),
@@ -61,8 +62,8 @@ def test_serialize_parse_round_trip():
 
 
 def test_parse_empty():
-    assert parse_trace([]) == []
-    assert parse_trace(["# only a comment", "   "]) == []
+    assert list(parse_trace([])) == []
+    assert list(parse_trace(["# only a comment", "   "])) == []
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -92,12 +93,24 @@ def test_parse_rejects(text, needle):
 
 
 def test_parse_shares_identical_payloads():
-    events = parse_trace(["0 A 2", "0 R GPR 5", "1 A 2", "1 R GPR 5", "2 R GPR 05",
-                          "2 M W 64 D", "3 M W 64 D"])
-    assert events[0].payload is events[2].payload
-    assert events[1].payload is events[3].payload
-    assert events[4].payload == events[3].payload
-    assert events[5].payload is not events[6].payload
+    payloads = parse_trace(["0 A 2", "0 R GPR 5", "1 A 2", "1 R GPR 5", "2 R GPR 05",
+                            "2 M W 64 D", "3 M W 64 D"]).payloads
+    assert payloads[0] is payloads[2]
+    assert payloads[1] is payloads[3]
+    assert payloads[4] == payloads[3]
+    assert payloads[5] is not payloads[6]
+
+
+def test_trace_columns():
+    events = [Event(0, AluIssue(1)), Event(4000, RegWrite("FP", 2)),
+              Event(4000, MemAccess("READ", 64, "INSTR"))]
+    trace = Trace.from_events(events)
+    assert len(trace) == 3 and list(trace) == events
+    assert trace.cycles == [0, 4000, 4000]
+    assert parse_trace(serialize_trace(trace)) == trace
+    # the records of one cycle share its int
+    parsed = parse_trace(["4000 A 1", "4000 R GPR 0", "4001 A 1"])
+    assert parsed.cycles[0] is parsed.cycles[1]
 
 
 def test_readme_trace_example_parses():
@@ -171,7 +184,7 @@ def test_parse_matches_reference(lines):
             parse_trace(lines)
         assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
     else:
-        assert parse_trace(lines) == want
+        assert list(parse_trace(lines)) == want
 
 
 def test_parse_error_carries_line_number():
