@@ -2,7 +2,7 @@
 
 A block whose index field is i lives in physical set (i + rot) mod S.
 Rotating bumps rot by one and invalidates everything (dirty lines are
-written back first when a lower level is attached), so each physical set
+written back to the level below first), so each physical set
 takes turns hosting the hottest index. Per-set and per-line write counters
 record the wear the rotation is meant to spread.
 
@@ -23,12 +23,12 @@ pages), so a "block address" there is just the page number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Sequence
 
-from .workload import ConfigError
+from .workload import ConfigError, MemAccess
 
-PAGE_BYTES = 4096
+_PAGE_SHIFT = 13  # 4 KiB pages: an encoded access >> 13 is its page number
+CHUNK_RECORDS = 1024  # memory records per level-by-level pass
 LEVEL_ROLES = ("L1D", "L1I", "L2", "L3", "DTLB", "ITLB", "STLB")
 
 
@@ -65,13 +65,10 @@ class CacheConfig:
 
 class RotatingCache:
     __slots__ = ("config", "rot_counter", "_where", "_lru", "_tag", "_dirty",
-                 "set_writes", "line_writes", "invalidations", "accesses",
-                 "fills", "write_hits", "rotation_writebacks",
-                 "writeback_sink", "charge_rotation_writebacks")
+                 "set_writes", "line_writes", "accesses", "fills", "write_hits",
+                 "rotation_writebacks", "charge_rotation_writebacks")
 
-    def __init__(self, config: CacheConfig,
-                 writeback_sink: Optional[Callable[[int], None]] = None,
-                 charge_rotation_writebacks: bool = True):
+    def __init__(self, config: CacheConfig, charge_rotation_writebacks: bool = True):
         self.config = config
         self.rot_counter = 0
         n = config.sets * config.ways
@@ -81,12 +78,10 @@ class RotatingCache:
         self._dirty = bytearray(n)
         self.set_writes = [0] * config.sets
         self.line_writes = [0] * n
-        self.invalidations = 0
         self.accesses = 0
         self.fills = 0
         self.write_hits = 0
         self.rotation_writebacks = 0
-        self.writeback_sink = writeback_sink
         self.charge_rotation_writebacks = charge_rotation_writebacks
 
     def physical_set(self, address: int) -> int:
@@ -94,63 +89,112 @@ class RotatingCache:
         return (index_field + self.rot_counter) % self.config.sets
 
     def access(self, address: int, kind: str) -> tuple[bool, bool, int | None]:
-        """Returns (hit, fill, byte address of the evicted dirty block or None)."""
-        cfg = self.config
-        block = address // cfg.line_bytes
-        s = (block + self.rot_counter) % cfg.sets
-        lru = self._lru[s]
-        e = self._where.get(block)
-        if e is not None:
-            lru.remove(e)
-            lru.insert(0, e)
-            if kind == "WRITE":
-                self._dirty[e] = True
-                self.set_writes[s] += 1
-                self.line_writes[e] += 1
-                self.write_hits += 1
-            out = (True, False, None)
-        elif kind == "READ" or cfg.write_allocate:
-            wb = None
-            if len(lru) < cfg.ways:
-                e = s * cfg.ways + len(lru)
-            else:
-                e = lru.pop()
-                del self._where[self._tag[e]]
-                if self._dirty[e]:
-                    wb = self._tag[e] * cfg.line_bytes
-            lru.insert(0, e)
-            self._where[block] = e
-            self._tag[e] = block
-            self._dirty[e] = kind == "WRITE"
-            self.set_writes[s] += 1
-            self.line_writes[e] += 1
-            self.fills += 1
-            out = (False, True, wb)
-        else:
-            # write miss on a no-allocate cache: the write passes below
-            out = (False, False, None)
+        """One access, as a one-element run(). Returns (hit, fill, byte
+        address of the evicted dirty block or None)."""
+        fills, rotation_writebacks = self.fills, self.rotation_writebacks
+        out = self.run([address << 1 | (kind == "WRITE")])
+        if self.charge_rotation_writebacks:  # they come first; drop them
+            del out[:self.rotation_writebacks - rotation_writebacks]
+        fill = self.fills > fills
+        return (not fill and not out, fill, out[0] >> 1 if len(out) == 2 else None)
 
-        self.accesses += 1
-        if cfg.rotation_period is not None and self.accesses % cfg.rotation_period == 0:
-            self.rotate()
+    def run(self, stream: list[int], tags: list[int] | None = None) -> list[int]:
+        """The level loop: replays accesses encoded as (byte address << 1 |
+        is_write) in order. Returns, in the same encoding, what they send to
+        the level below: per access its rotation write-backs (set-major), then
+        its evicted dirty line, then its fill fetch (a read) or its passed-on
+        no-allocate write. With tags, also appends to tags the stream index
+        of the access that sent each output.
+
+        The rotation countdown carries over between calls through accesses.
+        """
+        out: list[int] = []
+        period = self.config.rotation_period
+        start = 0
+        # the access at index last rotates the cache; its write-backs go first
+        while period and (last := start + period - 1 - self.accesses % period) < len(stream):
+            self._replay(stream, start, last, out, tags)
+            mark = len(out)
+            self._replay(stream, last, last + 1, out, tags)
+            writebacks = self.rotate()
+            out[mark:mark] = writebacks
+            if tags is not None:
+                tags[mark:mark] = [last] * len(writebacks)
+            start = last + 1
+        self._replay(stream, start, len(stream), out, tags)
         return out
 
-    def rotate(self) -> None:
+    def _replay(self, stream, start, stop, out, tags) -> None:
+        """Accesses stream[start:stop], among which the cache does not rotate."""
         cfg = self.config
-        sink = self.writeback_sink if self.charge_rotation_writebacks else None
+        shift = cfg.line_bytes.bit_length()  # encoded access >> shift = block
+        sets_mask, ways, allocate_writes = cfg.sets - 1, cfg.ways, cfg.write_allocate
+        rot = self.rot_counter
+        where, lrus, tag, dirty = self._where, self._lru, self._tag, self._dirty
+        set_writes, line_writes = self.set_writes, self.line_writes
+        emit = out.append
+        sent_by = None if tags is None else tags.append
+        fills = write_hits = 0
+        for k in range(start, stop):
+            x = stream[k]
+            block = x >> shift
+            s = (block + rot) & sets_mask
+            e = where.get(block)
+            if e is not None:
+                lru = lrus[s]
+                if lru[0] != e:
+                    lru.remove(e)
+                    lru.insert(0, e)
+                if x & 1:
+                    dirty[e] = 1
+                    set_writes[s] += 1
+                    line_writes[e] += 1
+                    write_hits += 1
+                continue
+            if x & 1 and not allocate_writes:
+                emit(x)  # a write miss that does not allocate passes below
+            else:
+                lru = lrus[s]
+                if len(lru) < ways:
+                    e = s * ways + len(lru)
+                else:
+                    e = lru.pop()
+                    del where[tag[e]]
+                    if dirty[e]:
+                        emit(tag[e] << shift | 1)
+                        if sent_by:
+                            sent_by(k)
+                lru.insert(0, e)
+                where[block] = e
+                tag[e] = block
+                dirty[e] = x & 1
+                set_writes[s] += 1
+                line_writes[e] += 1
+                fills += 1
+                emit(x & -2)  # fetch the block
+            if sent_by:
+                sent_by(k)
+        self.accesses += stop - start
+        self.fills += fills
+        self.write_hits += write_hits
+
+    def rotate(self) -> list[int]:
+        """Invalidates every line and shifts the set mapping by one. Returns
+        the dirty lines' write-backs for the level below, encoded as in run(),
+        or none if rotation write-backs are not charged (they are counted
+        either way)."""
+        cfg = self.config
+        shift = cfg.line_bytes.bit_length()
         # resident lines only, set-major and way-ascending (entry index order):
         # the order the write-backs reach the level below decides its LRU state
         resident = sorted(self._where.values())
-        for e in resident:
-            if self._dirty[e]:
-                self.rotation_writebacks += 1
-                if sink is not None:
-                    sink(self._tag[e] * cfg.line_bytes)
+        writebacks = [self._tag[e] << shift | 1 for e in resident if self._dirty[e]]
+        self.rotation_writebacks += len(writebacks)
         for s in {e // cfg.ways for e in resident}:
             self._lru[s].clear()
         self._where.clear()
         self.rot_counter = (self.rot_counter + 1) % cfg.sets
-        self.invalidations += 1
+        return writebacks if self.charge_rotation_writebacks else []
 
     def set_writes_snapshot(self) -> tuple[int, ...]:
         return tuple(self.set_writes)
@@ -182,45 +226,56 @@ class Hierarchy:
     L1D -> L2 -> L3; INSTR accesses use the I-TLB and L1I. Fills fetch from
     the level below as reads; dirty evictions and rotation write-backs land
     on the level below as writes. Memory below L3 absorbs silently.
+
+    No level feeds back into one above it, so each level's output stream is
+    exactly the next level's input (trace stripping: Puzak 1985; Wang and
+    Baer, SIGMETRICS 1990). access() therefore replays its records one level
+    at a time, CHUNK_RECORDS at a time: L1D and L1I, then L2, then L3; the D-
+    and I-TLB, then the STLB. Chunking bounds the streams held at once.
     """
 
     def __init__(self, caches: dict[str, RotatingCache]):
-        missing = [r for r in LEVEL_ROLES if r not in caches]
-        if missing:
-            raise ValueError(f"hierarchy missing levels: {missing}")
-        self.caches = caches
-        self._stlb = caches["STLB"]
-        self._spaces = {}
-        for space, tlb, first in (("DATA", "DTLB", "L1D"), ("INSTR", "ITLB", "L1I")):
-            path = (caches[first], caches["L2"], caches["L3"])
-            self._spaces[space] = (caches[tlb], path)
-            # L1x rotation write-backs enter the path at L2, L2's at L3; L3's
-            # go to memory (no sink)
-            for i in (0, 1):
-                path[i].writeback_sink = partial(self._walk, path, i + 1, kind="WRITE")
+        self.caches = caches  # role -> level, for every role in LEVEL_ROLES
 
-    def _walk(self, path, i: int, address: int, kind: str) -> None:
-        """Access path[i], then the levels below it as the outcome requires."""
-        while i < len(path):
-            hit, fill, writeback = path[i].access(address, kind)
-            i += 1
-            if writeback is not None:
-                self._walk(path, i, writeback, "WRITE")
-            if hit:
-                return
-            if fill:
-                kind = "READ"  # fetch the block; a no-allocate write passes on as is
+    def access(self, records: Sequence[MemAccess]) -> None:
+        for start in range(0, len(records), CHUNK_RECORDS):
+            self._replay(records[start:start + CHUNK_RECORDS])
 
-    def access(self, address: int, kind: str, space: str = "DATA") -> None:
-        if address < 0:
+    def _replay(self, chunk: Sequence[MemAccess]) -> None:
+        stream = [p.address << 1 | (p.kind == "WRITE") for p in chunk]
+        spaces = [p.space for p in chunk]
+        n_instr = spaces.count("INSTR")
+        if n_instr + spaces.count("DATA") != len(spaces):
+            raise ValueError("address space must be DATA or INSTR")
+        if min(stream) < 0:
             raise ValueError("address must be non-negative")
-        if space not in self._spaces:
-            raise ValueError(f"unknown address space {space!r}")
-        tlb, path = self._spaces[space]
-        page = address // PAGE_BYTES
-        if not tlb.access(page, "READ")[0]:
-            self._stlb.access(page, "READ")
-        self._walk(path, 0, address, kind)
+        pages = [x >> _PAGE_SHIFT << 1 for x in stream]  # TLB lookups are reads
+        c = self.caches
+        if n_instr in (0, len(spaces)):
+            l1, tlb = ("L1I", "ITLB") if n_instr else ("L1D", "DTLB")
+            l2_in, stlb_in = c[l1].run(stream), c[tlb].run(pages)
+        else:
+            by_space = ([], [])  # the DATA and the INSTR records' indices
+            for i, space in enumerate(spaces):
+                by_space[space == "INSTR"].append(i)
+            l2_in = _merged(c["L1D"], c["L1I"], by_space, stream)
+            stlb_in = _merged(c["DTLB"], c["ITLB"], by_space, pages)
+        c["L3"].run(c["L2"].run(l2_in))
+        c["STLB"].run(stlb_in)
+
+
+def _merged(data_level: RotatingCache, instr_level: RotatingCache,
+            by_space: tuple[list[int], list[int]], stream: list[int]) -> list[int]:
+    """Runs each space's records of stream through its own level and merges
+    the two outputs in record order. The sort is stable, so each record's
+    outputs keep the order its level sent them in."""
+    keys: list[int] = []
+    outs: list[int] = []
+    for level, indices in zip((data_level, instr_level), by_space):
+        tags: list[int] = []
+        outs += level.run([stream[i] for i in indices], tags)
+        keys += [indices[t] for t in tags]
+    return [outs[i] for i in sorted(range(len(outs)), key=keys.__getitem__)]
 
 
 def rotation_period_from_json(value) -> int | None:

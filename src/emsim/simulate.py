@@ -10,8 +10,9 @@ Structure drivers:
   ring land on both register files; the aware file catches up on owed
   rotations (cycle // period) in one rotate() call before each event, the
   baseline never rotates.
-* cache: MemAccess events walk two full hierarchies; the aware one
-  rotates per level every rotation_period accesses, the baseline never.
+* cache: the MemAccess events are collected in order and replayed through
+  two full hierarchies, one call each; the aware one rotates per level
+  every rotation_period accesses, the baseline never.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -114,8 +115,7 @@ def run_simulation(trace: Trace, cfg: SimConfig):
         period = cfg.rotation_period
         member_index = rf_base.member_index
         base_write, aware_write = rf_base.write, rf_aware.write
-    if do_cache:
-        base_access, aware_access = hier_base.access, hier_aware.access
+    mem = []
     n_alu = n_reg = 0
     for cycle, p in zip(trace.cycles, trace.payloads):
         cls = type(p)
@@ -138,8 +138,10 @@ def run_simulation(trace: Trace, cfg: SimConfig):
                     base_write(idx, cycle)
                     aware_write(idx, cycle)
         elif do_cache:
-            base_access(p.address, p.kind, p.space)
-            aware_access(p.address, p.kind, p.space)
+            mem.append(p)
+    if mem:
+        hier_base.access(mem)
+        hier_aware.access(mem)
     n_events = len(trace)
     n_mem = n_events - n_alu - n_reg
 

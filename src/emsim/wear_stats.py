@@ -74,16 +74,6 @@ def histogram(counts: Sequence[int]) -> WriteHistogram:
                           num_entries=len(counts))
 
 
-def avg_to_max(counts: Sequence[int]) -> float:
-    counts = list(counts)
-    if not counts:
-        raise ValueError("counts must be non-empty")
-    m = max(counts)
-    if m <= 0:
-        raise ValueError("avg/max ratio undefined when the maximum is 0")
-    return sum(counts) / len(counts) / m
-
-
 def _ratio_or_zero(hist: WriteHistogram) -> float:
     if hist.max_writes == 0:
         return 0.0

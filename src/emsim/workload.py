@@ -117,17 +117,20 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     with the offending line number on malformed input, decreasing cycles, or
     two ALU issues in one cycle.
 
-    Returns the trace as two columns, not one Event per line. Identical ALU
-    and register records share one immutable payload object, looked up by
-    their raw field strings, and the records of one cycle share its int, so
-    a long trace holds two list slots per line plus one payload per distinct
-    record (one per memory record).
+    Returns the trace as two columns, not one Event per line. Identical
+    records share one immutable payload object: ALU and register records are
+    looked up by their raw field strings, memory records by their parsed
+    address within their kind and space. The records of one cycle share its
+    int, so a long trace holds two list slots per line plus one payload per
+    distinct record.
     """
     cycles: list[int] = []
     payloads: list[Payload] = []
     append_cycle, append_payload = cycles.append, payloads.append
     alu_payloads: dict[str, AluIssue] = {}
     reg_payloads: dict[str, dict[str, RegWrite]] = {c: {} for c in REG_CLASSES}
+    mem_payloads: dict[str, dict[str, dict[int, MemAccess]]] = {
+        k: {s: {} for s in _SPACE_CODE} for k in _KIND_CODE}
     last_cycle = -1
     last_cycle_text = ""
     alu_cycle = -1
@@ -165,15 +168,20 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             elif tag == "M":
                 if len(fields) != 5:
                     raise TraceParseError("memory record needs 5 fields", line_no)
-                if fields[2] not in _KIND_CODE:
+                by_space = mem_payloads.get(fields[2])
+                if by_space is None:
                     raise TraceParseError(f"memory kind must be R or W, got {fields[2]!r}", line_no)
-                if fields[4] not in _SPACE_CODE:
+                by_address = by_space.get(fields[4])
+                if by_address is None:
                     raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
-                payload = MemAccess(kind=_KIND_CODE[fields[2]],
-                                    address=to_int(fields[3]),
-                                    space=_SPACE_CODE[fields[4]])
-                if payload.address < 0:
-                    raise TraceParseError("address must be non-negative", line_no)
+                address = to_int(fields[3])
+                payload = by_address.get(address)
+                if payload is None:
+                    if address < 0:
+                        raise TraceParseError("address must be non-negative", line_no)
+                    payload = by_address[address] = MemAccess(
+                        kind=_KIND_CODE[fields[2]], address=address,
+                        space=_SPACE_CODE[fields[4]])
             else:
                 raise TraceParseError(f"unknown record tag {tag!r}", line_no)
         except TraceParseError:

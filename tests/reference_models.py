@@ -15,7 +15,8 @@ straight from their definitions. ref_parse_trace is the straightforward
 line-by-line trace parser: one int conversion per integer field and one new
 payload per record. It shares only the event types and the error class with
 the package, so that its results can be compared directly. ref_histogram
-places one entry at a time in the five wear bins.
+places one entry at a time in the five wear bins, and ref_avg_to_max takes
+a vector's average-to-max ratio.
 """
 
 import re
@@ -304,3 +305,15 @@ def ref_histogram(counts):
         else:
             bins[4] += 1
     return tuple(bins), m, sum(counts) / len(counts), len(counts)
+
+
+def ref_avg_to_max(counts):
+    """Average over maximum of a write-count vector, undefined (ValueError)
+    for an empty vector or a maximum of 0."""
+    counts = list(counts)
+    if not counts:
+        raise ValueError("counts must be non-empty")
+    m = max(counts)
+    if m <= 0:
+        raise ValueError("avg/max ratio undefined when the maximum is 0")
+    return sum(counts) / len(counts) / m

@@ -1,13 +1,14 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from emsim import cli
-from emsim.cache import CacheConfig, RotatingCache, build_hierarchy
+from emsim.cache import CacheConfig, Hierarchy, RotatingCache, build_hierarchy
 from emsim.rng import SplitMix64
-from emsim.simulate import run_simulation
-from emsim.workload import ConfigError
+from emsim.simulate import SimConfig, run_simulation
+from emsim.workload import ConfigError, MemAccess, parse_trace
 from reference_models import RefSetAssocLRU
 
 
@@ -72,7 +73,7 @@ def test_direct_mapped_conflict_thrash():
 def test_rotate_on_empty_cache():
     c = make(sets=8)
     c.rotate()
-    assert c.rot_counter == 1 and c.invalidations == 1
+    assert c.rot_counter == 1
     assert c.fills == 0 and sum(c.line_writes) == 0 and c.accesses == 0
     for _ in range(7):
         c.rotate()
@@ -88,7 +89,7 @@ def test_rotation_cost_follows_resident_lines_not_sets():
         c.access(i * 64, "WRITE")
         c.rotate()
     elapsed = time.perf_counter() - t0
-    assert c.rotation_writebacks == 2000 and c.invalidations == 2000
+    assert c.rotation_writebacks == 2000 and c.rot_counter == 2000
     assert elapsed < 1.0
 
 
@@ -121,9 +122,9 @@ def test_rotation_trigger_fires_after_period():
     c = make(sets=8, rotation_period=3)
     c.access(0, "READ")
     c.access(64, "READ")
-    assert c.invalidations == 0
+    assert c.rot_counter == 0
     c.access(128, "READ")
-    assert c.invalidations == 1 and c.rot_counter == 1
+    assert c.rot_counter == 1
 
 
 def test_lru_eviction_order():
@@ -194,12 +195,12 @@ def test_default_geometry():
 
 def test_cold_read_fills_whole_data_path():
     h = build_hierarchy()
-    h.access(0x1234, "READ", "DATA")
+    h.access([MemAccess("READ", 0x1234, "DATA")])
     for role in ("DTLB", "STLB", "L1D", "L2", "L3"):
         assert h.caches[role].fills == 1, role
     assert h.caches["L1I"].accesses == 0 and h.caches["ITLB"].accesses == 0
 
-    h.access(0x1234, "READ", "DATA")  # now everything near hits
+    h.access([MemAccess("READ", 0x1234, "DATA")])  # now everything near hits
     assert h.caches["DTLB"].accesses == 2 and h.caches["DTLB"].fills == 1
     assert h.caches["L1D"].accesses == 2 and h.caches["L1D"].fills == 1
     assert h.caches["L2"].accesses == 1 and h.caches["STLB"].accesses == 1
@@ -207,7 +208,7 @@ def test_cold_read_fills_whole_data_path():
 
 def test_instruction_path():
     h = build_hierarchy()
-    h.access(0x4000, "READ", "INSTR")
+    h.access([MemAccess("READ", 0x4000, "INSTR")])
     for role in ("ITLB", "STLB", "L1I", "L2", "L3"):
         assert h.caches[role].fills == 1, role
     assert h.caches["DTLB"].accesses == 0 and h.caches["L1D"].accesses == 0
@@ -217,13 +218,11 @@ def test_dirty_evictions_write_into_l2():
     h = build_hierarchy(overrides={"L1D": {"sets": 1, "ways": 1}})
     a, b = 0x0, 0x40
     # warm both blocks into L2 so the write stream below adds no cold fills
-    h.access(a, "READ", "DATA")
-    h.access(b, "READ", "DATA")
+    h.access([MemAccess("READ", a, "DATA"), MemAccess("READ", b, "DATA")])
     l2 = h.caches["L2"]
     before = sum(l2.line_writes)
     n = 9
-    for i in range(n):
-        h.access(a if i % 2 == 0 else b, "WRITE", "DATA")
+    h.access([MemAccess("WRITE", a if i % 2 == 0 else b, "DATA") for i in range(n)])
     # every access after the first evicts a dirty line into L2
     assert sum(l2.line_writes) - before == n - 1
     assert l2.write_hits == n - 1 and l2.fills == 2
@@ -232,9 +231,9 @@ def test_dirty_evictions_write_into_l2():
 def test_rotation_writebacks_charged_to_next_level():
     h = build_hierarchy(overrides={"L1D": {"sets": 4, "ways": 1,
                                            "rotation_period": 4}})
-    for i in range(4):
-        h.access(i * 0x40, "WRITE", "DATA")  # 4 dirty lines, then rotation
-    assert h.caches["L1D"].invalidations == 1
+    # 4 dirty lines, then rotation
+    h.access([MemAccess("WRITE", i * 0x40, "DATA") for i in range(4)])
+    assert h.caches["L1D"].rot_counter == 1
     assert h.caches["L1D"].rotation_writebacks == 4
     l2 = h.caches["L2"]
     # L2 sees 3 cold fill fetches before the rotation, then the 4 write-backs
@@ -246,26 +245,65 @@ def test_rotation_writebacks_charged_to_next_level():
     quiet = build_hierarchy(overrides={"L1D": {"sets": 4, "ways": 1,
                                                "rotation_period": 4}},
                             charge_rotation_writebacks=False)
-    for i in range(4):
-        quiet.access(i * 0x40, "WRITE", "DATA")
+    quiet.access([MemAccess("WRITE", i * 0x40, "DATA") for i in range(4)])
     assert quiet.caches["L1D"].rotation_writebacks == 4
     # fill fetches still reach L2, but no write-back traffic does
     assert quiet.caches["L2"].accesses == 4
     assert quiet.caches["L2"].fills == 4 and quiet.caches["L2"].write_hits == 0
 
 
+def test_batch_reaches_l2_in_record_order():
+    # one batch, INSTR record first: the L1I fetch reaches the one-line L2
+    # before the L1D fetch, which then evicts it
+    h = build_hierarchy(overrides={"L2": {"sets": 1, "ways": 1}})
+    h.access([MemAccess("READ", 0x0, "INSTR"), MemAccess("READ", 0x40, "DATA")])
+    l2 = h.caches["L2"]
+    assert (l2.accesses, l2.fills) == (2, 2)
+    assert list(l2._where) == [0x40 // 64]
+
+
 def test_hierarchy_rejects_bad_input():
     h = build_hierarchy()
     with pytest.raises(ValueError):
-        h.access(-1, "READ", "DATA")
+        h.access([MemAccess("READ", -1, "DATA")])
     with pytest.raises(ValueError):
-        h.access(0, "READ", "CODE")
+        h.access([MemAccess("READ", 0, "CODE")])
     with pytest.raises(ConfigError):
         build_hierarchy(overrides={"L9": {}})
     with pytest.raises(ConfigError):
         build_hierarchy(overrides={"L1D": {"bogus": 1}})
     with pytest.raises(ConfigError):
         build_hierarchy(overrides={"L1D": {"sets": 3}})
+
+
+def _peak_bytes_inside_access(n):
+    # 64 distinct lines per space, all L1-resident after the first pass
+    distinct = [MemAccess("WRITE" if i % 3 else "READ", i * 64, "DATA") for i in range(64)]
+    distinct += [MemAccess("READ", i * 64, "INSTR") for i in range(64)]
+    records = [distinct[i * 37 % 128] for i in range(n)]
+    h = build_hierarchy()
+    tracemalloc.start()
+    try:
+        h.access(records)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_access_memory_stays_flat_in_the_batch_size():
+    # the level streams are held one chunk at a time, so ten times the
+    # records must not raise the peak allocated inside access()
+    assert _peak_bytes_inside_access(200_000) <= _peak_bytes_inside_access(20_000) + 64 * 1024
+
+
+def test_run_simulation_calls_access_once_per_hierarchy_and_only_with_records(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Hierarchy, "access", lambda self, records: calls.append(len(records)))
+    no_memory = parse_trace(["0 A 2", "0 R GPR 3", "5 A 1"])
+    run_simulation(no_memory, SimConfig())
+    assert calls == []
+    run_simulation(parse_trace(["0 A 2", "1 M W 64 D", "2 R GPR 3", "2 M R 0 I"]), SimConfig())
+    assert calls == [2, 2]
 
 
 def _simulate_with_cache_config(tmp_path, cache, *flags):

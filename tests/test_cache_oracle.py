@@ -1,10 +1,14 @@
 """Differential tests of the rotating cache and the hierarchy against the
 independent models in reference_models.py, over random geometries."""
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsim import cache
 from emsim.cache import LEVEL_ROLES, CacheConfig, RotatingCache, build_hierarchy
+from emsim.workload import MemAccess
 from reference_models import RefHierarchy, RefRotatingCache
 
 KINDS = st.sampled_from(["READ", "WRITE"])
@@ -18,8 +22,9 @@ def flat(rows):
 def assert_same_counters(mine, ref):
     assert mine.line_writes == flat(ref.line_writes)
     assert mine.set_writes == [sum(row) for row in ref.line_writes]
-    assert (mine.accesses, mine.fills, mine.write_hits, mine.rotation_writebacks) == \
-        (ref.accesses, ref.fills, ref.write_hits, ref.rotation_writebacks)
+    assert (mine.accesses, mine.fills, mine.write_hits, mine.rotation_writebacks,
+            mine.rot_counter) == \
+        (ref.accesses, ref.fills, ref.write_hits, ref.rotation_writebacks, ref.shift)
 
 
 def assert_lru_state(mine, ref):
@@ -33,26 +38,81 @@ def assert_lru_state(mine, ref):
     assert set(resident) == ref.resident_blocks()
 
 
-@settings(max_examples=300, deadline=None)
-@given(sets=st.sampled_from([1, 2, 4, 8, 16]), ways=st.integers(1, 6),
-       line_bytes=st.sampled_from([1, 2, 8, 64]), period=PERIODS,
-       write_allocate=st.booleans(), charge=st.booleans(),
-       accesses=st.lists(st.tuples(st.integers(0, 1 << 12), KINDS), max_size=300))
-def test_rotating_cache_matches_reference(sets, ways, line_bytes, period,
-                                          write_allocate, charge, accesses):
+def encode(address, kind):
+    return address << 1 | (kind == "WRITE")
+
+
+def ref_outputs(ref, address, kind):
+    """What one reference access sends below, in the level loop's order and
+    encoding: its rotation write-backs, its evicted dirty line, then its fill
+    fetch (a read) or its passed-on write."""
+    rotated = []
+    ref.on_writeback = rotated.append
+    hit, fill, writeback = ref.access(address, kind)
+    out = [a << 1 | 1 for a in rotated]
+    if writeback is not None:
+        out.append(writeback << 1 | 1)
+    if not hit:
+        out.append(encode(address, "READ" if fill else kind))
+    return out
+
+
+def batches(items, cuts):
+    """items cut at the given positions (those past the end are ignored)."""
+    bounds = sorted({0, len(items), *(c for c in cuts if c < len(items))})
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def cache_pair(sets, ways, line_bytes, period, write_allocate, charge):
     cfg = CacheConfig(name="dut", sets=sets, ways=ways, line_bytes=line_bytes,
                       rotation_period=period, write_allocate=write_allocate)
-    sunk, ref_sunk = [], []
-    mine = RotatingCache(cfg, writeback_sink=sunk.append,
-                         charge_rotation_writebacks=charge)
+    mine = RotatingCache(cfg, charge_rotation_writebacks=charge)
     ref = RefRotatingCache(sets, ways, line_bytes, rotation_period=period,
                            write_allocate=write_allocate,
                            charge_rotation_writebacks=charge)
-    ref.on_writeback = ref_sunk.append
-    for address, kind in accesses:
-        assert mine.access(address, kind) == ref.access(address, kind)
-        assert sunk == ref_sunk
+    return mine, ref
+
+
+CACHE_GEOMETRY = dict(sets=st.sampled_from([1, 2, 4, 8, 16]), ways=st.integers(1, 6),
+                      line_bytes=st.sampled_from([1, 2, 8, 64]), period=PERIODS,
+                      write_allocate=st.booleans(), charge=st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(accesses=st.lists(st.tuples(st.integers(0, 1 << 12), KINDS, st.booleans()),
+                         max_size=300), **CACHE_GEOMETRY)
+def test_rotating_cache_matches_reference(sets, ways, line_bytes, period,
+                                          write_allocate, charge, accesses):
+    # one access at a time, through access() or a one-element run()
+    mine, ref = cache_pair(sets, ways, line_bytes, period, write_allocate, charge)
+    for address, kind, as_stream in accesses:
+        if as_stream:
+            assert mine.run([encode(address, kind)]) == ref_outputs(ref, address, kind)
+        else:
+            ref.on_writeback = None
+            assert mine.access(address, kind) == ref.access(address, kind)
         assert_lru_state(mine, ref)
+    assert_same_counters(mine, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(accesses=st.lists(st.tuples(st.integers(0, 1 << 12), KINDS), max_size=300),
+       cuts=st.lists(st.integers(0, 300)), **CACHE_GEOMETRY)
+def test_level_stream_in_random_splits_matches_reference(
+        sets, ways, line_bytes, period, write_allocate, charge, accesses, cuts):
+    # whole streams cut at random points, so that rotations straddle calls;
+    # every output must carry the stream index of the access that sent it
+    mine, ref = cache_pair(sets, ways, line_bytes, period, write_allocate, charge)
+    for batch in batches(accesses, cuts):
+        expected, expected_tags = [], []
+        for k, (address, kind) in enumerate(batch):
+            sent = ref_outputs(ref, address, kind)
+            expected += sent
+            expected_tags += [k] * len(sent)
+        tags = []
+        assert mine.run([encode(a, k) for a, k in batch], tags) == expected
+        assert tags == expected_tags
+    assert_lru_state(mine, ref)
     assert_same_counters(mine, ref)
 
 
@@ -66,18 +126,18 @@ def level_geometry(line_bytes):
 HIERARCHY_LEVELS = st.fixed_dictionaries({
     role: level_geometry(st.sampled_from([1, 4] if role.endswith("TLB") else [16, 64]))
     for role in LEVEL_ROLES})
+RECORDS = st.lists(st.tuples(st.integers(0, 1 << 15), KINDS,
+                             st.sampled_from(["DATA", "INSTR"])), max_size=200)
 
 
 @settings(max_examples=150, deadline=None)
-@given(levels=HIERARCHY_LEVELS, charge=st.booleans(),
-       accesses=st.lists(st.tuples(st.integers(0, 1 << 15), KINDS,
-                                   st.sampled_from(["DATA", "INSTR"])),
-                         max_size=200))
+@given(levels=HIERARCHY_LEVELS, charge=st.booleans(), accesses=RECORDS)
 def test_hierarchy_matches_reference(levels, charge, accesses):
+    # one-element batches, compared after every access
     mine = build_hierarchy(overrides=levels, charge_rotation_writebacks=charge)
     ref = RefHierarchy(levels, charge_rotation_writebacks=charge)
     for address, kind, space in accesses:
-        mine.access(address, kind, space)
+        mine.access([MemAccess(kind, address, space)])
         ref.access(address, kind, space)
         for role in LEVEL_ROLES:
             m, r = mine.caches[role], ref.levels[role]
@@ -86,3 +146,23 @@ def test_hierarchy_matches_reference(levels, charge, accesses):
             assert_lru_state(m, r)
     for role in LEVEL_ROLES:
         assert_same_counters(mine.caches[role], ref.levels[role])
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels=HIERARCHY_LEVELS, charge=st.booleans(), accesses=RECORDS,
+       chunk=st.integers(1, 8), cuts=st.lists(st.integers(0, 200)))
+def test_hierarchy_batches_in_random_splits_match_reference(levels, charge, accesses,
+                                                            chunk, cuts):
+    # the same DATA/INSTR records in batches cut at random points and passed
+    # level by level in chunks of a few records, so that rotation points
+    # straddle batch and chunk boundaries
+    mine = build_hierarchy(overrides=levels, charge_rotation_writebacks=charge)
+    ref = RefHierarchy(levels, charge_rotation_writebacks=charge)
+    with mock.patch.object(cache, "CHUNK_RECORDS", chunk):
+        for batch in batches(accesses, cuts):
+            mine.access([MemAccess(kind, address, space) for address, kind, space in batch])
+    for address, kind, space in accesses:
+        ref.access(address, kind, space)
+    for role in LEVEL_ROLES:
+        assert_same_counters(mine.caches[role], ref.levels[role])
+        assert_lru_state(mine.caches[role], ref.levels[role])

@@ -1,0 +1,28 @@
+"""The package stays free of runtime dependencies: every module under
+src/emsim imports only the standard library and emsim itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "emsim"
+
+
+def imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_imports_only_stdlib_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"emsim"}
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    outside = [f"{path.name}:{line}: {root}"
+               for path in modules
+               for line, root in imported_roots(ast.parse(path.read_text(encoding="utf-8")))
+               if root not in allowed]
+    assert outside == []

@@ -132,8 +132,7 @@ def test_baseline_caches_never_rotate_even_with_level_overrides():
     # drive through run_simulation and reproduce the baseline by hand: the
     # baseline hierarchy must behave exactly like a never-rotating one
     reports, _ = run_simulation(ev, cfg)
-    for e in ev:
-        base.access(e.payload.address, e.payload.kind, e.payload.space)
+    base.access([e.payload for e in ev])
     by_name = {r.structure: r for r in reports}
     assert by_name["cache.L1D.tags"].histogram_baseline.max_writes == max(
         base.caches["L1D"].set_writes)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from emsim.em_models import UNBOUNDED
 from emsim.wear_stats import (
     CSV_COLUMNS,
-    avg_to_max,
     geo_mean,
     histogram,
     improvement_from_maxima,
@@ -17,7 +16,7 @@ from emsim.wear_stats import (
     write_reports_json,
 )
 
-from reference_models import ref_histogram
+from reference_models import ref_avg_to_max, ref_histogram
 
 count_vectors = st.lists(st.integers(min_value=0, max_value=10_000),
                          min_size=1, max_size=60)
@@ -105,13 +104,17 @@ def test_histogram_matches_reference(counts):
 
 
 def test_avg_to_max():
-    assert avg_to_max((100, 90, 50, 10)) == 0.625
-    assert avg_to_max((5, 5, 5)) == 1.0
-    assert avg_to_max((8, 0, 0, 0)) == 0.25
+    assert ref_avg_to_max((100, 90, 50, 10)) == 0.625
+    assert ref_avg_to_max((5, 5, 5)) == 1.0
+    assert ref_avg_to_max((8, 0, 0, 0)) == 0.25
     with pytest.raises(ValueError):
-        avg_to_max((0, 0))
+        ref_avg_to_max((0, 0))
     with pytest.raises(ValueError):
-        avg_to_max(())
+        ref_avg_to_max(())
+    # the reports carry the same ratio, and 0 for an idle structure
+    r = improvement_report((100, 90, 50, 10), (8, 0, 0, 0), "x")
+    assert (r.avg_to_max_baseline, r.avg_to_max_aware) == (0.625, 0.25)
+    assert improvement_report((0, 0), (5, 5), "idle").avg_to_max_baseline == 0.0
 
 
 def test_improvement_report_identical_inputs():

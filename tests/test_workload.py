@@ -98,7 +98,16 @@ def test_parse_shares_identical_payloads():
     assert payloads[0] is payloads[2]
     assert payloads[1] is payloads[3]
     assert payloads[4] == payloads[3]
-    assert payloads[5] is not payloads[6]
+    assert payloads[5] is payloads[6]
+    # memory records share by parsed address, within one kind and space
+    mem = parse_trace(["0 M W 64 D", "1 M W 064 D", "2 M R 64 D", "3 M W 64 I",
+                       "4 M R 64 I", "5 M R 64 D", "6 M W 65 D"]).payloads
+    assert mem[0] is mem[1] and mem[2] is mem[5]
+    assert len({id(p) for p in mem}) == 5
+    assert [(p.kind, p.address, p.space) for p in mem] == [
+        ("WRITE", 64, "DATA"), ("WRITE", 64, "DATA"), ("READ", 64, "DATA"),
+        ("WRITE", 64, "INSTR"), ("READ", 64, "INSTR"), ("READ", 64, "DATA"),
+        ("WRITE", 65, "DATA")]
 
 
 def test_trace_columns():
