@@ -17,8 +17,13 @@ payload per record. It shares only the event types and the error class with
 the package, so that its results can be compared directly. ref_histogram
 places one entry at a time in the five wear bins, and ref_avg_to_max takes
 a vector's average-to-max ratio.
+
+ref_run_simulation is the whole-run oracle: it replays a parsed trace
+through the models above plus a closed-form register-file model, and
+assembles, bins and renders both report files and the summary itself.
 """
 
+import math
 import re
 
 from emsim.workload import AluIssue, Event, MemAccess, RegWrite, TraceParseError
@@ -317,3 +322,148 @@ def ref_avg_to_max(counts):
     if m <= 0:
         raise ValueError("avg/max ratio undefined when the maximum is 0")
     return sum(counts) / len(counts) / m
+
+
+# --- whole run -----------------------------------------------------------------
+
+REF_DEFAULT_LEVELS = {
+    "L1D": dict(sets=64, ways=8, line_bytes=64),
+    "L1I": dict(sets=128, ways=4, line_bytes=64),
+    "L2": dict(sets=512, ways=8, line_bytes=64),
+    "L3": dict(sets=8192, ways=16, line_bytes=64),
+    "DTLB": dict(sets=16, ways=4, line_bytes=1),
+    "ITLB": dict(sets=32, ways=4, line_bytes=1),
+    "STLB": dict(sets=128, ways=4, line_bytes=1),
+}
+REF_RINGS = {
+    "gpr16": [("GPR", i) for i in range(16)],
+    "gpr-flags-sp": [("GPR", i) for i in range(16)] + [("FLAGS", 0), ("SP", 0)],
+    "fp32": [("FP", i) for i in range(32)],
+}
+REF_CSV_HEADER = (
+    ["structure", "num_entries", "max_baseline", "max_aware",
+     "avg_to_max_baseline", "avg_to_max_aware"]
+    + [f"bin_{side}_{b}" for side in ("baseline", "aware")
+       for b in ("0_25", "25_50", "50_75", "75_90", "90_100")]
+    + ["mtf_improvement", "mtf_improvement_display"])
+
+
+def _ref_levels(period, overrides):
+    """Per-role geometry: the defaults, then the global period, then the
+    role's overrides, where a period of "never" or None means no rotation."""
+    levels = {}
+    for role, geom in REF_DEFAULT_LEVELS.items():
+        level = dict(geom, rotation_period=period, write_allocate=True)
+        for key, value in ((overrides or {}).get(role) or {}).items():
+            level[key] = None if value == "never" else value
+        levels[role] = level
+    return levels
+
+
+def _ref_row(name, base, aware, with_counts):
+    """(report.json entry, report.csv row) for one pair of count vectors."""
+    (bins_b, max_b, avg_b, n), (bins_a, max_a, avg_a, _) = \
+        ref_histogram(base), ref_histogram(aware)
+    ratio_b = avg_b / max_b if max_b else 0.0
+    ratio_a = avg_a / max_a if max_a else 0.0
+    if max_b and max_a:
+        improvement = max_b / max_a - 1.0
+    elif max_b:
+        improvement = "unbounded"
+    else:
+        improvement = -1.0 if max_a else 0.0
+    entry = {"structure": name, "num_entries": n, "max_baseline": max_b,
+             "max_aware": max_a, "avg_to_max_baseline": ratio_b,
+             "avg_to_max_aware": ratio_a, "bins_baseline": list(bins_b),
+             "bins_aware": list(bins_a), "mtf_improvement": improvement}
+    if with_counts:
+        entry["counts_baseline"] = list(base)
+        entry["counts_aware"] = list(aware)
+    bounded = improvement != "unbounded"
+    row = [name, str(n), str(max_b), str(max_a), repr(ratio_b), repr(ratio_a),
+           *map(str, bins_b), *map(str, bins_a),
+           repr(improvement) if bounded else "unbounded",
+           f"{improvement * 100:.2f}%" if bounded else "unbounded"]
+    return entry, row
+
+
+def ref_run_simulation(events, structures, alu_units, alu_policy, regfile_preset,
+                       rotation_period, count_rotation_shifts, cache_overrides,
+                       charge_rotation_writebacks):
+    """(report.json document, report.csv rows with header, summary) of a
+    side-by-side run over events (a list of Event).
+
+    The register file is replayed in closed form: a write to ring position a
+    at cycle c lands in slot a in the baseline and in slot
+    (a + c // rotation_period) mod N in the aware file. With
+    count_rotation_shifts, every aware slot is also charged one write per
+    rotation owed at the cycle of the last ring write."""
+    rows = []
+    if "alu" in structures:
+        base = RefAluAllocator(alu_units, "fixed-priority")
+        aware = RefAluAllocator(alu_units, alu_policy)
+        for ev in events:
+            if isinstance(ev.payload, AluIssue):
+                k = min(ev.payload.ready_count, alu_units)
+                base.allocate(k)
+                aware.allocate(k)
+        rows.append(_ref_row("alu", base.usage, aware.usage, True))
+    if "regfile" in structures:
+        ring = REF_RINGS[regfile_preset]
+        n = len(ring)
+        base, aware = [0] * n, [0] * n
+        last = None
+        for ev in events:
+            p = ev.payload
+            if isinstance(p, RegWrite) and (p.reg_class, p.arch_id) in ring:
+                pos = ring.index((p.reg_class, p.arch_id))
+                base[pos] += 1
+                aware[(pos + ev.cycle // rotation_period) % n] += 1
+                last = ev.cycle
+        if count_rotation_shifts and last is not None:
+            aware = [c + last // rotation_period for c in aware]
+        rows.append(_ref_row(f"regfile.{regfile_preset}", base, aware, True))
+    if "cache" in structures:
+        stripped = {role: {k: v for k, v in level.items() if k != "rotation_period"}
+                    for role, level in (cache_overrides or {}).items()}
+        hiers = [RefHierarchy(_ref_levels(period, overrides),
+                              charge_rotation_writebacks=charge_rotation_writebacks)
+                 for period, overrides in ((None, stripped),
+                                           (rotation_period, cache_overrides))]
+        for ev in events:
+            p = ev.payload
+            if isinstance(p, MemAccess):
+                for hier in hiers:
+                    hier.access(p.address, p.kind, p.space)
+        for role in ("L1D", "L1I", "L2", "L3", "DTLB", "ITLB", "STLB"):
+            base, aware = (h.levels[role].line_writes for h in hiers)
+            rows.append(_ref_row(f"cache.{role}.lines",
+                                 [c for s in base for c in s],
+                                 [c for s in aware for c in s], False))
+            rows.append(_ref_row(f"cache.{role}.tags", [sum(s) for s in base],
+                                 [sum(s) for s in aware], False))
+
+    gains = [e["mtf_improvement"] for e, _ in rows if e["max_baseline"] > 0]
+    if not gains:
+        geo = None
+    elif "unbounded" in gains:
+        geo = "unbounded"
+    else:
+        geo = math.exp(sum(math.log1p(g) for g in gains) / len(gains)) - 1.0
+    kinds = [type(ev.payload) for ev in events]
+    summary = {
+        "structures": list(structures),
+        "alu_units": alu_units,
+        "alu_policy": alu_policy,
+        "regfile_preset": regfile_preset,
+        "rotation_period": rotation_period,
+        "count_rotation_shifts": count_rotation_shifts,
+        "events": len(events),
+        "alu_issues": kinds.count(AluIssue),
+        "reg_writes": kinds.count(RegWrite),
+        "mem_accesses": kinds.count(MemAccess),
+        "cycles": events[-1].cycle + 1 if events else 0,
+        "geo_mean_improvement": geo,
+    }
+    doc = {"reports": [e for e, _ in rows], "summary": summary}
+    return doc, [REF_CSV_HEADER] + [r for _, r in rows], summary
