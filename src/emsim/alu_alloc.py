@@ -18,6 +18,9 @@ Three policies over N identical units:
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Sequence
+
 FIXED_PRIORITY = "fixed-priority"
 COUNTER_ROTATE = "counter-rotate"
 TOGGLE_BALANCE = "toggle-balance"
@@ -25,20 +28,34 @@ TOGGLE_BALANCE = "toggle-balance"
 POLICIES = (FIXED_PRIORITY, COUNTER_ROTATE, TOGGLE_BALANCE)
 
 
+class _Step:
+    """One memoised transition: the units it grants, the state it leads to,
+    and that state's row of outgoing steps by request size (None until a
+    request of that size is first made from it)."""
+
+    __slots__ = ("units", "state", "row")
+
+    def __init__(self, units: tuple[int, ...], state: int, row: list):
+        self.units = units
+        self.state = state
+        self.row = row
+
+
 class AluAllocator:
     """N units under one policy, with per-unit grant counts in `usage`.
 
     Everything a policy remembers between cycles is packed into one int,
-    `_state`: bit 0 is toggle-balance's global bit, bit i+1 is unit i's
+    the state: bit 0 is toggle-balance's global bit, bit i+1 is unit i's
     excitation bit, and the bits above N+1 hold counter-rotate's lead
     counter. A policy's grant and next state depend only on (state, k), so
-    allocate() memoises both in `_table` and runs the policy code only the
-    first time a (state, k) pair comes up. Toggle-balance reaches just 2N
-    states, counter-rotate N and fixed-priority one, so the table stays
-    small.
+    each (state, k) pair runs the policy code once and is memoised as a
+    _Step in `_table` (state -> its steps by k). allocate() then walks a
+    batch of requests from step to step and adds the usage of the whole
+    batch at once. Toggle-balance reaches just 2N states, counter-rotate N
+    and fixed-priority one, so the table stays small.
     """
 
-    __slots__ = ("num_units", "policy", "usage", "_state", "_table")
+    __slots__ = ("num_units", "policy", "usage", "_last", "_table")
 
     def __init__(self, num_units: int, policy: str = FIXED_PRIORITY):
         if num_units < 1:
@@ -48,28 +65,33 @@ class AluAllocator:
         self.num_units = num_units
         self.policy = policy
         self.usage = [0] * num_units
-        self._state = 0
-        # (state, k) -> (granted units, next state); entries are immutable,
-        # so the table can be shared, clones included
-        self._table: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        # steps are never changed once made, so the table can be shared,
+        # clones included
+        self._table: dict[int, list[_Step | None]] = {}
+        self._last = _Step((), 0, self._row(0))  # the step into the current state
 
-    def allocate(self, k: int) -> tuple[int, ...]:
-        """Grant k of the N units for this cycle, bump their usage and
-        return them in grant order."""
-        entry = self._table.get((self._state, k))
-        if entry is None:
-            entry = self._transition(k)
-        units, self._state = entry
+    def allocate(self, ks: Sequence[int]) -> list[tuple[int, ...]]:
+        """Grant ks[i] of the N units in cycle i, cycle after cycle, bump
+        the granted units' usage and return each cycle's units in grant
+        order. A request outside [0, N] raises ValueError before any cycle
+        is granted."""
+        if ks and not (0 <= min(ks) and max(ks) <= self.num_units):
+            bad = min(ks) if min(ks) < 0 else max(ks)
+            raise ValueError(f"k must be in [0, {self.num_units}], got {bad}")
+        take = self._take
+        step = self._last
+        # a step's row holds the steps out of the state it leads to
+        steps = [(step := step.row[k] or take(step, k)) for k in ks]
+        self._last = step
         usage = self.usage
-        for i in units:
-            usage[i] += 1
-        return units
+        for taken, cycles in Counter(steps).items():
+            for i in taken.units:
+                usage[i] += cycles
+        return [taken.units for taken in steps]
 
-    def _transition(self, k: int) -> tuple[tuple[int, ...], int]:
-        """Run the policy for k from the current state and memoise it."""
-        if not 0 <= k <= self.num_units:
-            raise ValueError(f"k must be in [0, {self.num_units}], got {k}")
-        state = self._state
+    def _take(self, step: _Step, k: int) -> _Step:
+        """Run the policy for k from step's state and memoise the result."""
+        state = step.state
         n = self.num_units
         if self.policy == FIXED_PRIORITY:
             units = tuple(range(k))
@@ -80,9 +102,14 @@ class AluAllocator:
             nxt = ((lead + 1) % n) << (n + 1)
         else:
             units, nxt = self._toggle_balance(state, k)
-        entry = (units, nxt)
-        self._table[state, k] = entry
-        return entry
+        new = step.row[k] = _Step(units, nxt, self._row(nxt))
+        return new
+
+    def _row(self, state: int) -> list[_Step | None]:
+        row = self._table.get(state)
+        if row is None:
+            row = self._table[state] = [None] * (self.num_units + 1)
+        return row
 
     def _toggle_balance(self, state: int, k: int) -> tuple[tuple[int, ...], int]:
         g = state & 1
@@ -104,15 +131,16 @@ class AluAllocator:
     def clone(self) -> "AluAllocator":
         other = AluAllocator(self.num_units, self.policy)
         other.usage = list(self.usage)
-        other._state = self._state
         other._table = self._table
+        other._last = self._last
         return other
 
     # read-only views for tests and debugging
     @property
     def ex_bits(self) -> tuple[int, ...]:
-        return tuple((self._state >> (i + 1)) & 1 for i in range(self.num_units))
+        state = self._last.state
+        return tuple((state >> (i + 1)) & 1 for i in range(self.num_units))
 
     @property
     def global_bit(self) -> int:
-        return self._state & 1
+        return self._last.state & 1

@@ -10,9 +10,15 @@ The value shift itself is not charged to the write counters by default:
 rotation fires orders of magnitude less often than ordinary writes, so
 charging it would drown the workload signal. Pass count_rotation_shifts
 to charge every slot one write per rotation for pessimistic accounting.
+
+write() takes a batch of writes. A caller that owes rotations between
+writes cuts the batch at those points and calls rotate() in between.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from typing import Sequence
 
 from .workload import ConfigError
 
@@ -39,7 +45,7 @@ def ring_preset(name: str) -> tuple[tuple[str, int], ...]:
 class RotatingRegFile:
     __slots__ = ("ring_members", "num_slots", "rotation_period",
                  "count_rotation_shifts", "rotator", "rotations_done",
-                 "values", "phys_writes", "_index")
+                 "values", "phys_writes", "ring_index")
 
     def __init__(self, ring_members, rotation_period: int = DEFAULT_ROTATION_PERIOD,
                  count_rotation_shifts: bool = False):
@@ -58,24 +64,38 @@ class RotatingRegFile:
         self.rotations_done = 0
         self.values = [0] * self.num_slots
         self.phys_writes = [0] * self.num_slots
-        self._index = {m: i for i, m in enumerate(members)}
+        self.ring_index = {m: i for i, m in enumerate(members)}  # (class, id) -> position
 
     def member_index(self, reg_class: str, arch_id: int) -> int | None:
         """Ring position of an architectural register, None if not enrolled."""
-        return self._index.get((reg_class, arch_id))
+        return self.ring_index.get((reg_class, arch_id))
 
     def map(self, arch_index: int) -> int:
         if not 0 <= arch_index < self.num_slots:
             raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")
         return (arch_index + self.rotator) % self.num_slots
 
-    def write(self, arch_index: int, value: int) -> None:
-        # map() inlined: this is the per-event hot path
-        if not 0 <= arch_index < self.num_slots:
-            raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")
-        phys = (arch_index + self.rotator) % self.num_slots
-        self.values[phys] = value
-        self.phys_writes[phys] += 1
+    def write(self, indices: Sequence[int], values: Sequence[int]) -> None:
+        """Write values[i] to architectural register indices[i], in order.
+        All writes of one call land under the current mapping, so each slot
+        takes its write count at once and keeps its last value. An index
+        outside the ring, or a length mismatch, raises before anything is
+        written."""
+        if len(indices) != len(values):
+            raise ValueError("write needs one value per index")
+        if not indices:
+            return
+        n = self.num_slots
+        counts = Counter(indices)
+        lo, hi = min(counts), max(counts)
+        if lo < 0 or hi >= n:
+            bad = lo if lo < 0 else hi
+            raise IndexError(f"arch index {bad} outside [0, {n})")
+        rotator, phys_writes, slot_values = self.rotator, self.phys_writes, self.values
+        for a, count in counts.items():
+            phys_writes[(a + rotator) % n] += count
+        for a, value in dict(zip(indices, values)).items():
+            slot_values[(a + rotator) % n] = value
 
     def read(self, arch_index: int) -> int:
         return self.values[self.map(arch_index)]

@@ -2,17 +2,23 @@
 a wear-aware variant of each selected structure, and the per-entry write
 counters of the two runs become one StructureReport per structure.
 
-Structure drivers:
+The trace is walked CHUNK_RECORDS events at a time, and each chunk is split
+once into one column per structure, so that no column but the memory
+records spans the whole trace. Structure drivers:
 
 * alu: each AluIssue asks both allocators for min(ready_count, units)
-  units (a trace may request more than exist; the grant saturates).
+  units (a trace may request more than exist; the grant saturates); a
+  chunk's requests go to each allocator in one allocate() call.
 * regfile: RegWrite events whose (class, id) belongs to the configured
-  ring land on both register files; the aware file catches up on owed
-  rotations (cycle // period) in one rotate() call before each event, the
-  baseline never rotates.
+  ring land on both register files, a chunk in one write() call on the
+  baseline, which never rotates. The aware file takes a chunk's writes
+  one rotation epoch (cycle // period) at a time: one rotate() call for
+  the rotations the epoch owes, then one write() call.
 * cache: the MemAccess events are collected in order and replayed through
   two full hierarchies, one call each; the aware one rotates per level
   every rotation_period accesses, the baseline never.
+
+Chunks without records for a structure make no call on it.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -22,10 +28,11 @@ counters) so identical runs serialize identically.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
-from .cache import LEVEL_ROLES, build_hierarchy
+from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy
 from .regfile import DEFAULT_ROTATION_PERIOD, RotatingRegFile, ring_preset
 from .wear_stats import (
     StructureReport,
@@ -35,7 +42,7 @@ from .wear_stats import (
     write_reports_csv,
     write_reports_json,
 )
-from .workload import AluIssue, ConfigError, RegWrite, Trace
+from .workload import AluIssue, ConfigError, MemAccess, Payload, RegWrite, Trace
 
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
@@ -107,43 +114,34 @@ def run_simulation(trace: Trace, cfg: SimConfig):
             overrides=_strip_rotation(cfg.cache_overrides),
             charge_rotation_writebacks=cfg.charge_rotation_writebacks)
 
-    # hot loop: dispatch on the exact payload type, methods bound once
-    if do_alu:
-        alu_units = cfg.alu_units
-        base_allocate, aware_allocate = alu_base.allocate, alu_aware.allocate
-    if do_reg:
-        period = cfg.rotation_period
-        member_index = rf_base.member_index
-        base_write, aware_write = rf_base.write, rf_aware.write
-    mem = []
-    n_alu = n_reg = 0
-    for cycle, p in zip(trace.cycles, trace.payloads):
-        cls = type(p)
-        if cls is AluIssue:
-            n_alu += 1
-            if do_alu:
-                k = p.ready_count
-                if k > alu_units:
-                    k = alu_units
-                base_allocate(k)
-                aware_allocate(k)
-        elif cls is RegWrite:
-            n_reg += 1
-            if do_reg:
-                idx = member_index(p.reg_class, p.arch_id)
-                if idx is not None:
-                    owed = cycle // period - rf_aware.rotations_done
-                    if owed > 0:
-                        rf_aware.rotate(owed)
-                    base_write(idx, cycle)
-                    aware_write(idx, cycle)
-        elif do_cache:
-            mem.append(p)
+    # the trace goes by in chunks, each split once into per-structure columns;
+    # without a register file no write has a ring position
+    ring_index = rf_base.ring_index if do_reg else {}
+    cycles, payloads = trace.cycles, trace.payloads
+    alu_units = cfg.alu_units
+    mem: list[MemAccess] = []
+    n_alu = n_mem = 0
+    for start in range(0, len(trace), CHUNK_RECORDS):
+        stop = start + CHUNK_RECORDS
+        ks, positions, reg_cycles, chunk_mem = _split(
+            cycles[start:stop], payloads[start:stop], ring_index)
+        n_alu += len(ks)
+        n_mem += len(chunk_mem)
+        if do_alu and ks:
+            if max(ks) > alu_units:
+                ks = [k if k <= alu_units else alu_units for k in ks]
+            alu_base.allocate(ks)
+            alu_aware.allocate(ks)
+        if positions:
+            rf_base.write(positions, reg_cycles)
+            _write_by_epoch(rf_aware, positions, reg_cycles)
+        if do_cache:
+            mem += chunk_mem
     if mem:
         hier_base.access(mem)
         hier_aware.access(mem)
     n_events = len(trace)
-    n_mem = n_events - n_alu - n_reg
+    n_reg = n_events - n_alu - n_mem
 
     reports: list[StructureReport] = []
     if do_alu:
@@ -179,6 +177,49 @@ def run_simulation(trace: Trace, cfg: SimConfig):
         "geo_mean_improvement": _aggregate(reports),
     }
     return reports, summary
+
+
+def _split(cycles: list[int], payloads: list[Payload],
+           ring_index: dict[tuple[str, int], int]):
+    """One chunk's columns: the ALU records' ready counts, the ring
+    positions and cycles of the register writes to ring members, and the
+    memory records."""
+    ks: list[int] = []
+    positions: list[int] = []
+    reg_cycles: list[int] = []
+    mem: list[MemAccess] = []
+    add_k, add_position, add_cycle, add_mem = \
+        ks.append, positions.append, reg_cycles.append, mem.append
+    position_of = ring_index.get
+    for cycle, p in zip(cycles, payloads):
+        cls = type(p)
+        if cls is AluIssue:
+            add_k(p.ready_count)
+        elif cls is RegWrite:
+            position = position_of((p.reg_class, p.arch_id))
+            if position is not None:
+                add_position(position)
+                add_cycle(cycle)
+        else:
+            add_mem(p)
+    return ks, positions, reg_cycles, mem
+
+
+def _write_by_epoch(rf: RotatingRegFile, indices: list[int], cycles: list[int]) -> None:
+    """Writes cycles[i] to ring position indices[i] at cycle cycles[i]
+    (non-decreasing): the writes are cut where the rotation epoch
+    (cycle // period) changes, and each epoch catches up on the rotations
+    it owes in one rotate() call before one write() of its segment."""
+    period = rf.rotation_period
+    i, n = 0, len(cycles)
+    while i < n:
+        epoch = cycles[i] // period
+        owed = epoch - rf.rotations_done
+        if owed > 0:
+            rf.rotate(owed)
+        j = bisect_left(cycles, (epoch + 1) * period, i)
+        rf.write(indices[i:j], cycles[i:j])
+        i = j
 
 
 def _aggregate(reports):

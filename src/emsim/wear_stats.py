@@ -50,10 +50,11 @@ class StructureReport:
 
 
 def histogram(counts: Sequence[int]) -> WriteHistogram:
-    counts = list(counts)
+    if not isinstance(counts, tuple):
+        counts = list(counts)
     if not counts:
         raise ValueError("counts must be non-empty")
-    if any(c < 0 for c in counts):
+    if min(counts) < 0:
         raise ValueError("counts must be non-negative")
     m = max(counts)
     bins = [0, 0, 0, 0, 0]

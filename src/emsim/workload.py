@@ -123,85 +123,113 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     address within their kind and space. The records of one cycle share its
     int, so a long trace holds two list slots per line plus one payload per
     distinct record.
+
+    A valid ALU or register record is also kept by its whole text after
+    "<cycle> ". A later line with that text and a plain ASCII-digit cycle
+    field costs one lookup plus the cycle checks; every other line is split
+    and checked field by field. Memory records are not kept by text, which
+    would hold one string per distinct address.
     """
     cycles: list[int] = []
     payloads: list[Payload] = []
     append_cycle, append_payload = cycles.append, payloads.append
+    # ALU and register records by the line text after "<cycle> "
+    records: dict[str, Payload] = {}
     alu_payloads: dict[str, AluIssue] = {}
     reg_payloads: dict[str, dict[str, RegWrite]] = {c: {} for c in REG_CLASSES}
     mem_payloads: dict[str, dict[str, dict[int, MemAccess]]] = {
         k: {s: {} for s in _SPACE_CODE} for k in _KIND_CODE}
     last_cycle = -1
-    last_cycle_text = ""
+    last_cycle_text = None
     alu_cycle = -1
     for line_no, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        # int() also takes '_', '+' and non-ASCII digits; one scan of the
-        # line decides whether its integer fields need the strict check
-        to_int = int if raw.isascii() and "_" not in raw and "+" not in raw else _strict_int
-        try:
-            # records of one cycle also share its int
-            cycle = last_cycle if fields[0] == last_cycle_text else to_int(fields[0])
-            tag = fields[1]
-            if tag == "A":
-                if len(fields) != 3:
-                    raise TraceParseError("ALU record needs 3 fields", line_no)
-                payload = alu_payloads.get(fields[2])
-                if payload is None:
-                    payload = AluIssue(ready_count=to_int(fields[2]))
-                    if payload.ready_count >= 0:
-                        alu_payloads[fields[2]] = payload
-            elif tag == "R":
-                if len(fields) != 4:
-                    raise TraceParseError("register record needs 4 fields", line_no)
-                by_id = reg_payloads.get(fields[2])
-                if by_id is None:
-                    raise TraceParseError(f"unknown register class {fields[2]!r}", line_no)
-                payload = by_id.get(fields[3])
-                if payload is None:
-                    payload = RegWrite(reg_class=fields[2], arch_id=to_int(fields[3]))
-                    if payload.arch_id < 0:
-                        raise TraceParseError("register id must be non-negative", line_no)
-                    by_id[fields[3]] = payload
-            elif tag == "M":
-                if len(fields) != 5:
-                    raise TraceParseError("memory record needs 5 fields", line_no)
-                by_space = mem_payloads.get(fields[2])
-                if by_space is None:
-                    raise TraceParseError(f"memory kind must be R or W, got {fields[2]!r}", line_no)
-                by_address = by_space.get(fields[4])
-                if by_address is None:
-                    raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
-                address = to_int(fields[3])
-                payload = by_address.get(address)
-                if payload is None:
-                    if address < 0:
-                        raise TraceParseError("address must be non-negative", line_no)
-                    payload = by_address[address] = MemAccess(
-                        kind=_KIND_CODE[fields[2]], address=address,
-                        space=_SPACE_CODE[fields[4]])
-            else:
-                raise TraceParseError(f"unknown record tag {tag!r}", line_no)
-        except TraceParseError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise TraceParseError(f"malformed record: {exc}", line_no) from exc
+        payload = None
+        if records:
+            cycle_text, _, rest = raw.partition(" ")
+            payload = records.get(rest)
+            if payload is not None:
+                # a record seen before: only the cycle field is new
+                if cycle_text == last_cycle_text:
+                    cycle = last_cycle
+                elif cycle_text.isascii() and cycle_text.isdigit():
+                    cycle = int(cycle_text)
+                else:
+                    payload = None
+        if payload is None:
+            fields = raw.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            # int() also takes '_', '+' and non-ASCII digits; one scan of the
+            # line decides whether its integer fields need the strict check
+            to_int = int if raw.isascii() and "_" not in raw and "+" not in raw else _strict_int
+            try:
+                # records of one cycle also share its int
+                cycle = last_cycle if fields[0] == last_cycle_text else to_int(fields[0])
+                tag = fields[1]
+                if tag == "A":
+                    if len(fields) != 3:
+                        raise TraceParseError("ALU record needs 3 fields", line_no)
+                    payload = alu_payloads.get(fields[2])
+                    if payload is None:
+                        payload = AluIssue(ready_count=to_int(fields[2]))
+                        if payload.ready_count >= 0:
+                            alu_payloads[fields[2]] = payload
+                elif tag == "R":
+                    if len(fields) != 4:
+                        raise TraceParseError("register record needs 4 fields", line_no)
+                    by_id = reg_payloads.get(fields[2])
+                    if by_id is None:
+                        raise TraceParseError(f"unknown register class {fields[2]!r}", line_no)
+                    payload = by_id.get(fields[3])
+                    if payload is None:
+                        payload = RegWrite(reg_class=fields[2], arch_id=to_int(fields[3]))
+                        if payload.arch_id < 0:
+                            raise TraceParseError("register id must be non-negative", line_no)
+                        by_id[fields[3]] = payload
+                elif tag == "M":
+                    if len(fields) != 5:
+                        raise TraceParseError("memory record needs 5 fields", line_no)
+                    by_space = mem_payloads.get(fields[2])
+                    if by_space is None:
+                        raise TraceParseError(f"memory kind must be R or W, got {fields[2]!r}", line_no)
+                    by_address = by_space.get(fields[4])
+                    if by_address is None:
+                        raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
+                    address = to_int(fields[3])
+                    payload = by_address.get(address)
+                    if payload is None:
+                        if address < 0:
+                            raise TraceParseError("address must be non-negative", line_no)
+                        payload = by_address[address] = MemAccess(
+                            kind=_KIND_CODE[fields[2]], address=address,
+                            space=_SPACE_CODE[fields[4]])
+                else:
+                    raise TraceParseError(f"unknown record tag {tag!r}", line_no)
+            except TraceParseError:
+                raise
+            except (ValueError, IndexError) as exc:
+                raise TraceParseError(f"malformed record: {exc}", line_no) from exc
+            if tag == "R" or tag == "A" and payload.ready_count >= 0:
+                # the rest of the line stands for this valid record, if the
+                # cycle field is all of the text before it
+                cycle_text, _, rest = raw.partition(" ")
+                if cycle_text.isascii() and cycle_text.isdigit():
+                    records[rest] = payload
+            cycle_text = fields[0]
 
         if cycle < 0:
             raise TraceParseError("cycle must be non-negative", line_no)
         if cycle < last_cycle:
             raise TraceParseError(
                 f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
-        if tag == "A":
+        if type(payload) is AluIssue:
             if payload.ready_count < 0:
                 raise TraceParseError("ready_count must be non-negative", line_no)
             if cycle == alu_cycle:
                 raise TraceParseError(f"second ALU issue in cycle {cycle}", line_no)
             alu_cycle = cycle
         last_cycle = cycle
-        last_cycle_text = fields[0]
+        last_cycle_text = cycle_text
         append_cycle(cycle)
         append_payload(payload)
     return Trace(cycles, payloads)

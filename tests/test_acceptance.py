@@ -55,7 +55,7 @@ def test_c1_golden_alu_sequence():
     t0 = time.perf_counter()
     got = []
     for k in (0, 2, 2, 3):
-        res = alloc.allocate(k)
+        res = alloc.allocate([k])[0]
         got.append((res, alloc.ex_bits, alloc.global_bit))
     usage = alloc.usage_snapshot()
     elapsed = time.perf_counter() - t0
@@ -96,7 +96,7 @@ def test_c3_exhaustive_balance_bound():
                 continue
             for k in range(n + 1):
                 nxt = alloc.clone()
-                nxt.allocate(k)
+                nxt.allocate([k])
                 usage = nxt.usage_snapshot()
                 spread = max(usage) - min(usage)
                 if spread > worst:
@@ -126,10 +126,8 @@ def test_c4_bursty_hotspot_reproduction():
     base = AluAllocator(3, FIXED_PRIORITY)
     aware = AluAllocator(3, TOGGLE_BALANCE)
     t0 = time.perf_counter()
-    base_alloc, aware_alloc = base.allocate, aware.allocate
-    for k in widths:
-        base_alloc(k)
-        aware_alloc(k)
+    base.allocate(widths)
+    aware.allocate(widths)
     usage_base = base.usage_snapshot()
     usage_aware = aware.usage_snapshot()
     improvement = mtf_improvement(max(usage_base), max(usage_aware))
@@ -159,7 +157,7 @@ def test_c5_regfile_transparency_and_leveling():
             idx = rng.randbelow(n)
             if op < 9:
                 value = rng.next_u64() & 0xFFFF
-                rf.write(idx, value)
+                rf.write([idx], [value])
                 shadow[idx] = value
             elif op < 18:
                 assert rf.read(idx) == shadow.get(idx, 0)
@@ -171,7 +169,7 @@ def test_c5_regfile_transparency_and_leveling():
     hot = RotatingRegFile(tuple(("GPR", i) for i in range(4)),
                           rotation_period=25)
     for i in range(1, 101):
-        hot.write(0, i)
+        hot.write([0], [i])
         if i % 25 == 0:
             hot.rotate()
     counts = hot.write_snapshot()

@@ -22,19 +22,19 @@ def test_toggle_balance_worked_example():
     alloc = AluAllocator(3, TOGGLE_BALANCE)
     assert alloc.ex_bits == (0, 0, 0) and alloc.global_bit == 0
 
-    r = alloc.allocate(0)
+    r = alloc.allocate([0])[0]
     assert r == ()
     assert alloc.ex_bits == (0, 0, 0) and alloc.global_bit == 0
 
-    r = alloc.allocate(2)
+    r = alloc.allocate([2])[0]
     assert r == (0, 1)
     assert alloc.ex_bits == (1, 1, 0) and alloc.global_bit == 0
 
-    r = alloc.allocate(2)
+    r = alloc.allocate([2])[0]
     assert r == (2, 0)
     assert alloc.ex_bits == (0, 1, 1) and alloc.global_bit == 1
 
-    r = alloc.allocate(3)
+    r = alloc.allocate([3])[0]
     assert r == (1, 2, 0)
     assert alloc.ex_bits == (1, 0, 0) and alloc.global_bit == 0
 
@@ -43,32 +43,32 @@ def test_toggle_balance_worked_example():
 
 def test_fixed_priority_selects_prefix():
     alloc = AluAllocator(4, FIXED_PRIORITY)
-    assert alloc.allocate(3) == (0, 1, 2)
-    assert alloc.allocate(1) == (0,)
-    assert alloc.allocate(4) == (0, 1, 2, 3)
+    assert alloc.allocate([3])[0] == (0, 1, 2)
+    assert alloc.allocate([1])[0] == (0,)
+    assert alloc.allocate([4])[0] == (0, 1, 2, 3)
     assert alloc.usage_snapshot() == (3, 2, 2, 1)
 
 
 def test_fixed_priority_usage_monotone():
     alloc = AluAllocator(5, FIXED_PRIORITY)
     for k in [3, 1, 5, 0, 2, 4, 4, 1, 3]:
-        alloc.allocate(k)
+        alloc.allocate([k])
         u = alloc.usage_snapshot()
         assert all(u[i] >= u[i + 1] for i in range(len(u) - 1))
 
 
 def test_counter_rotate_round_robin():
     alloc = AluAllocator(3, COUNTER_ROTATE)
-    picks = [alloc.allocate(1)[0] for _ in range(6)]
+    picks = [alloc.allocate([1])[0][0] for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
     assert alloc.usage_snapshot() == (2, 2, 2)
 
 
 def test_counter_rotate_window_walks():
     alloc = AluAllocator(3, COUNTER_ROTATE)
-    assert alloc.allocate(2) == (0, 1)
-    assert alloc.allocate(2) == (1, 2)
-    assert alloc.allocate(2) == (2, 0)
+    assert alloc.allocate([2])[0] == (0, 1)
+    assert alloc.allocate([2])[0] == (1, 2)
+    assert alloc.allocate([2])[0] == (2, 0)
     assert alloc.usage_snapshot() == (2, 2, 2)
 
 
@@ -82,7 +82,7 @@ def test_counter_rotate_balance_bound(n, cycles):
     for k in range(n + 1):
         alloc = AluAllocator(n, COUNTER_ROTATE)
         for _ in range(cycles):
-            alloc.allocate(k)
+            alloc.allocate([k])
         lo = k * (cycles // n)
         hi = k * (-(-cycles // n))
         for count in alloc.usage_snapshot():
@@ -95,7 +95,7 @@ def test_counter_rotate_balance_bound(n, cycles):
 def test_k_zero_changes_nothing(policy):
     alloc = AluAllocator(3, policy)
     before = (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit)
-    r = alloc.allocate(0)
+    r = alloc.allocate([0])[0]
     assert r == ()
     # counter-rotate still advances its cycle counter; usage must not move
     assert alloc.usage_snapshot() == before[0]
@@ -107,9 +107,9 @@ def test_k_zero_changes_nothing(policy):
 def test_k_out_of_range(policy):
     alloc = AluAllocator(3, policy)
     with pytest.raises(ValueError):
-        alloc.allocate(-1)
+        alloc.allocate([-1])
     with pytest.raises(ValueError):
-        alloc.allocate(4)
+        alloc.allocate([4])
 
 
 def test_bad_construction():
@@ -127,7 +127,7 @@ def test_result_shape_exhaustive(policy):
     for seq in itertools.product(range(n + 1), repeat=4):
         alloc = AluAllocator(n, policy)
         for k in seq:
-            r = alloc.allocate(k)
+            r = alloc.allocate([k])[0]
             assert len(r) == k
             assert len(set(r)) == k
             assert all(0 <= u < n for u in r)
@@ -142,7 +142,7 @@ def test_toggle_balance_stays_balanced():
     for seq in itertools.product(range(n + 1), repeat=5):
         alloc = AluAllocator(n, TOGGLE_BALANCE)
         for k in seq:
-            alloc.allocate(k)
+            alloc.allocate([k])
             u = alloc.usage_snapshot()
             assert max(u) - min(u) <= 2, (seq, u)
 
@@ -153,7 +153,7 @@ def test_deterministic_trajectories(policy):
     a = AluAllocator(3, policy)
     b = AluAllocator(3, policy)
     for k in seq:
-        ra, rb = a.allocate(k), b.allocate(k)
+        ra, rb = a.allocate([k])[0], b.allocate([k])[0]
         assert ra == rb
         assert a.usage_snapshot() == b.usage_snapshot()
         assert a.ex_bits == b.ex_bits and a.global_bit == b.global_bit
@@ -161,14 +161,14 @@ def test_deterministic_trajectories(policy):
 
 def test_clone_is_independent():
     a = AluAllocator(3, TOGGLE_BALANCE)
-    a.allocate(2)
+    a.allocate([2])
     c = a.clone()
     assert c.usage_snapshot() == a.usage_snapshot()
     assert c.ex_bits == a.ex_bits and c.global_bit == a.global_bit
-    c.allocate(3)
+    c.allocate([3])
     assert c.usage_snapshot() != a.usage_snapshot()
     # and the clone continues exactly like the original would have
-    assert a.clone().allocate(3) == a.allocate(3)
+    assert a.clone().allocate([3])[0] == a.allocate([3])[0]
 
 
 def _same_state(mine, ref):
@@ -187,7 +187,7 @@ def test_matches_reference_allocator(data, n, policy):
     split = data.draw(st.integers(0, len(ks)))
     mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
     for k in ks[:split]:
-        r = mine.allocate(k)
+        r = mine.allocate([k])[0]
         assert r == ref.allocate(k)
         _same_state(mine, ref)
     twin = mine.clone()
@@ -196,12 +196,12 @@ def test_matches_reference_allocator(data, n, policy):
     twin_ref.usage, twin_ref.lead = list(ref.usage), ref.lead
     twin_ref.bits, twin_ref.global_bit = list(ref.bits), ref.global_bit
     for k in ks[split:]:
-        r = twin.allocate(k)
+        r = twin.allocate([k])[0]
         assert r == twin_ref.allocate(k)
         _same_state(twin, twin_ref)
     assert (mine.usage_snapshot(), mine.ex_bits, mine.global_bit) == frozen
     for k in ks[split:]:
-        r = mine.allocate(k)
+        r = mine.allocate([k])[0]
         assert r == ref.allocate(k)
         _same_state(mine, ref)
 
@@ -215,7 +215,7 @@ def test_toggle_balance_table_stays_small(n):
         a = frontier.pop()
         for k in range(n + 1):
             b = a.clone()
-            b.allocate(k)
+            b.allocate([k])
             state = (b.ex_bits, b.global_bit)
             if state not in seen:
                 seen.add(state)
@@ -224,5 +224,38 @@ def test_toggle_balance_table_stays_small(n):
     alloc = AluAllocator(n, TOGGLE_BALANCE)
     rng = SplitMix64(n)
     for _ in range(5000):
-        alloc.allocate(rng.randbelow(n + 1))
-        assert len(alloc._table) <= 2 * n * (n + 1)
+        alloc.allocate([rng.randbelow(n + 1)])
+        steps = sum(step is not None for row in alloc._table.values() for step in row)
+        assert steps <= 2 * n * (n + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), policy=st.sampled_from(POLICIES))
+def test_batches_in_random_splits_match_reference(data, n, policy):
+    # one request stream cut into batches at random points, against the
+    # reference allocator one request at a time
+    ks = data.draw(st.lists(st.integers(0, n), max_size=80))
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, len(ks))))) | {0, len(ks)})
+    mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert mine.allocate(ks[lo:hi]) == [ref.allocate(k) for k in ks[lo:hi]]
+        _same_state(mine, ref)
+    assert mine.allocate([]) == []
+    _same_state(mine, ref)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_bad_request_in_a_batch_grants_nothing(policy):
+    alloc = AluAllocator(3, policy)
+    alloc.allocate([1, 2])
+    before = (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit)
+    for ks in ([2, 4, 1], [0, -1]):
+        with pytest.raises(ValueError, match="k must be in"):
+            alloc.allocate(ks)
+        assert (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit) == before
+    # and it goes on as if the bad batches never came
+    fresh = AluAllocator(3, policy)
+    fresh.allocate([1, 2, 3])
+    alloc.allocate([3])
+    assert (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit) == \
+        (fresh.usage_snapshot(), fresh.ex_bits, fresh.global_bit)

@@ -5,16 +5,19 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsim.alu_alloc import AluAllocator
 from emsim.cache import LEVEL_ROLES
 from emsim.cli import main
+from emsim.regfile import RotatingRegFile
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
-from emsim.workload import ConfigError, Trace, parse_trace
+from emsim.workload import AluIssue, ConfigError, RegWrite, Trace, parse_trace
 
 WORKED_ALU_TRACE = """\
 # emsim trace v1
@@ -151,6 +154,47 @@ def test_aware_cache_rotation_spreads_tag_writes():
     assert row.histogram_baseline.max_writes == 64
     assert row.histogram_aware.max_writes == 8
     assert row.mtf_improvement == pytest.approx(7.0)
+
+
+def test_no_allocate_or_write_calls_without_alu_or_ring_records(monkeypatch):
+    # chunks without ALU records skip allocate(), and chunks without writes
+    # to ring members skip write() and rotate()
+    calls = []
+    monkeypatch.setattr(AluAllocator, "allocate", lambda self, ks: calls.append(ks))
+    monkeypatch.setattr(RotatingRegFile, "write", lambda self, i, v: calls.append(i))
+    monkeypatch.setattr(RotatingRegFile, "rotate", lambda self, t=1: calls.append(t))
+    for text in ("0 M W 64 D\n9000 M R 0 I\n",
+                 "0 R FP 3\n1 M R 0 D\n70000 R GPR 16\n",
+                 ""):
+        reports, _ = run_simulation(events_of(text), SimConfig(rotation_period=10))
+        assert calls == []
+        assert reports[0].counts_aware == (0, 0, 0)
+        assert sum(reports[1].counts_aware) == 0
+    run_simulation(events_of("0 A 1\n20 R GPR 0\n"), SimConfig(rotation_period=10))
+    assert calls == [[1], [1], [0], 2, [0]]
+
+
+def _peak_bytes_inside_run_simulation(cycles):
+    # one ALU burst and one register write per cycle, with shared payloads
+    # as the parser makes them; the structures take them a chunk at a time
+    alu = [AluIssue(k) for k in range(5)]
+    regs = [RegWrite("GPR", i) for i in range(20)]
+    trace = Trace([c for c in range(cycles) for _ in range(2)],
+                  [p for c in range(cycles) for p in (alu[c % 5], regs[c * 7 % 20])])
+    cfg = SimConfig(structures=("alu", "regfile"), rotation_period=5000)
+    tracemalloc.start()
+    try:
+        run_simulation(trace, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_simulation_memory_stays_flat_in_the_trace_length():
+    # ten times the events must not raise the peak allocated inside
+    # run_simulation: no column may span the whole trace
+    assert _peak_bytes_inside_run_simulation(100_000) <= \
+        _peak_bytes_inside_run_simulation(10_000) + 64 * 1024
 
 
 @pytest.mark.parametrize("kwargs", [

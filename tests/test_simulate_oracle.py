@@ -6,10 +6,12 @@ import csv
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsim import simulate
 from emsim.cache import LEVEL_ROLES
 from emsim.simulate import STRUCTURES, SimConfig, run_simulation, write_report_files
 from emsim.workload import parse_trace
@@ -77,3 +79,12 @@ def check_against_reference(lines, config):
 @given(lines=trace_lines(), config=CONFIGS)
 def test_run_simulation_matches_reference(lines, config):
     check_against_reference(lines, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=trace_lines(), config=CONFIGS, chunk=st.integers(1, 8))
+def test_run_simulation_in_small_chunks_matches_reference(lines, config, chunk):
+    # chunks of a few records, so that rotation epochs, the records of one
+    # cycle and runs of ALU requests straddle chunk boundaries
+    with mock.patch.object(simulate, "CHUNK_RECORDS", chunk):
+        check_against_reference(lines, config)

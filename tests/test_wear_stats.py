@@ -73,6 +73,18 @@ def test_histogram_rejects():
         histogram((1, -1))
 
 
+@pytest.mark.parametrize("counts", [(-1,), [0, -3, 2], iter([2, -1]), range(-1, 2)])
+def test_histogram_rejects_negative_counts(counts):
+    # tuples are read in place, other sequences and iterables copied first
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        histogram(counts)
+
+
+def test_improvement_report_rejects_negative_counts():
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        improvement_report((1, 2), (0, -1), "x")
+
+
 @given(count_vectors)
 def test_histogram_conserves_entries(counts):
     h = histogram(counts)

@@ -149,20 +149,31 @@ NOISE = ["", "   ", "\t", "# comment", "  # x 1 2", "#0 A 1"]
 def trace_lines(draw):
     """Mostly well-formed traces with cycles that creep upward, salted with
     comments, blank and padded lines, bad records, lax and negative
-    integers, decreasing cycles and repeated ALU records in one cycle."""
+    integers, decreasing cycles and repeated ALU records in one cycle.
+    Some lines repeat an earlier line's text after its cycle field (records
+    the parser has seen), under a new, equal or decreasing cycle, and some
+    use leading zeros, a tab after the cycle or a CRLF ending."""
     steps = draw(st.lists(st.tuples(
         st.integers(0, 39),                         # line shape, see below
         st.sampled_from([0, 0, 0, 1, 1, 2, 1000]),  # cycle step
         st.integers(0, 255),                        # picks a template
         st.integers(0, 300)), max_size=40))
     lines = []
+    rests = []  # the text after "<cycle> " of the lines so far
     cycle = 0
     for shape, step, pick, value in steps:
         if shape == 0:
             lines.append(NOISE[pick % len(NOISE)])
             continue
         cycle += step
-        c, i = str(cycle), str(value)
+        if shape >= 30 and rests:  # an earlier record's text, new cycle field
+            c = str(cycle - 1) if shape == 30 else str(cycle)
+            if shape == 31:
+                c = "00" + c
+            rest = rests[pick % len(rests)]
+            lines.append(c + ("\t" if shape == 32 else " ") + rest)
+            continue
+        c, i = str(cycle), str(value % 4 if shape >= 20 else value)
         template = RECORDS[0] if pick < 64 else RECORDS[pick % len(RECORDS)]
         if shape == 1:
             c = str(cycle - 1)
@@ -179,13 +190,14 @@ def trace_lines(draw):
         line = template.format(c=c, i=i)
         if shape == 7:
             line = "  " + line.replace(" ", " \t ") + "  \n"
+        elif shape == 8:
+            line += "\r\n"
         lines.append(line)
+        rests.append(line.partition(" ")[2])
     return lines
 
 
-@settings(max_examples=600, deadline=None)
-@given(lines=trace_lines())
-def test_parse_matches_reference(lines):
+def assert_parse_matches_reference(lines):
     try:
         want = ref_parse_trace(lines)
     except TraceParseError as exc:
@@ -194,6 +206,31 @@ def test_parse_matches_reference(lines):
         assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
     else:
         assert list(parse_trace(lines)) == want
+
+
+@settings(max_examples=600, deadline=None)
+@given(lines=trace_lines())
+def test_parse_matches_reference(lines):
+    assert_parse_matches_reference(lines)
+
+
+@pytest.mark.parametrize("lines", [
+    ["5 A 1\n", "4 A 1\n"],                   # seen record, decreasing cycle
+    ["5 R GPR 1\n", "6 R GPR 1\n", "5 R GPR 1\n"],
+    ["3 A 2\n", "3 R GPR 0\n", "3 A 2\n"],     # seen record, second ALU issue
+    ["3 A 2\n", "4 A 2\n", "4 A 2\n"],
+    ["1 A 2\n", "007 A 2\n", "0007 A 2\n"],    # leading zeros
+    ["1 A 2\n", "2\tA 2\n", "3 A\t2\n", "4 A\t2\n"],  # tabs
+    ["1 A 2\r\n", "2 A 2\r\n", "2 R GPR 3\r\n", "1 R GPR 3\r\n"],  # CRLF
+    ["1 A 2\n", " 2 A 2\n", "#3 A 2\n", "x A 2\n"],
+    ["1 A 2\n", "A 2\n"],
+    ["1 A -1\n", "2 A -1\n"],                  # never a seen record
+    ["1 R GPR 2\n", "2 R GPR 2\n", "\u0663 R GPR 2\n"],
+    ["1 R GPR 2\n", "1_0 R GPR 2\n"],
+    ["1 R GPR 2\n", "-1 R GPR 2\n"],
+])
+def test_parse_of_seen_records_matches_reference(lines):
+    assert_parse_matches_reference(lines)
 
 
 def test_parse_error_carries_line_number():
