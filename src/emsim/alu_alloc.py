@@ -65,8 +65,7 @@ class AluAllocator:
         self.num_units = num_units
         self.policy = policy
         self.usage = [0] * num_units
-        # steps are never changed once made, so the table can be shared,
-        # clones included
+        # steps are never changed once made, so copies may share the table
         self._table: dict[int, list[_Step | None]] = {}
         self._last = _Step((), 0, self._row(0))  # the step into the current state
 
@@ -127,13 +126,6 @@ class AluAllocator:
 
     def usage_snapshot(self) -> tuple[int, ...]:
         return tuple(self.usage)
-
-    def clone(self) -> "AluAllocator":
-        other = AluAllocator(self.num_units, self.policy)
-        other.usage = list(self.usage)
-        other._table = self._table
-        other._last = self._last
-        return other
 
     # read-only views for tests and debugging
     @property

@@ -23,12 +23,11 @@ pages), so a "block address" there is just the page number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .workload import ConfigError, MemAccess
+from .workload import ConfigError
 
-_PAGE_SHIFT = 13  # 4 KiB pages: an encoded access >> 13 is its page number
-CHUNK_RECORDS = 1024  # memory records per level-by-level pass
+_PAGE_SHIFT = 14  # 4 KiB pages: a record's mem_code >> 14 is its page number
+CHUNK_RECORDS = 1024  # trace events per split chunk; memory records per batch, at least
 LEVEL_ROLES = ("L1D", "L1I", "L2", "L3", "DTLB", "ITLB", "STLB")
 
 
@@ -65,7 +64,7 @@ class CacheConfig:
 
 class RotatingCache:
     __slots__ = ("config", "rot_counter", "_where", "_lru", "_tag", "_dirty",
-                 "set_writes", "line_writes", "accesses", "fills", "write_hits",
+                 "line_writes", "accesses", "fills", "write_hits",
                  "rotation_writebacks", "charge_rotation_writebacks")
 
     def __init__(self, config: CacheConfig, charge_rotation_writebacks: bool = True):
@@ -76,7 +75,6 @@ class RotatingCache:
         self._lru = [[] for _ in range(config.sets)]  # resident entries, MRU first
         self._tag = [0] * n  # block held by each resident entry
         self._dirty = bytearray(n)
-        self.set_writes = [0] * config.sets
         self.line_writes = [0] * n
         self.accesses = 0
         self.fills = 0
@@ -84,9 +82,12 @@ class RotatingCache:
         self.rotation_writebacks = 0
         self.charge_rotation_writebacks = charge_rotation_writebacks
 
-    def physical_set(self, address: int) -> int:
-        index_field = (address // self.config.line_bytes) % self.config.sets
-        return (index_field + self.rot_counter) % self.config.sets
+    @property
+    def set_writes(self) -> list[int]:
+        """Per-set write counts: each write to a set lands on one of its
+        entries, so a set's count is the sum of its row of line_writes."""
+        rows = zip(*[iter(self.line_writes)] * self.config.ways)
+        return list(map(sum, rows))
 
     def access(self, address: int, kind: str) -> tuple[bool, bool, int | None]:
         """One access, as a one-element run(). Returns (hit, fill, byte
@@ -131,7 +132,7 @@ class RotatingCache:
         sets_mask, ways, allocate_writes = cfg.sets - 1, cfg.ways, cfg.write_allocate
         rot = self.rot_counter
         where, lrus, tag, dirty = self._where, self._lru, self._tag, self._dirty
-        set_writes, line_writes = self.set_writes, self.line_writes
+        line_writes = self.line_writes
         emit = out.append
         sent_by = None if tags is None else tags.append
         fills = write_hits = 0
@@ -147,7 +148,6 @@ class RotatingCache:
                     lru.insert(0, e)
                 if x & 1:
                     dirty[e] = 1
-                    set_writes[s] += 1
                     line_writes[e] += 1
                     write_hits += 1
                 continue
@@ -168,7 +168,6 @@ class RotatingCache:
                 where[block] = e
                 tag[e] = block
                 dirty[e] = x & 1
-                set_writes[s] += 1
                 line_writes[e] += 1
                 fills += 1
                 emit(x & -2)  # fetch the block
@@ -229,51 +228,56 @@ class Hierarchy:
 
     No level feeds back into one above it, so each level's output stream is
     exactly the next level's input (trace stripping: Puzak 1985; Wang and
-    Baer, SIGMETRICS 1990). access() therefore replays its records one level
-    at a time, CHUNK_RECORDS at a time: L1D and L1I, then L2, then L3; the D-
-    and I-TLB, then the STLB. Chunking bounds the streams held at once.
+    Baer, SIGMETRICS 1990). access() therefore replays a batch of records
+    one level at a time: L1D and L1I, then L2, then L3; the D- and I-TLB,
+    then the STLB. The caller bounds the streams held at once by the size
+    of its batches.
     """
 
     def __init__(self, caches: dict[str, RotatingCache]):
         self.caches = caches  # role -> level, for every role in LEVEL_ROLES
 
-    def access(self, records: Sequence[MemAccess]) -> None:
-        for start in range(0, len(records), CHUNK_RECORDS):
-            self._replay(records[start:start + CHUNK_RECORDS])
-
-    def _replay(self, chunk: Sequence[MemAccess]) -> None:
-        stream = [p.address << 1 | (p.kind == "WRITE") for p in chunk]
-        spaces = [p.space for p in chunk]
-        n_instr = spaces.count("INSTR")
-        if n_instr + spaces.count("DATA") != len(spaces):
-            raise ValueError("address space must be DATA or INSTR")
-        if min(stream) < 0:
-            raise ValueError("address must be non-negative")
-        pages = [x >> _PAGE_SHIFT << 1 for x in stream]  # TLB lookups are reads
+    def access(self, batch: tuple) -> None:
+        """Replays a batch of memory records, as split_codes() splits it."""
         c = self.caches
-        if n_instr in (0, len(spaces)):
-            l1, tlb = ("L1I", "ITLB") if n_instr else ("L1D", "DTLB")
-            l2_in, stlb_in = c[l1].run(stream), c[tlb].run(pages)
+        (d_stream, d_pages, d_indices), (i_stream, i_pages, i_indices) = batch
+        if d_indices:  # both spaces: merge their L1 and TLB outputs
+            l2_in = _merged((c["L1D"], d_stream, d_indices), (c["L1I"], i_stream, i_indices))
+            stlb_in = _merged((c["DTLB"], d_pages, d_indices), (c["ITLB"], i_pages, i_indices))
+        elif i_stream:
+            l2_in, stlb_in = c["L1I"].run(i_stream), c["ITLB"].run(i_pages)
         else:
-            by_space = ([], [])  # the DATA and the INSTR records' indices
-            for i, space in enumerate(spaces):
-                by_space[space == "INSTR"].append(i)
-            l2_in = _merged(c["L1D"], c["L1I"], by_space, stream)
-            stlb_in = _merged(c["DTLB"], c["ITLB"], by_space, pages)
+            l2_in, stlb_in = c["L1D"].run(d_stream), c["DTLB"].run(d_pages)
         c["L3"].run(c["L2"].run(l2_in))
         c["STLB"].run(stlb_in)
 
 
-def _merged(data_level: RotatingCache, instr_level: RotatingCache,
-            by_space: tuple[list[int], list[int]], stream: list[int]) -> list[int]:
-    """Runs each space's records of stream through its own level and merges
-    the two outputs in record order. The sort is stable, so each record's
-    outputs keep the order its level sent them in."""
+def split_codes(codes: list[int]) -> tuple:
+    """Splits a batch of memory records, each a mem_code (address << 2 |
+    is_write << 1 | is_instr), once for every hierarchy that replays it:
+    per space (DATA, INSTR), its records' L1 stream (address << 1 |
+    is_write), their TLB stream (page << 1, reads) and, if the batch holds
+    both spaces, their indices in the batch."""
+    instr = [i for i, code in enumerate(codes) if code & 1]
+    if 0 < len(instr) < len(codes):
+        by_space = ([i for i, code in enumerate(codes) if not code & 1], instr)
+        spaces = [[codes[i] for i in indices] for indices in by_space]
+    else:
+        by_space = ([], [])
+        spaces = [[], codes] if instr else [codes, []]
+    return tuple(([code >> 1 for code in space], [code >> _PAGE_SHIFT << 1 for code in space],
+                  indices) for space, indices in zip(spaces, by_space))
+
+
+def _merged(*runs: tuple[RotatingCache, list[int], list[int]]) -> list[int]:
+    """Runs each space's stream through its level and merges the outputs in
+    batch order by the index of the record that sent each; the sort is
+    stable, so a record's outputs keep the order its level sent them in."""
     keys: list[int] = []
     outs: list[int] = []
-    for level, indices in zip((data_level, instr_level), by_space):
+    for level, stream, indices in runs:
         tags: list[int] = []
-        outs += level.run([stream[i] for i in indices], tags)
+        outs += level.run(stream, tags)
         keys += [indices[t] for t in tags]
     return [outs[i] for i in sorted(range(len(outs)), key=keys.__getitem__)]
 

@@ -66,10 +66,6 @@ class RotatingRegFile:
         self.phys_writes = [0] * self.num_slots
         self.ring_index = {m: i for i, m in enumerate(members)}  # (class, id) -> position
 
-    def member_index(self, reg_class: str, arch_id: int) -> int | None:
-        """Ring position of an architectural register, None if not enrolled."""
-        return self.ring_index.get((reg_class, arch_id))
-
     def map(self, arch_index: int) -> int:
         if not 0 <= arch_index < self.num_slots:
             raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")

@@ -3,8 +3,8 @@ a wear-aware variant of each selected structure, and the per-entry write
 counters of the two runs become one StructureReport per structure.
 
 The trace is walked CHUNK_RECORDS events at a time, and each chunk is split
-once into one column per structure, so that no column but the memory
-records spans the whole trace. Structure drivers:
+once into one column per structure, so that no column spans the whole
+trace. Structure drivers:
 
 * alu: each AluIssue asks both allocators for min(ready_count, units)
   units (a trace may request more than exist; the grant saturates); a
@@ -14,9 +14,10 @@ records spans the whole trace. Structure drivers:
   baseline, which never rotates. The aware file takes a chunk's writes
   one rotation epoch (cycle // period) at a time: one rotate() call for
   the rotations the epoch owes, then one write() call.
-* cache: the MemAccess events are collected in order and replayed through
-  two full hierarchies, one call each; the aware one rotates per level
-  every rotation_period accesses, the baseline never.
+* cache: the memory records are collected in order, and each batch of at
+  least CHUNK_RECORDS (or the trace's last) is split once and replayed
+  through two full hierarchies, one access() call each; the aware one
+  rotates per level every rotation_period accesses, the baseline never.
 
 Chunks without records for a structure make no call on it.
 
@@ -32,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
-from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy
+from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, split_codes
 from .regfile import DEFAULT_ROTATION_PERIOD, RotatingRegFile, ring_preset
 from .wear_stats import (
     StructureReport,
@@ -42,7 +43,7 @@ from .wear_stats import (
     write_reports_csv,
     write_reports_json,
 )
-from .workload import AluIssue, ConfigError, MemAccess, Payload, RegWrite, Trace
+from .workload import AluIssue, ConfigError, RegWrite, Trace, TracePayload
 
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
@@ -119,14 +120,13 @@ def run_simulation(trace: Trace, cfg: SimConfig):
     ring_index = rf_base.ring_index if do_reg else {}
     cycles, payloads = trace.cycles, trace.payloads
     alu_units = cfg.alu_units
-    mem: list[MemAccess] = []
+    codes: list[int] = []  # memory records not yet replayed
     n_alu = n_mem = 0
     for start in range(0, len(trace), CHUNK_RECORDS):
         stop = start + CHUNK_RECORDS
-        ks, positions, reg_cycles, chunk_mem = _split(
-            cycles[start:stop], payloads[start:stop], ring_index)
+        ks, positions, reg_cycles = _split(
+            cycles[start:stop], payloads[start:stop], ring_index, codes)
         n_alu += len(ks)
-        n_mem += len(chunk_mem)
         if do_alu and ks:
             if max(ks) > alu_units:
                 ks = [k if k <= alu_units else alu_units for k in ks]
@@ -135,11 +135,13 @@ def run_simulation(trace: Trace, cfg: SimConfig):
         if positions:
             rf_base.write(positions, reg_cycles)
             _write_by_epoch(rf_aware, positions, reg_cycles)
-        if do_cache:
-            mem += chunk_mem
-    if mem:
-        hier_base.access(mem)
-        hier_aware.access(mem)
+        if len(codes) >= CHUNK_RECORDS or codes and stop >= len(trace):
+            n_mem += len(codes)
+            if do_cache:
+                batch = split_codes(codes)
+                hier_base.access(batch)
+                hier_aware.access(batch)
+            codes.clear()
     n_events = len(trace)
     n_reg = n_events - n_alu - n_mem
 
@@ -179,17 +181,16 @@ def run_simulation(trace: Trace, cfg: SimConfig):
     return reports, summary
 
 
-def _split(cycles: list[int], payloads: list[Payload],
-           ring_index: dict[tuple[str, int], int]):
-    """One chunk's columns: the ALU records' ready counts, the ring
-    positions and cycles of the register writes to ring members, and the
-    memory records."""
+def _split(cycles: list[int], payloads: list[TracePayload],
+           ring_index: dict[tuple[str, int], int], codes: list[int]):
+    """One chunk's columns: the ALU records' ready counts, and the ring
+    positions and cycles of the register writes to ring members. The memory
+    records' codes are appended to codes."""
     ks: list[int] = []
     positions: list[int] = []
     reg_cycles: list[int] = []
-    mem: list[MemAccess] = []
     add_k, add_position, add_cycle, add_mem = \
-        ks.append, positions.append, reg_cycles.append, mem.append
+        ks.append, positions.append, reg_cycles.append, codes.append
     position_of = ring_index.get
     for cycle, p in zip(cycles, payloads):
         cls = type(p)
@@ -202,7 +203,7 @@ def _split(cycles: list[int], payloads: list[Payload],
                 add_cycle(cycle)
         else:
             add_mem(p)
-    return ks, positions, reg_cycles, mem
+    return ks, positions, reg_cycles
 
 
 def _write_by_epoch(rf: RotatingRegFile, indices: list[int], cycles: list[int]) -> None:

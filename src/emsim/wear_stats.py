@@ -54,24 +54,23 @@ def histogram(counts: Sequence[int]) -> WriteHistogram:
         counts = list(counts)
     if not counts:
         raise ValueError("counts must be non-empty")
-    if min(counts) < 0:
+    # idle entries, often most of a large array, all fall in the lowest bin;
+    # the other counters repeat a lot: place each distinct value once
+    written = Counter(filter(None, counts))
+    if written and min(written) < 0:
         raise ValueError("counts must be non-negative")
-    m = max(counts)
-    bins = [0, 0, 0, 0, 0]
-    if m == 0:
-        bins[0] = len(counts)
-    else:
-        # wear counters repeat a lot: place each distinct value once
-        for c, n in Counter(counts).items():
-            scaled = 100 * c
-            for b, upper in enumerate(_BIN_UPPER):
-                if scaled <= upper * m:
-                    bins[b] += n
-                    break
-            else:
-                bins[4] += n
+    m = max(written, default=0)
+    bins = [counts.count(0), 0, 0, 0, 0]
+    for c, n in written.items():
+        scaled = 100 * c
+        for b, upper in enumerate(_BIN_UPPER):
+            if scaled <= upper * m:
+                bins[b] += n
+                break
+        else:
+            bins[4] += n
     return WriteHistogram(bins=tuple(bins), max_writes=m,
-                          avg_writes=sum(counts) / len(counts),
+                          avg_writes=sum(c * n for c, n in written.items()) / len(counts),
                           num_entries=len(counts))
 
 

@@ -61,6 +61,7 @@ class MemAccess:
 
 
 Payload = Union[AluIssue, RegWrite, MemAccess]
+TracePayload = Union[AluIssue, RegWrite, int]  # a memory record as its mem_code
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,36 +70,52 @@ class Event:
     payload: Payload
 
 
+def mem_code(p: MemAccess) -> int:
+    """A memory record as a Trace holds it: one int, address << 2 |
+    is_write << 1 | is_instr. Iterating a Trace decodes it."""
+    if p.kind not in MEM_KINDS:
+        raise ValueError("memory kind must be READ or WRITE")
+    if p.space not in MEM_SPACES:
+        raise ValueError("address space must be DATA or INSTR")
+    if p.address < 0:
+        raise ValueError("address must be non-negative")
+    return p.address << 2 | (p.kind == "WRITE") << 1 | (p.space == "INSTR")
+
+
 @dataclass(frozen=True, slots=True)
 class Trace:
     """A trace held as two parallel columns: event i happens in cycles[i]
-    and carries payloads[i]. Iterating yields Events."""
+    and carries payloads[i], an AluIssue, a RegWrite or a memory record's
+    mem_code. Iterating yields Events, memory records as MemAccess."""
 
     cycles: list[int]
-    payloads: list[Payload]
+    payloads: list[TracePayload]
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> Trace:
         cycles: list[int] = []
-        payloads: list[Payload] = []
+        payloads: list[TracePayload] = []
         for ev in events:
             cycles.append(ev.cycle)
-            payloads.append(ev.payload)
+            p = ev.payload
+            payloads.append(mem_code(p) if type(p) is MemAccess else p)
         return cls(cycles, payloads)
 
     def __len__(self) -> int:
         return len(self.cycles)
 
     def __iter__(self) -> Iterator[Event]:
-        return map(Event, self.cycles, self.payloads)
+        return (Event(cycle, p if type(p) is not int else
+                      MemAccess(MEM_KINDS[p >> 1 & 1], p >> 2, MEM_SPACES[p & 1]))
+                for cycle, p in zip(self.cycles, self.payloads))
 
 
 # --- parsing / serialization -------------------------------------------------
 
-_KIND_CODE = {"R": "READ", "W": "WRITE"}
-_SPACE_CODE = {"D": "DATA", "I": "INSTR"}
-_KIND_LETTER = {v: k for k, v in _KIND_CODE.items()}
-_SPACE_LETTER = {v: k for k, v in _SPACE_CODE.items()}
+_KIND_BIT = {"R": 0, "W": 2}  # a memory record's letters as mem_code bits
+_SPACE_BIT = {"D": 0, "I": 1}
+_KIND_LETTER = {"READ": "R", "WRITE": "W"}
+_SPACE_LETTER = {"DATA": "D", "INSTR": "I"}
 
 
 def _strict_int(text: str) -> int:
@@ -117,28 +134,23 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     with the offending line number on malformed input, decreasing cycles, or
     two ALU issues in one cycle.
 
-    Returns the trace as two columns, not one Event per line. Identical
-    records share one immutable payload object: ALU and register records are
-    looked up by their raw field strings, memory records by their parsed
-    address within their kind and space. The records of one cycle share its
-    int, so a long trace holds two list slots per line plus one payload per
-    distinct record.
+    Returns the trace as two columns, not one Event per line, with each
+    memory record as its mem_code. Identical ALU and register records share
+    one immutable payload object, found by their raw field strings, and the
+    records of one cycle share its int.
 
-    A valid ALU or register record is also kept by its whole text after
-    "<cycle> ". A later line with that text and a plain ASCII-digit cycle
-    field costs one lookup plus the cycle checks; every other line is split
-    and checked field by field. Memory records are not kept by text, which
-    would hold one string per distinct address.
+    Every valid record is also kept by its whole text after "<cycle> ": a
+    later line with that text and a plain ASCII-digit cycle field costs one
+    lookup plus the cycle checks and shares the first line's payload. Every
+    other line is split and checked field by field.
     """
     cycles: list[int] = []
-    payloads: list[Payload] = []
+    payloads: list[TracePayload] = []
     append_cycle, append_payload = cycles.append, payloads.append
-    # ALU and register records by the line text after "<cycle> "
-    records: dict[str, Payload] = {}
+    # valid records by the line text after "<cycle> "
+    records: dict[str, TracePayload] = {}
     alu_payloads: dict[str, AluIssue] = {}
     reg_payloads: dict[str, dict[str, RegWrite]] = {c: {} for c in REG_CLASSES}
-    mem_payloads: dict[str, dict[str, dict[int, MemAccess]]] = {
-        k: {s: {} for s in _SPACE_CODE} for k in _KIND_CODE}
     last_cycle = -1
     last_cycle_text = None
     alu_cycle = -1
@@ -189,27 +201,23 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 elif tag == "M":
                     if len(fields) != 5:
                         raise TraceParseError("memory record needs 5 fields", line_no)
-                    by_space = mem_payloads.get(fields[2])
-                    if by_space is None:
+                    write_bit = _KIND_BIT.get(fields[2])
+                    if write_bit is None:
                         raise TraceParseError(f"memory kind must be R or W, got {fields[2]!r}", line_no)
-                    by_address = by_space.get(fields[4])
-                    if by_address is None:
+                    instr_bit = _SPACE_BIT.get(fields[4])
+                    if instr_bit is None:
                         raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
                     address = to_int(fields[3])
-                    payload = by_address.get(address)
-                    if payload is None:
-                        if address < 0:
-                            raise TraceParseError("address must be non-negative", line_no)
-                        payload = by_address[address] = MemAccess(
-                            kind=_KIND_CODE[fields[2]], address=address,
-                            space=_SPACE_CODE[fields[4]])
+                    if address < 0:
+                        raise TraceParseError("address must be non-negative", line_no)
+                    payload = address << 2 | write_bit | instr_bit
                 else:
                     raise TraceParseError(f"unknown record tag {tag!r}", line_no)
             except TraceParseError:
                 raise
             except (ValueError, IndexError) as exc:
                 raise TraceParseError(f"malformed record: {exc}", line_no) from exc
-            if tag == "R" or tag == "A" and payload.ready_count >= 0:
+            if tag != "A" or payload.ready_count >= 0:
                 # the rest of the line stands for this valid record, if the
                 # cycle field is all of the text before it
                 cycle_text, _, rest = raw.partition(" ")

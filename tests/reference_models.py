@@ -21,8 +21,13 @@ a vector's average-to-max ratio.
 ref_run_simulation is the whole-run oracle: it replays a parsed trace
 through the models above plus a closed-form register-file model, and
 assembles, bins and renders both report files and the summary itself.
+
+physical_set and member_index read where a package cache or register file
+puts an address or a register, for tests that check its counters by hand,
+and clone copies a package ALU allocator.
 """
 
+import copy
 import math
 import re
 
@@ -219,6 +224,27 @@ class RefAluAllocator:
 
 _REF_KIND = {"R": "READ", "W": "WRITE"}
 _REF_SPACE = {"D": "DATA", "I": "INSTR"}
+
+
+def physical_set(cache, address):
+    """The physical set of a byte address in a RotatingCache: its index
+    field, shifted by one set per rotation so far."""
+    cfg = cache.config
+    return (address // cfg.line_bytes + cache.rot_counter) % cfg.sets
+
+
+def member_index(rf, reg_class, arch_id):
+    """Ring position of an architectural register in a RotatingRegFile,
+    None if not enrolled."""
+    return rf.ring_index.get((reg_class, arch_id))
+
+
+def clone(alloc):
+    """An AluAllocator that goes on from alloc's state with its own usage
+    counters; the two share the memo table, which steps only ever extend."""
+    other = copy.copy(alloc)
+    other.usage = list(alloc.usage)
+    return other
 
 
 def _ref_int(text):

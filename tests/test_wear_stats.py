@@ -108,8 +108,19 @@ def repetitive_count_vectors(draw):
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
 
 
+@st.composite
+def mostly_zero_count_vectors(draw):
+    """Large-array-like vectors: most entries idle, a few written, as a
+    tuple (a snapshot) or a list."""
+    counts = [0] * draw(st.integers(min_value=0, max_value=2000))
+    for c in draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=20)):
+        counts.insert(draw(st.integers(min_value=0, max_value=len(counts))), c)
+    counts = counts or [0]
+    return tuple(counts) if draw(st.booleans()) else counts
+
+
 @settings(max_examples=300)
-@given(count_vectors | repetitive_count_vectors())
+@given(count_vectors | repetitive_count_vectors() | mostly_zero_count_vectors())
 def test_histogram_matches_reference(counts):
     h = histogram(counts)
     assert (h.bins, h.max_writes, h.avg_writes, h.num_entries) == ref_histogram(counts)

@@ -23,6 +23,7 @@ from emsim.workload import (
     genspec_from_json,
     genspec_to_json,
     load_trace,
+    mem_code,
     parse_trace,
     save_trace,
     serialize_trace,
@@ -99,15 +100,19 @@ def test_parse_shares_identical_payloads():
     assert payloads[1] is payloads[3]
     assert payloads[4] == payloads[3]
     assert payloads[5] is payloads[6]
-    # memory records share by parsed address, within one kind and space
-    mem = parse_trace(["0 M W 64 D", "1 M W 064 D", "2 M R 64 D", "3 M W 64 I",
-                       "4 M R 64 I", "5 M R 64 D", "6 M W 65 D"]).payloads
-    assert mem[0] is mem[1] and mem[2] is mem[5]
-    assert len({id(p) for p in mem}) == 5
-    assert [(p.kind, p.address, p.space) for p in mem] == [
-        ("WRITE", 64, "DATA"), ("WRITE", 64, "DATA"), ("READ", 64, "DATA"),
-        ("WRITE", 64, "INSTR"), ("READ", 64, "INSTR"), ("READ", 64, "DATA"),
-        ("WRITE", 65, "DATA")]
+    # a memory record is one int code: equal records give equal codes,
+    # whatever their text, and decode to equal events
+    trace = parse_trace(["0 M W 64 D", "1 M W 064 D", "2 M R 64 D", "3 M W 64 I",
+                         "4 M R 64 I", "5 M R 64 D", "6 M W 65 D"])
+    mem = trace.payloads
+    assert mem == [64 << 2 | 2, 64 << 2 | 2, 64 << 2, 64 << 2 | 3, 64 << 2 | 1,
+                   64 << 2, 65 << 2 | 2]
+    assert mem_code(MemAccess("WRITE", 64, "INSTR")) == mem[3]
+    assert [e.payload for e in trace] == [
+        MemAccess("WRITE", 64, "DATA"), MemAccess("WRITE", 64, "DATA"),
+        MemAccess("READ", 64, "DATA"), MemAccess("WRITE", 64, "INSTR"),
+        MemAccess("READ", 64, "INSTR"), MemAccess("READ", 64, "DATA"),
+        MemAccess("WRITE", 65, "DATA")]
 
 
 def test_trace_columns():
@@ -228,6 +233,13 @@ def test_parse_matches_reference(lines):
     ["1 R GPR 2\n", "2 R GPR 2\n", "\u0663 R GPR 2\n"],
     ["1 R GPR 2\n", "1_0 R GPR 2\n"],
     ["1 R GPR 2\n", "-1 R GPR 2\n"],
+    ["5 M W 64 D\n", "6 M W 64 D\n", "6 M W 64 D\n", "4 M W 64 D\n"],  # memory
+    ["1 M R 64 D\n", "2 M R 064 D\n", "3 M R 64 D\n", "4 M R 064 D\n"],
+    ["1 M R 8 D\n", "1 M W 8 D\n", "1 M R 8 I\n", "1 M W 8 I\n",
+     "2 M W 8 I\n", "2 M R 8 I\n", "2 M W 8 D\n", "2 M R 8 D\n"],
+    ["1 M R 0 I\r\n", "2 M R 0 I\r\n", "2 A 1\r\n", "1 M R 0 I\r\n"],  # CRLF
+    ["1 M W -64 D\n"],                        # never a seen record
+    ["1 A 1\n", "2 M W -64 D\n", "3 M W -64 D\n"],
 ])
 def test_parse_of_seen_records_matches_reference(lines):
     assert_parse_matches_reference(lines)
