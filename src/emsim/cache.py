@@ -6,11 +6,13 @@ written back to the level below first), so each physical set
 takes turns hosting the hottest index. Per-set and per-line write counters
 record the wear the rotation is meant to spread.
 
-Each cache keeps one LRU model: a dict from every resident block to its
-entry index (set * ways + way), and per set a list of its resident entry
-indices, most recently used first (the LRU stack of Mattson et al., IBM
-Sys. J. 1970). A fill takes the lowest free way and only a rotation frees
-lines, so a set's resident ways are always 0 .. len(list) - 1.
+Each cache keeps one LRU model: per set a list of its resident blocks,
+most recently used first (the LRU stack of Mattson et al., IBM Sys. J.
+1970), and a dict from every resident block to its entry index (set * ways
++ way), where its write counters live. An eviction pops the set's LRU block
+and takes its entry back from the dict, so no entry records its block. A
+fill takes the lowest free way and only a rotation frees lines, so a set's
+resident ways are always 0 .. len(list) - 1.
 
 Write accounting: a write hit and a line fill each count as one write to
 the touched entry (a fill rewrites the whole line). Invalidation clears
@@ -23,6 +25,7 @@ pages), so a "block address" there is just the page number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .workload import ConfigError
 
@@ -63,7 +66,7 @@ class CacheConfig:
 
 
 class RotatingCache:
-    __slots__ = ("config", "rot_counter", "_where", "_lru", "_tag", "_dirty",
+    __slots__ = ("config", "rot_counter", "_where", "_lru", "_dirty",
                  "line_writes", "accesses", "fills", "write_hits",
                  "rotation_writebacks", "charge_rotation_writebacks")
 
@@ -72,10 +75,9 @@ class RotatingCache:
         self.rot_counter = 0
         n = config.sets * config.ways
         self._where: dict[int, int] = {}  # resident block -> entry index
-        self._lru = [[] for _ in range(config.sets)]  # resident entries, MRU first
-        self._tag = [0] * n  # block held by each resident entry
+        self._lru = [[] for _ in range(config.sets)]  # resident blocks, MRU first
         self._dirty = bytearray(n)
-        self.line_writes = [0] * n
+        self.line_writes = [0] * n  # per entry, set-major
         self.accesses = 0
         self.fills = 0
         self.write_hits = 0
@@ -88,16 +90,6 @@ class RotatingCache:
         entries, so a set's count is the sum of its row of line_writes."""
         rows = zip(*[iter(self.line_writes)] * self.config.ways)
         return list(map(sum, rows))
-
-    def access(self, address: int, kind: str) -> tuple[bool, bool, int | None]:
-        """One access, as a one-element run(). Returns (hit, fill, byte
-        address of the evicted dirty block or None)."""
-        fills, rotation_writebacks = self.fills, self.rotation_writebacks
-        out = self.run([address << 1 | (kind == "WRITE")])
-        if self.charge_rotation_writebacks:  # they come first; drop them
-            del out[:self.rotation_writebacks - rotation_writebacks]
-        fill = self.fills > fills
-        return (not fill and not out, fill, out[0] >> 1 if len(out) == 2 else None)
 
     def run(self, stream: list[int], tags: list[int] | None = None) -> list[int]:
         """The level loop: replays accesses encoded as (byte address << 1 |
@@ -131,7 +123,7 @@ class RotatingCache:
         shift = cfg.line_bytes.bit_length()  # encoded access >> shift = block
         sets_mask, ways, allocate_writes = cfg.sets - 1, cfg.ways, cfg.write_allocate
         rot = self.rot_counter
-        where, lrus, tag, dirty = self._where, self._lru, self._tag, self._dirty
+        where, lrus, dirty = self._where, self._lru, self._dirty
         line_writes = self.line_writes
         emit = out.append
         sent_by = None if tags is None else tags.append
@@ -143,9 +135,9 @@ class RotatingCache:
             e = where.get(block)
             if e is not None:
                 lru = lrus[s]
-                if lru[0] != e:
-                    lru.remove(e)
-                    lru.insert(0, e)
+                if lru[0] != block:
+                    lru.remove(block)
+                    lru.insert(0, block)
                 if x & 1:
                     dirty[e] = 1
                     line_writes[e] += 1
@@ -158,15 +150,14 @@ class RotatingCache:
                 if len(lru) < ways:
                     e = s * ways + len(lru)
                 else:
-                    e = lru.pop()
-                    del where[tag[e]]
+                    victim = lru.pop()
+                    e = where.pop(victim)
                     if dirty[e]:
-                        emit(tag[e] << shift | 1)
+                        emit(victim << shift | 1)
                         if sent_by:
                             sent_by(k)
-                lru.insert(0, e)
+                lru.insert(0, block)
                 where[block] = e
-                tag[e] = block
                 dirty[e] = x & 1
                 line_writes[e] += 1
                 fills += 1
@@ -186,21 +177,14 @@ class RotatingCache:
         shift = cfg.line_bytes.bit_length()
         # resident lines only, set-major and way-ascending (entry index order):
         # the order the write-backs reach the level below decides its LRU state
-        resident = sorted(self._where.values())
-        writebacks = [self._tag[e] << shift | 1 for e in resident if self._dirty[e]]
+        resident = sorted(self._where.items(), key=itemgetter(1))
+        writebacks = [block << shift | 1 for block, e in resident if self._dirty[e]]
         self.rotation_writebacks += len(writebacks)
-        for s in {e // cfg.ways for e in resident}:
+        for s in {e // cfg.ways for _, e in resident}:
             self._lru[s].clear()
         self._where.clear()
         self.rot_counter = (self.rot_counter + 1) % cfg.sets
         return writebacks if self.charge_rotation_writebacks else []
-
-    def set_writes_snapshot(self) -> tuple[int, ...]:
-        return tuple(self.set_writes)
-
-    def line_writes_snapshot(self) -> tuple[int, ...]:
-        """Per-entry write counts, set-major (set 0 way 0, set 0 way 1, ...)."""
-        return tuple(self.line_writes)
 
 
 # --- hierarchy ----------------------------------------------------------------

@@ -35,8 +35,8 @@ from .workload import (
     ConfigError,
     Trace,
     TraceParseError,
-    generate,
     genspec_from_json,
+    iter_events,
     load_trace,
     save_trace,
 )
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
     if args.trace:
         trace = load_trace(args.trace)
     else:
-        trace = Trace.from_events(generate(_load_genspec(args.gen, args.seed)))
+        trace = Trace.from_events(iter_events(_load_genspec(args.gen, args.seed)))
 
     if "rotation_period" in settings and settings["rotation_period"] is None:
         raise ConfigError(
@@ -208,11 +208,10 @@ def _add_gen_trace(sub) -> None:
 
 def cmd_gen_trace(args) -> int:
     spec = _load_genspec(args.gen, args.seed)
-    events = generate(spec)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    save_trace(args.out, events)
-    print(f"wrote {len(events)} events to {args.out}")
+    save_trace(args.out, iter_events(spec))
+    print(f"wrote {spec.length} events to {args.out}")
     return 0
 
 

@@ -158,11 +158,9 @@ def run_simulation(trace: Trace, cfg: SimConfig):
         for role in LEVEL_ROLES:
             base, aware = hier_base.caches[role], hier_aware.caches[role]
             reports.append(improvement_report(
-                base.line_writes_snapshot(), aware.line_writes_snapshot(),
-                f"cache.{role}.lines"))
+                base.line_writes, aware.line_writes, f"cache.{role}.lines"))
             reports.append(improvement_report(
-                base.set_writes_snapshot(), aware.set_writes_snapshot(),
-                f"cache.{role}.tags"))
+                base.set_writes, aware.set_writes, f"cache.{role}.tags"))
 
     summary = {
         "structures": list(cfg.structures),

@@ -50,7 +50,7 @@ class StructureReport:
 
 
 def histogram(counts: Sequence[int]) -> WriteHistogram:
-    if not isinstance(counts, tuple):
+    if not isinstance(counts, (list, tuple)):
         counts = list(counts)
     if not counts:
         raise ValueError("counts must be non-empty")
@@ -98,8 +98,8 @@ def improvement_report(baseline_counts: Sequence[int],
                        aware_counts: Sequence[int],
                        structure: str,
                        include_counts: bool = False) -> StructureReport:
-    baseline_counts = tuple(baseline_counts)
-    aware_counts = tuple(aware_counts)
+    """Reads the two count vectors in place; only a report that keeps its
+    counts takes a copy of them."""
     if len(baseline_counts) != len(aware_counts):
         raise ValueError(
             f"{structure}: baseline has {len(baseline_counts)} entries, "
@@ -114,8 +114,8 @@ def improvement_report(baseline_counts: Sequence[int],
         avg_to_max_baseline=_ratio_or_zero(hb),
         avg_to_max_aware=_ratio_or_zero(ha),
         mtf_improvement=improvement_from_maxima(hb.max_writes, ha.max_writes),
-        counts_baseline=baseline_counts if include_counts else None,
-        counts_aware=aware_counts if include_counts else None,
+        counts_baseline=tuple(baseline_counts) if include_counts else None,
+        counts_aware=tuple(aware_counts) if include_counts else None,
     )
 
 
@@ -127,7 +127,12 @@ def geo_mean(improvements: Iterable[Improvement]) -> Improvement:
         return UNBOUNDED
     if any(v <= -1.0 for v in vals):
         raise ValueError("improvements must be > -1")
-    return math.exp(sum(math.log1p(v) for v in vals) / len(vals)) - 1.0
+    # plain left-to-right addition: from Python 3.12 on, sum() compensates
+    # float rounding and would change the last digits between interpreters
+    total = 0.0
+    for v in vals:
+        total += math.log1p(v)
+    return math.exp(total / len(vals)) - 1.0
 
 
 # --- report emission ----------------------------------------------------------

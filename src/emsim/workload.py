@@ -8,9 +8,10 @@ starts with `#` is a comment, integers are ASCII decimal):
     <cycle> M <R|W> <address> <D|I>         memory access (data/instruction)
 
 Cycles must be non-decreasing and a cycle may carry at most one ALU issue
-record. Synthetic traces come from generate(), which is a pure function of
-its GenSpec (seed included): identical specs give byte-identical traces on
-any platform, courtesy of the fixed SplitMix64 generator.
+record. Synthetic traces come from generate() (or iter_events(), one event
+at a time), a pure function of its GenSpec (seed included): identical
+specs give byte-identical traces on any platform, courtesy of the fixed
+SplitMix64 generator.
 """
 
 from __future__ import annotations
@@ -368,14 +369,19 @@ def _pick(cum: list[float], rng: SplitMix64) -> int:
 
 def generate(spec: GenSpec) -> list[Event]:
     """Produce spec.length events, one per cycle, deterministically."""
+    return list(iter_events(spec))
+
+
+def iter_events(spec: GenSpec) -> Iterator[Event]:
+    """generate()'s events, one at a time. Register writes to one register
+    share one payload, and so do ALU issues of one width."""
     rng = SplitMix64(spec.seed)
     k = spec.kind
-    events: list[Event] = []
     if isinstance(k, ZipfRegWrites):
         cum = _cumulative((r + 1) ** -k.zipf_s for r in range(k.num_regs))
+        regs = [RegWrite("GPR", reg) for reg in range(k.num_regs)]
         for cycle in range(spec.length):
-            reg = _pick(cum, rng)
-            events.append(Event(cycle, RegWrite("GPR", reg)))
+            yield Event(cycle, regs[_pick(cum, rng)])
     elif isinstance(k, SkewedAddrs):
         hot_lines = max(1, int(k.working_set_lines * k.hot_fraction + 0.5))
         cum = _cumulative(k.hot_weight if i < hot_lines else 1.0
@@ -383,13 +389,12 @@ def generate(spec: GenSpec) -> list[Event]:
         for cycle in range(spec.length):
             line = _pick(cum, rng)
             kind = "WRITE" if rng.random() < 0.5 else "READ"
-            events.append(Event(cycle, MemAccess(kind, line * k.line_bytes, "DATA")))
+            yield Event(cycle, MemAccess(kind, line * k.line_bytes, "DATA"))
     else:  # AluBursts
         cum = _cumulative(k.width_distribution)
+        widths = [AluIssue(width) for width in range(len(cum))]
         for cycle in range(spec.length):
-            width = _pick(cum, rng)
-            events.append(Event(cycle, AluIssue(width)))
-    return events
+            yield Event(cycle, widths[_pick(cum, rng)])
 
 
 # --- GenSpec JSON form --------------------------------------------------------

@@ -22,9 +22,10 @@ ref_run_simulation is the whole-run oracle: it replays a parsed trace
 through the models above plus a closed-form register-file model, and
 assembles, bins and renders both report files and the summary itself.
 
-physical_set and member_index read where a package cache or register file
-puts an address or a register, for tests that check its counters by hand,
-and clone copies a package ALU allocator.
+access makes one access to a package cache and returns its outcome the way
+the reference caches do. physical_set and member_index read where a package
+cache or register file puts an address or a register, for tests that check
+its counters by hand, and clone copies a package ALU allocator.
 """
 
 import copy
@@ -224,6 +225,17 @@ class RefAluAllocator:
 
 _REF_KIND = {"R": "READ", "W": "WRITE"}
 _REF_SPACE = {"D": "DATA", "I": "INSTR"}
+
+
+def access(cache, address, kind):
+    """One access to a RotatingCache, as a one-element run(). Returns (hit,
+    fill, byte address of the evicted dirty block or None)."""
+    fills, rotation_writebacks = cache.fills, cache.rotation_writebacks
+    out = cache.run([address << 1 | (kind == "WRITE")])
+    if cache.charge_rotation_writebacks:  # they come first; drop them
+        del out[:cache.rotation_writebacks - rotation_writebacks]
+    fill = cache.fills > fills
+    return (not fill and not out, fill, out[0] >> 1 if len(out) == 2 else None)
 
 
 def physical_set(cache, address):
@@ -475,7 +487,10 @@ def ref_run_simulation(events, structures, alu_units, alu_policy, regfile_preset
     elif "unbounded" in gains:
         geo = "unbounded"
     else:
-        geo = math.exp(sum(math.log1p(g) for g in gains) / len(gains)) - 1.0
+        logs = 0.0  # added in row order, as the package does on every Python
+        for g in gains:
+            logs += math.log1p(g)
+        geo = math.exp(logs / len(gains)) - 1.0
     kinds = [type(ev.payload) for ev in events]
     summary = {
         "structures": list(structures),

@@ -23,7 +23,7 @@ from emsim.rng import SplitMix64
 from emsim.wear_stats import histogram, improvement_report
 from emsim.workload import generate, genspec_from_json, save_trace
 
-from reference_models import RefSetAssocLRU, clone, physical_set
+from reference_models import RefSetAssocLRU, access, clone, physical_set
 
 
 def criterion(tag):
@@ -200,7 +200,7 @@ def test_c6_cache_oracle_equivalence():
         for i in range(100_000):
             addr = rng.randbelow(span)
             kind = "WRITE" if rng.randbelow(10) < 3 else "READ"
-            assert dut.access(addr, kind) == ref.access(addr, kind), \
+            assert access(dut, addr, kind) == ref.access(addr, kind), \
                 (sets, ways, line, i)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -216,17 +216,17 @@ def test_c7_cache_hammering_leveling():
     base = RotatingCache(CacheConfig(name="base", sets=sets, ways=8,
                                      line_bytes=64))
     for _ in range(sets * epoch):
-        aware.access(0, "WRITE")
-        base.access(0, "WRITE")
-    counts = aware.set_writes_snapshot()
-    report = improvement_report(base.set_writes_snapshot(), counts,
+        access(aware, 0, "WRITE")
+        access(base, 0, "WRITE")
+    counts = tuple(aware.set_writes)
+    report = improvement_report(tuple(base.set_writes), counts,
                                 "cache.hammer.tags")
     elapsed = time.perf_counter() - t0
 
     assert all(abs(c - epoch) <= 1 for c in counts), counts
     assert counts == (epoch,) * sets  # this implementation lands them exactly
-    assert base.set_writes_snapshot()[physical_set(base, 0)] == sets * epoch
-    assert sum(1 for c in base.set_writes_snapshot() if c) == 1
+    assert base.set_writes[physical_set(base, 0)] == sets * epoch
+    assert sum(1 for c in base.set_writes if c) == 1
     assert report.mtf_improvement >= sets / 2
     assert elapsed < 10.0
     return f"improvement={report.mtf_improvement:.0f} {elapsed:.1f}s"

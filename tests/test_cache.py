@@ -16,7 +16,7 @@ from emsim.cache import (
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
 from emsim.workload import ConfigError, Event, MemAccess, Trace, mem_code, parse_trace
-from reference_models import RefSetAssocLRU, physical_set
+from reference_models import RefSetAssocLRU, access, physical_set
 
 
 def make(sets=4, ways=2, line_bytes=64, **kw):
@@ -42,7 +42,7 @@ def test_physical_set_mapping():
     for _ in range(5):
         c.rotate()
     assert physical_set(c, 10 * 64) == 15
-    c.access(10 * 64, "WRITE")
+    access(c, 10 * 64, "WRITE")
     assert c.set_writes[15] == 1 and sum(c.set_writes) == 1
     c2 = make(sets=64, ways=1)
     c2.rotate()
@@ -52,15 +52,15 @@ def test_physical_set_mapping():
 
 def test_cold_fill_counts_one_write():
     c = make()
-    out = c.access(0x1000, "READ")
+    out = access(c, 0x1000, "READ")
     assert out == (False, True, None)
     assert sum(c.line_writes) == 1 and c.fills == 1 and c.write_hits == 0
 
 
 def test_write_then_write_same_address():
     c = make()
-    assert c.access(0x40, "WRITE") == (False, True, None)
-    assert c.access(0x40, "WRITE") == (True, False, None)
+    assert access(c, 0x40, "WRITE") == (False, True, None)
+    assert access(c, 0x40, "WRITE") == (True, False, None)
     s = physical_set(c, 0x40)
     assert c.set_writes[s] == 2
     assert sum(c.line_writes) == 2
@@ -73,10 +73,10 @@ def test_direct_mapped_conflict_thrash():
     c = make(sets=4, ways=1)
     addrs = [i * 4 * 64 for i in range(5)]
     for a in addrs:
-        assert c.access(a, "READ") == (False, True, None)
+        assert access(c, a, "READ") == (False, True, None)
     for _ in range(3):
         for a in addrs:
-            assert c.access(a, "READ") == (False, True, None)
+            assert access(c, a, "READ") == (False, True, None)
 
 
 def test_rotate_on_empty_cache():
@@ -95,19 +95,32 @@ def test_rotation_cost_follows_resident_lines_not_sets():
     c = make(sets=65536, ways=1)
     t0 = time.perf_counter()
     for i in range(2000):
-        c.access(i * 64, "WRITE")
+        access(c, i * 64, "WRITE")
         c.rotate()
     elapsed = time.perf_counter() - t0
     assert c.rotation_writebacks == 2000 and c.rot_counter == 2000
     assert elapsed < 1.0
 
 
+def test_rotation_writebacks_leave_set_major_and_way_ascending():
+    # dirty lines filled in neither block nor set order: the write-backs of
+    # a rotation still leave by entry index (set * ways + way), not by block,
+    # fill or recency; the level below sees them in that order
+    c = make(sets=4, ways=2, line_bytes=1, rotation_period=6)
+    blocks = [6, 1, 3, 2, 5, 7]  # sets 2, 1, 3, 2, 1, 3
+    out = c.run([b << 1 | 1 for b in blocks])
+    writebacks = [1, 5, 6, 2, 3, 7]  # set 1 ways 0-1, set 2 ways 0-1, set 3 ways 0-1
+    fetches = [b << 1 for b in blocks]
+    assert out == fetches[:5] + [b << 1 | 1 for b in writebacks] + fetches[5:]
+    assert c.rotation_writebacks == 6 and c.rot_counter == 1
+
+
 def test_rotation_invalidates_everything():
     c = make()
-    c.access(0x80, "WRITE")
-    assert c.access(0x80, "READ") == (True, False, None)
+    access(c, 0x80, "WRITE")
+    assert access(c, 0x80, "READ") == (True, False, None)
     c.rotate()
-    assert c.access(0x80, "READ") == (False, True, None)
+    assert access(c, 0x80, "READ") == (False, True, None)
     # the rotation writeback was recorded even without a sink attached
     assert c.rotation_writebacks == 1
 
@@ -115,35 +128,35 @@ def test_rotation_invalidates_everything():
 def test_dirty_eviction_reports_writeback():
     c = make(sets=4, ways=1)
     a, b = 0x0, 4 * 64  # same index field
-    c.access(a, "WRITE")
-    assert c.access(b, "READ") == (False, True, a)
-    assert c.access(a, "READ") == (False, True, None)  # b is clean
+    access(c, a, "WRITE")
+    assert access(c, b, "READ") == (False, True, a)
+    assert access(c, a, "READ") == (False, True, None)  # b is clean
 
 
 def test_write_no_allocate():
     c = make(write_allocate=False)
-    assert c.access(0x100, "WRITE") == (False, False, None)
+    assert access(c, 0x100, "WRITE") == (False, False, None)
     assert c.fills == 0 and sum(c.line_writes) == 0 and c.accesses == 1
-    assert c.access(0x100, "READ") == (False, True, None)  # reads still allocate
+    assert access(c, 0x100, "READ") == (False, True, None)  # reads still allocate
 
 
 def test_rotation_trigger_fires_after_period():
     c = make(sets=8, rotation_period=3)
-    c.access(0, "READ")
-    c.access(64, "READ")
+    access(c, 0, "READ")
+    access(c, 64, "READ")
     assert c.rot_counter == 0
-    c.access(128, "READ")
+    access(c, 128, "READ")
     assert c.rot_counter == 1
 
 
 def test_lru_eviction_order():
     c = make(sets=1, ways=3, line_bytes=64)
     for blk in (0, 1, 2):
-        c.access(blk * 64, "READ")
-    c.access(0, "READ")  # 0 becomes MRU; LRU is now 1
-    assert c.access(3 * 64, "READ") == (False, True, None)
-    assert c.access(0, "READ") == (True, False, None)   # still resident
-    assert c.access(64, "READ") == (False, True, None)  # 1 was the victim
+        access(c, blk * 64, "READ")
+    access(c, 0, "READ")  # 0 becomes MRU; LRU is now 1
+    assert access(c, 3 * 64, "READ") == (False, True, None)
+    assert access(c, 0, "READ") == (True, False, None)   # still resident
+    assert access(c, 64, "READ") == (False, True, None)  # 1 was the victim
 
 
 @pytest.mark.parametrize("sets,ways,line_bytes", [
@@ -157,14 +170,14 @@ def test_oracle_equivalence_no_rotation(sets, ways, line_bytes):
     for _ in range(20_000):
         addr = rng.randbelow(span)
         kind = "WRITE" if rng.randbelow(2) else "READ"
-        assert mine.access(addr, kind) == ref.access(addr, kind)
+        assert access(mine, addr, kind) == ref.access(addr, kind)
 
 
 def test_conservation_random_trace():
     c = make(sets=8, ways=4, rotation_period=500)
     rng = SplitMix64(99)
     for _ in range(5000):
-        c.access(rng.randbelow(1 << 16), "WRITE" if rng.randbelow(2) else "READ")
+        access(c, rng.randbelow(1 << 16), "WRITE" if rng.randbelow(2) else "READ")
     assert sum(c.line_writes) == c.fills + c.write_hits
     for s in range(8):
         assert c.set_writes[s] == sum(c.line_writes[s * 4:(s + 1) * 4])
@@ -174,14 +187,14 @@ def test_hammering_spreads_exactly():
     sets, epoch = 8, 100
     c = make(sets=sets, ways=2, rotation_period=epoch)
     for _ in range(sets * epoch):
-        c.access(0x0, "WRITE")
-    assert c.set_writes_snapshot() == (epoch,) * sets
-    flat = c.line_writes_snapshot()
+        access(c, 0x0, "WRITE")
+    assert tuple(c.set_writes) == (epoch,) * sets
+    flat = tuple(c.line_writes)
     assert max(flat) == epoch
     # without rotation one set absorbs everything
     base = make(sets=sets, ways=2)
     for _ in range(sets * epoch):
-        base.access(0x0, "WRITE")
+        access(base, 0x0, "WRITE")
     assert max(base.set_writes) == sets * epoch
     assert base.set_writes.count(0) == sets - 1
 
@@ -205,6 +218,20 @@ def test_default_geometry():
     assert cfgs["STLB"].sets * cfgs["STLB"].ways == 512
     for role in ("DTLB", "ITLB", "STLB"):
         assert cfgs[role].line_bytes == 1
+
+
+def test_default_hierarchy_keeps_no_per_entry_tag_array():
+    # an eviction finds its entry through the block map, so the counters and
+    # dirty bits are the only per-entry arrays; a tag array would add 1 MiB
+    # for the L3's 131,072 lines alone
+    tracemalloc.start()
+    try:
+        hier = build_hierarchy()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2_000_000
+    assert len(hier.caches["L3"].line_writes) == 131_072
 
 
 def test_cold_read_fills_whole_data_path():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from emsim.cache import LEVEL_ROLES, CacheConfig, RotatingCache, build_hierarchy, split_codes
 from emsim.workload import MemAccess, mem_code
-from reference_models import RefHierarchy, RefRotatingCache
+from reference_models import RefHierarchy, RefRotatingCache, access
 
 KINDS = st.sampled_from(["READ", "WRITE"])
 PERIODS = st.none() | st.integers(1, 40)
@@ -25,14 +25,16 @@ def assert_same_counters(mine, ref):
 
 
 def assert_lru_state(mine, ref):
-    """Each set's LRU list is a permutation of its resident entries
-    base .. base+len-1, and the block map holds exactly the resident blocks."""
+    """The block map sends each set's LRU list onto a permutation of its
+    resident entries base .. base+len-1, and holds exactly the resident
+    blocks."""
     ways = mine.config.ways
     for s, lru in enumerate(mine._lru):
-        assert sorted(lru) == list(range(s * ways, s * ways + len(lru)))
-    resident = {mine._tag[e]: e for lru in mine._lru for e in lru}
-    assert mine._where == resident
-    assert set(resident) == ref.resident_blocks()
+        assert sorted(mine._where[block] for block in lru) == \
+            list(range(s * ways, s * ways + len(lru)))
+    resident = [block for lru in mine._lru for block in lru]
+    assert len(resident) == len(mine._where)
+    assert set(resident) == set(mine._where) == ref.resident_blocks()
 
 
 def encode(address, kind):
@@ -87,7 +89,7 @@ def test_rotating_cache_matches_reference(sets, ways, line_bytes, period,
             assert mine.run([encode(address, kind)]) == ref_outputs(ref, address, kind)
         else:
             ref.on_writeback = None
-            assert mine.access(address, kind) == ref.access(address, kind)
+            assert access(mine, address, kind) == ref.access(address, kind)
         assert_lru_state(mine, ref)
     assert_same_counters(mine, ref)
 

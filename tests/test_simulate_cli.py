@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsim import cli
 from emsim.alu_alloc import AluAllocator
 from emsim.cache import LEVEL_ROLES
 from emsim.cli import main
@@ -332,6 +333,36 @@ def test_cli_simulate_gen_matches_the_saved_trace(tmp_path, spec):
                      "--out", str(out)]) == 0
     for name in ("report.csv", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("spec,limit", [
+    ('{"kind": "zipf-reg-writes", "seed": 3, "length": 20000, "num_regs": 20, '
+     '"zipf_s": 1.2}', 80),
+    ('{"kind": "alu-bursts", "seed": 5, "length": 20000, "max_width": 4, '
+     '"width_distribution": [1, 2, 3, 2, 2]}', 80),
+    ('{"kind": "skewed-addrs", "seed": 4, "length": 20000, "working_set_lines": 4096, '
+     '"hot_fraction": 0.05, "hot_weight": 20.0}', 120),
+], ids=["zipf-reg-writes", "alu-bursts", "skewed-addrs"])
+def test_cli_simulate_gen_holds_no_event_list(tmp_path, monkeypatch, spec, limit):
+    # --gen builds the column trace as the events are generated, with one
+    # payload per register or width: the peak until the replay starts stays
+    # near the trace's own columns (an Event list with a payload per event
+    # took about 150 B/event, 225 for memory records)
+    peaks = []
+    real_run = cli.run_simulation
+
+    def run_simulation(trace, cfg):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return real_run(trace, cfg)
+
+    monkeypatch.setattr(cli, "run_simulation", run_simulation)
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--gen", spec, "--structure", "alu",
+                     "--out", str(tmp_path / "o")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] / 20000 < limit
 
 
 def test_cli_simulate_runs_are_byte_identical(tmp_path):

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emsim import simulate
@@ -81,8 +81,23 @@ def test_run_simulation_matches_reference(lines, config):
     check_against_reference(lines, config)
 
 
+def boundary_config(structures):
+    return dict(structures=structures, alu_units=2, alu_policy="toggle-balance",
+                regfile_preset="gpr16", rotation_period=2, count_rotation_shifts=True,
+                cache_overrides={"L3": {"sets": 2, "ways": 2, "rotation_period": 3}},
+                charge_rotation_writebacks=True)
+
+
 @settings(max_examples=100, deadline=None)
 @given(lines=trace_lines(), config=CONFIGS, chunk=st.integers(1, 8))
+# traces that end on the last record of a full chunk with fewer than a
+# chunk of memory records pending: the last batch must still be replayed
+@example(lines=["0 A 2", "0 M W 64 D", "1 R GPR 3", "2 A 1", "2 R GPR 5",
+                "3 M R 4096 I"], config=boundary_config(STRUCTURES), chunk=3)
+@example(lines=["0 M W 64 D", "0 M R 4096 I", "1 A 3", "1 M W 8192 D", "2 A 1",
+                "3 R GPR 1"], config=boundary_config(STRUCTURES), chunk=2)
+@example(lines=[f"{c} M {'RW'[c % 2]} {c * 64} {'DI'[c % 3 == 0]}" for c in range(7)]
+         + ["7 A 1"], config=boundary_config(("cache",)), chunk=4)
 def test_run_simulation_in_small_chunks_matches_reference(lines, config, chunk):
     # chunks of a few records, so that rotation epochs, the records of one
     # cycle and runs of ALU requests straddle chunk boundaries

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -166,6 +167,26 @@ def test_improvement_degenerate_maxima():
     r = improvement_report((5, 5), (0, 0), "idle")
     assert r.mtf_improvement is UNBOUNDED
     assert r.avg_to_max_aware == 0.0
+
+
+def test_improvement_report_copies_only_the_counts_it_keeps():
+    n = 131_072  # the lines of one default L3
+    base, aware = [0] * n, [0] * n
+    base[5], aware[9] = 3, 1
+    tracemalloc.start()
+    try:
+        r = improvement_report(base, aware, "cache.L3.lines")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # a tuple copy of one of them alone is 1 MiB
+    assert (r.histogram_baseline.max_writes, r.histogram_aware.max_writes) == (3, 1)
+    assert r.counts_baseline is r.counts_aware is None
+    # a report that keeps its counts keeps a copy, not the caller's list
+    base, aware = [4, 2], [3, 3]
+    r = improvement_report(base, aware, "alu", include_counts=True)
+    base[0] = aware[0] = 0
+    assert (r.counts_baseline, r.counts_aware) == ((4, 2), (3, 3))
 
 
 def test_improvement_report_length_mismatch():
