@@ -51,8 +51,9 @@ class AluAllocator:
     each (state, k) pair runs the policy code once and is memoised as a
     _Step in `_table` (state -> its steps by k). allocate() then walks a
     batch of requests from step to step and adds the usage of the whole
-    batch at once. Toggle-balance reaches just 2N states, counter-rotate N
-    and fixed-priority one, so the table stays small.
+    batch at once; it returns nothing, and `usage` is all it leaves to
+    read. Toggle-balance reaches just 2N states, counter-rotate N and
+    fixed-priority one, so the table stays small.
     """
 
     __slots__ = ("num_units", "policy", "usage", "_last", "_table")
@@ -69,11 +70,10 @@ class AluAllocator:
         self._table: dict[int, list[_Step | None]] = {}
         self._last = _Step((), 0, self._row(0))  # the step into the current state
 
-    def allocate(self, ks: Sequence[int]) -> list[tuple[int, ...]]:
-        """Grant ks[i] of the N units in cycle i, cycle after cycle, bump
-        the granted units' usage and return each cycle's units in grant
-        order. A request outside [0, N] raises ValueError before any cycle
-        is granted."""
+    def allocate(self, ks: Sequence[int]) -> None:
+        """Grant ks[i] of the N units in cycle i, cycle after cycle, and bump
+        the granted units' usage. A request outside [0, N] raises ValueError
+        before any cycle is granted."""
         if ks and not (0 <= min(ks) and max(ks) <= self.num_units):
             bad = min(ks) if min(ks) < 0 else max(ks)
             raise ValueError(f"k must be in [0, {self.num_units}], got {bad}")
@@ -86,7 +86,6 @@ class AluAllocator:
         for taken, cycles in Counter(steps).items():
             for i in taken.units:
                 usage[i] += cycles
-        return [taken.units for taken in steps]
 
     def _take(self, step: _Step, k: int) -> _Step:
         """Run the policy for k from step's state and memoise the result."""
@@ -123,16 +122,3 @@ class AluAllocator:
         for i in selected:
             state ^= 1 << (i + 1)
         return tuple(selected), state
-
-    def usage_snapshot(self) -> tuple[int, ...]:
-        return tuple(self.usage)
-
-    # read-only views for tests and debugging
-    @property
-    def ex_bits(self) -> tuple[int, ...]:
-        state = self._last.state
-        return tuple((state >> (i + 1)) & 1 for i in range(self.num_units))
-
-    @property
-    def global_bit(self) -> int:
-        return self._last.state & 1

@@ -15,9 +15,9 @@ import os
 import sys
 
 from . import em_models as em
-from .alu_alloc import COUNTER_ROTATE, TOGGLE_BALANCE
 from .cache import rotation_period_from_json
 from .simulate import (
+    AWARE_ALU_POLICIES,
     DEFAULT_ROTATION_PERIOD,
     STRUCTURES,
     SimConfig,
@@ -46,12 +46,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, TraceParseError):
             return 3
         # an unreadable file, or one that is not UTF-8 text, is an input-file
-        # problem; any other ValueError is a model's domain error
+        # problem; any other ValueError, or a model's arithmetic leaving the
+        # float range, is a domain error
         return 2 if isinstance(exc, (ConfigError, OSError, UnicodeDecodeError)) else 4
 
 
@@ -92,7 +93,7 @@ def _add_simulate(sub) -> None:
     p.add_argument("--structure", default="all",
                    choices=[*STRUCTURES, "all"])
     p.add_argument("--policy", default=None,
-                   choices=[COUNTER_ROTATE, TOGGLE_BALANCE],
+                   choices=AWARE_ALU_POLICIES,
                    help="aware ALU policy (default toggle-balance)")
     p.add_argument("--config", help="JSON config file with the sections "
                                     f"{', '.join(CONFIG_FIELDS)} (see README)")
@@ -217,19 +218,27 @@ def cmd_gen_trace(args) -> int:
 
 # --- em-calc --------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """argparse type of every em-calc number: a float, but not inf or nan."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_arg(*names, **kwargs):
-    return lambda p: p.add_argument(*names, type=float, **kwargs)
+    return lambda p: p.add_argument(*names, type=_finite, **kwargs)
 
 
 def _add_tech_flags(p) -> None:
-    p.add_argument("--scale-a", type=float, default=1.0)
-    p.add_argument("--exponent-n", type=float, default=2.0)
-    p.add_argument("--activation-ea", type=float, default=0.0,
+    p.add_argument("--scale-a", type=_finite, default=1.0)
+    p.add_argument("--exponent-n", type=_finite, default=2.0)
+    p.add_argument("--activation-ea", type=_finite, default=0.0,
                    help="activation energy in eV")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--temp-c", type=float, default=None,
+    g.add_argument("--temp-c", type=_finite, default=None,
                    help="temperature in Celsius (default 105)")
-    g.add_argument("--temp-k", type=float, default=378.15,  # 105 C
+    g.add_argument("--temp-k", type=_finite, default=378.15,  # 105 C
                    help="temperature in kelvin")
 
 
@@ -330,6 +339,8 @@ def cmd_em_calc(args) -> int:
     value = compute(args)
     if value is em.UNBOUNDED:  # rms-mtf of a wire that never toggles
         print(f"{args.calc} = unbounded (zero toggle probability)")
+    elif not math.isfinite(value):
+        raise OverflowError(f"{args.calc} result out of the float range: {value!r}")
     else:
         print(f"{args.calc} = {value!r} {unit.format(value)}")
     return 0

@@ -1,10 +1,10 @@
 """Rotating architectural-to-physical register mapping with wear counters.
 
-Architectural register a lives at physical slot (a + rotator) mod N.
-rotate() bumps the rotator and shifts every stored value one slot up so
-program-visible contents never change; only the physical location of each
-value (and therefore which slot future writes wear out) moves. Per-slot
-write counters feed the wear statistics.
+Architectural register a lives at physical slot (a + rotations_done) mod
+N. rotate() counts one more rotation and shifts every stored value one
+slot up so program-visible contents never change; only the physical
+location of each value (and therefore which slot future writes wear out)
+moves. Per-slot write counters feed the wear statistics.
 
 The value shift itself is not charged to the write counters by default:
 rotation fires orders of magnitude less often than ordinary writes, so
@@ -43,9 +43,8 @@ def ring_preset(name: str) -> tuple[tuple[str, int], ...]:
 
 
 class RotatingRegFile:
-    __slots__ = ("ring_members", "num_slots", "rotation_period",
-                 "count_rotation_shifts", "rotator", "rotations_done",
-                 "values", "phys_writes", "ring_index")
+    __slots__ = ("num_slots", "rotation_period", "count_rotation_shifts",
+                 "rotations_done", "values", "phys_writes", "ring_index")
 
     def __init__(self, ring_members, rotation_period: int = DEFAULT_ROTATION_PERIOD,
                  count_rotation_shifts: bool = False):
@@ -56,11 +55,9 @@ class RotatingRegFile:
             raise ValueError("ring members must be distinct")
         if rotation_period < 1:
             raise ValueError("rotation_period must be >= 1")
-        self.ring_members = members
         self.num_slots = len(members)
         self.rotation_period = rotation_period
         self.count_rotation_shifts = count_rotation_shifts
-        self.rotator = 0
         self.rotations_done = 0
         self.values = [0] * self.num_slots
         self.phys_writes = [0] * self.num_slots
@@ -69,7 +66,7 @@ class RotatingRegFile:
     def map(self, arch_index: int) -> int:
         if not 0 <= arch_index < self.num_slots:
             raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")
-        return (arch_index + self.rotator) % self.num_slots
+        return (arch_index + self.rotations_done) % self.num_slots
 
     def write(self, indices: Sequence[int], values: Sequence[int]) -> None:
         """Write values[i] to architectural register indices[i], in order.
@@ -87,11 +84,11 @@ class RotatingRegFile:
         if lo < 0 or hi >= n:
             bad = lo if lo < 0 else hi
             raise IndexError(f"arch index {bad} outside [0, {n})")
-        rotator, phys_writes, slot_values = self.rotator, self.phys_writes, self.values
+        shift, phys_writes, slot_values = self.rotations_done, self.phys_writes, self.values
         for a, count in counts.items():
-            phys_writes[(a + rotator) % n] += count
+            phys_writes[(a + shift) % n] += count
         for a, value in dict(zip(indices, values)).items():
-            slot_values[(a + rotator) % n] = value
+            slot_values[(a + shift) % n] = value
 
     def read(self, arch_index: int) -> int:
         return self.values[self.map(arch_index)]
@@ -102,12 +99,8 @@ class RotatingRegFile:
         if times < 0:
             raise ValueError("times must be >= 0")
         shift = times % self.num_slots
-        self.rotator = (self.rotator + shift) % self.num_slots
         self.values[:] = self.values[-shift:] + self.values[:-shift]
         self.rotations_done += times
         if self.count_rotation_shifts:
             for i in range(self.num_slots):
                 self.phys_writes[i] += times
-
-    def write_snapshot(self) -> tuple[int, ...]:
-        return tuple(self.phys_writes)

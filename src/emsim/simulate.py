@@ -148,11 +148,10 @@ def run_simulation(trace: Trace, cfg: SimConfig):
     reports: list[StructureReport] = []
     if do_alu:
         reports.append(improvement_report(
-            alu_base.usage_snapshot(), alu_aware.usage_snapshot(),
-            "alu", include_counts=True))
+            alu_base.usage, alu_aware.usage, "alu", include_counts=True))
     if do_reg:
         reports.append(improvement_report(
-            rf_base.write_snapshot(), rf_aware.write_snapshot(),
+            rf_base.phys_writes, rf_aware.phys_writes,
             f"regfile.{cfg.regfile_preset}", include_counts=True))
     if do_cache:
         for role in LEVEL_ROLES:

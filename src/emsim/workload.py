@@ -20,7 +20,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .rng import SplitMix64
 
@@ -115,8 +115,6 @@ class Trace:
 
 _KIND_BIT = {"R": 0, "W": 2}  # a memory record's letters as mem_code bits
 _SPACE_BIT = {"D": 0, "I": 1}
-_KIND_LETTER = {"READ": "R", "WRITE": "W"}
-_SPACE_LETTER = {"DATA": "D", "INSTR": "I"}
 
 
 def _strict_int(text: str) -> int:
@@ -136,22 +134,19 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     two ALU issues in one cycle.
 
     Returns the trace as two columns, not one Event per line, with each
-    memory record as its mem_code. Identical ALU and register records share
-    one immutable payload object, found by their raw field strings, and the
-    records of one cycle share its int.
+    memory record as its mem_code. The records of one cycle share its int.
 
     Every valid record is also kept by its whole text after "<cycle> ": a
     later line with that text and a plain ASCII-digit cycle field costs one
-    lookup plus the cycle checks and shares the first line's payload. Every
-    other line is split and checked field by field.
+    lookup plus the cycle checks and shares the first line's immutable
+    payload. Every other line is split and checked field by field, and gets
+    a payload of its own.
     """
     cycles: list[int] = []
     payloads: list[TracePayload] = []
     append_cycle, append_payload = cycles.append, payloads.append
     # valid records by the line text after "<cycle> "
     records: dict[str, TracePayload] = {}
-    alu_payloads: dict[str, AluIssue] = {}
-    reg_payloads: dict[str, dict[str, RegWrite]] = {c: {} for c in REG_CLASSES}
     last_cycle = -1
     last_cycle_text = None
     alu_cycle = -1
@@ -165,7 +160,10 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 if cycle_text == last_cycle_text:
                     cycle = last_cycle
                 elif cycle_text.isascii() and cycle_text.isdigit():
-                    cycle = int(cycle_text)
+                    try:
+                        cycle = int(cycle_text)
+                    except ValueError:  # too many digits: the checked path says so
+                        payload = None
                 else:
                     payload = None
         if payload is None:
@@ -182,23 +180,15 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 if tag == "A":
                     if len(fields) != 3:
                         raise TraceParseError("ALU record needs 3 fields", line_no)
-                    payload = alu_payloads.get(fields[2])
-                    if payload is None:
-                        payload = AluIssue(ready_count=to_int(fields[2]))
-                        if payload.ready_count >= 0:
-                            alu_payloads[fields[2]] = payload
+                    payload = AluIssue(ready_count=to_int(fields[2]))
                 elif tag == "R":
                     if len(fields) != 4:
                         raise TraceParseError("register record needs 4 fields", line_no)
-                    by_id = reg_payloads.get(fields[2])
-                    if by_id is None:
+                    if fields[2] not in REG_CLASSES:
                         raise TraceParseError(f"unknown register class {fields[2]!r}", line_no)
-                    payload = by_id.get(fields[3])
-                    if payload is None:
-                        payload = RegWrite(reg_class=fields[2], arch_id=to_int(fields[3]))
-                        if payload.arch_id < 0:
-                            raise TraceParseError("register id must be non-negative", line_no)
-                        by_id[fields[3]] = payload
+                    payload = RegWrite(reg_class=fields[2], arch_id=to_int(fields[3]))
+                    if payload.arch_id < 0:
+                        raise TraceParseError("register id must be non-negative", line_no)
                 elif tag == "M":
                     if len(fields) != 5:
                         raise TraceParseError("memory record needs 5 fields", line_no)
@@ -244,19 +234,17 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     return Trace(cycles, payloads)
 
 
-def serialize_event(event: Event) -> str:
-    p = event.payload
-    if isinstance(p, AluIssue):
-        return f"{event.cycle} A {p.ready_count}"
-    if isinstance(p, RegWrite):
-        return f"{event.cycle} R {p.reg_class} {p.arch_id}"
-    return f"{event.cycle} M {_KIND_LETTER[p.kind]} {p.address} {_SPACE_LETTER[p.space]}"
-
-
 def serialize_trace(events: Iterable[Event]) -> Iterator[str]:
-    """Inverse of parse_trace: yields one line per event, no newline."""
+    """Inverse of parse_trace: yields one line per event, no newline. A
+    memory record's kind and space letters are their names' first letters."""
     for event in events:
-        yield serialize_event(event)
+        p = event.payload
+        if isinstance(p, AluIssue):
+            yield f"{event.cycle} A {p.ready_count}"
+        elif isinstance(p, RegWrite):
+            yield f"{event.cycle} R {p.reg_class} {p.arch_id}"
+        else:
+            yield f"{event.cycle} M {p.kind[0]} {p.address} {p.space[0]}"
 
 
 def load_trace(path) -> Trace:
@@ -266,15 +254,11 @@ def load_trace(path) -> Trace:
 
 def save_trace(path, events: Iterable[Event], header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        write_trace(fh, events, header)
-
-
-def write_trace(fh: IO[str], events: Iterable[Event], header: str | None = None) -> None:
-    fh.write("# emsim trace v1\n")
-    if header:
-        fh.write(f"# {header}\n")
-    for line in serialize_trace(events):
-        fh.write(line + "\n")
+        fh.write("# emsim trace v1\n")
+        if header:
+            fh.write(f"# {header}\n")
+        for line in serialize_trace(events):
+            fh.write(line + "\n")
 
 
 # --- synthetic workload generation -------------------------------------------

@@ -25,7 +25,9 @@ assembles, bins and renders both report files and the summary itself.
 access makes one access to a package cache and returns its outcome the way
 the reference caches do. physical_set and member_index read where a package
 cache or register file puts an address or a register, for tests that check
-its counters by hand, and clone copies a package ALU allocator.
+its counters by hand. clone copies a package ALU allocator, grant makes
+one request of it and returns the units granted, and ex_bits and
+global_bit read its toggle-balance state.
 """
 
 import copy
@@ -257,6 +259,25 @@ def clone(alloc):
     other = copy.copy(alloc)
     other.usage = list(alloc.usage)
     return other
+
+
+def grant(alloc, k):
+    """One cycle's request of k units from an AluAllocator: the units it
+    grants, in grant order, read from the step it ends on."""
+    alloc.allocate([k])
+    return alloc._last.units
+
+
+def ex_bits(alloc):
+    """An AluAllocator's toggle-balance excitation bits, unit 0 first: bits
+    1..N of its state."""
+    state = alloc._last.state
+    return tuple((state >> (i + 1)) & 1 for i in range(alloc.num_units))
+
+
+def global_bit(alloc):
+    """An AluAllocator's toggle-balance global bit: bit 0 of its state."""
+    return alloc._last.state & 1
 
 
 def _ref_int(text):

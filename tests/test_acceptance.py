@@ -23,7 +23,8 @@ from emsim.rng import SplitMix64
 from emsim.wear_stats import histogram, improvement_report
 from emsim.workload import generate, genspec_from_json, save_trace
 
-from reference_models import RefSetAssocLRU, access, clone, physical_set
+from reference_models import (RefSetAssocLRU, access, clone, ex_bits, global_bit, grant,
+                              physical_set)
 
 
 def criterion(tag):
@@ -55,9 +56,9 @@ def test_c1_golden_alu_sequence():
     t0 = time.perf_counter()
     got = []
     for k in (0, 2, 2, 3):
-        res = alloc.allocate([k])[0]
-        got.append((res, alloc.ex_bits, alloc.global_bit))
-    usage = alloc.usage_snapshot()
+        res = grant(alloc, k)
+        got.append((res, ex_bits(alloc), global_bit(alloc)))
+    usage = tuple(alloc.usage)
     elapsed = time.perf_counter() - t0
     assert got == expected
     assert usage == (3, 2, 2)
@@ -97,7 +98,7 @@ def test_c3_exhaustive_balance_bound():
             for k in range(n + 1):
                 nxt = clone(alloc)
                 nxt.allocate([k])
-                usage = nxt.usage_snapshot()
+                usage = nxt.usage
                 spread = max(usage) - min(usage)
                 if spread > worst:
                     worst = spread
@@ -128,8 +129,7 @@ def test_c4_bursty_hotspot_reproduction():
     t0 = time.perf_counter()
     base.allocate(widths)
     aware.allocate(widths)
-    usage_base = base.usage_snapshot()
-    usage_aware = aware.usage_snapshot()
+    usage_base, usage_aware = base.usage, aware.usage
     improvement = mtf_improvement(max(usage_base), max(usage_aware))
     elapsed = time.perf_counter() - t0
 
@@ -172,7 +172,7 @@ def test_c5_regfile_transparency_and_leveling():
         hot.write([0], [i])
         if i % 25 == 0:
             hot.rotate()
-    counts = hot.write_snapshot()
+    counts = tuple(hot.phys_writes)
     report = improvement_report((100, 0, 0, 0), counts, "regfile.single-hot")
     elapsed = time.perf_counter() - t0
     assert counts == (25, 25, 25, 25)

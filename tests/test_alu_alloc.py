@@ -12,7 +12,7 @@ from emsim.alu_alloc import (
     AluAllocator,
 )
 from emsim.rng import SplitMix64
-from reference_models import RefAluAllocator, clone
+from reference_models import RefAluAllocator, clone, ex_bits, global_bit, grant
 
 
 def test_toggle_balance_worked_example():
@@ -20,56 +20,56 @@ def test_toggle_balance_worked_example():
     # per-unit bits (unit 0 first), and global bit at each step are the
     # worked sequence this allocator is defined by.
     alloc = AluAllocator(3, TOGGLE_BALANCE)
-    assert alloc.ex_bits == (0, 0, 0) and alloc.global_bit == 0
+    assert ex_bits(alloc) == (0, 0, 0) and global_bit(alloc) == 0
 
-    r = alloc.allocate([0])[0]
+    r = grant(alloc, 0)
     assert r == ()
-    assert alloc.ex_bits == (0, 0, 0) and alloc.global_bit == 0
+    assert ex_bits(alloc) == (0, 0, 0) and global_bit(alloc) == 0
 
-    r = alloc.allocate([2])[0]
+    r = grant(alloc, 2)
     assert r == (0, 1)
-    assert alloc.ex_bits == (1, 1, 0) and alloc.global_bit == 0
+    assert ex_bits(alloc) == (1, 1, 0) and global_bit(alloc) == 0
 
-    r = alloc.allocate([2])[0]
+    r = grant(alloc, 2)
     assert r == (2, 0)
-    assert alloc.ex_bits == (0, 1, 1) and alloc.global_bit == 1
+    assert ex_bits(alloc) == (0, 1, 1) and global_bit(alloc) == 1
 
-    r = alloc.allocate([3])[0]
+    r = grant(alloc, 3)
     assert r == (1, 2, 0)
-    assert alloc.ex_bits == (1, 0, 0) and alloc.global_bit == 0
+    assert ex_bits(alloc) == (1, 0, 0) and global_bit(alloc) == 0
 
-    assert alloc.usage_snapshot() == (3, 2, 2)
+    assert tuple(alloc.usage) == (3, 2, 2)
 
 
 def test_fixed_priority_selects_prefix():
     alloc = AluAllocator(4, FIXED_PRIORITY)
-    assert alloc.allocate([3])[0] == (0, 1, 2)
-    assert alloc.allocate([1])[0] == (0,)
-    assert alloc.allocate([4])[0] == (0, 1, 2, 3)
-    assert alloc.usage_snapshot() == (3, 2, 2, 1)
+    assert grant(alloc, 3) == (0, 1, 2)
+    assert grant(alloc, 1) == (0,)
+    assert grant(alloc, 4) == (0, 1, 2, 3)
+    assert tuple(alloc.usage) == (3, 2, 2, 1)
 
 
 def test_fixed_priority_usage_monotone():
     alloc = AluAllocator(5, FIXED_PRIORITY)
     for k in [3, 1, 5, 0, 2, 4, 4, 1, 3]:
         alloc.allocate([k])
-        u = alloc.usage_snapshot()
+        u = alloc.usage
         assert all(u[i] >= u[i + 1] for i in range(len(u) - 1))
 
 
 def test_counter_rotate_round_robin():
     alloc = AluAllocator(3, COUNTER_ROTATE)
-    picks = [alloc.allocate([1])[0][0] for _ in range(6)]
+    picks = [grant(alloc, 1)[0] for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
-    assert alloc.usage_snapshot() == (2, 2, 2)
+    assert tuple(alloc.usage) == (2, 2, 2)
 
 
 def test_counter_rotate_window_walks():
     alloc = AluAllocator(3, COUNTER_ROTATE)
-    assert alloc.allocate([2])[0] == (0, 1)
-    assert alloc.allocate([2])[0] == (1, 2)
-    assert alloc.allocate([2])[0] == (2, 0)
-    assert alloc.usage_snapshot() == (2, 2, 2)
+    assert grant(alloc, 2) == (0, 1)
+    assert grant(alloc, 2) == (1, 2)
+    assert grant(alloc, 2) == (2, 0)
+    assert tuple(alloc.usage) == (2, 2, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -85,22 +85,22 @@ def test_counter_rotate_balance_bound(n, cycles):
             alloc.allocate([k])
         lo = k * (cycles // n)
         hi = k * (-(-cycles // n))
-        for count in alloc.usage_snapshot():
+        for count in alloc.usage:
             assert lo <= count <= hi
         if cycles % n == 0:
-            assert set(alloc.usage_snapshot()) == {k * cycles // n}
+            assert set(alloc.usage) == {k * cycles // n}
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_k_zero_changes_nothing(policy):
     alloc = AluAllocator(3, policy)
-    before = (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit)
-    r = alloc.allocate([0])[0]
+    before = (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc))
+    r = grant(alloc, 0)
     assert r == ()
     # counter-rotate still advances its cycle counter; usage must not move
-    assert alloc.usage_snapshot() == before[0]
+    assert tuple(alloc.usage) == before[0]
     if policy == TOGGLE_BALANCE:
-        assert (alloc.ex_bits, alloc.global_bit) == before[1:]
+        assert (ex_bits(alloc), global_bit(alloc)) == before[1:]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -127,11 +127,11 @@ def test_result_shape_exhaustive(policy):
     for seq in itertools.product(range(n + 1), repeat=4):
         alloc = AluAllocator(n, policy)
         for k in seq:
-            r = alloc.allocate([k])[0]
+            r = grant(alloc, k)
             assert len(r) == k
             assert len(set(r)) == k
             assert all(0 <= u < n for u in r)
-        assert sum(alloc.usage_snapshot()) == sum(seq)
+        assert sum(alloc.usage) == sum(seq)
 
 
 def test_toggle_balance_stays_balanced():
@@ -143,7 +143,7 @@ def test_toggle_balance_stays_balanced():
         alloc = AluAllocator(n, TOGGLE_BALANCE)
         for k in seq:
             alloc.allocate([k])
-            u = alloc.usage_snapshot()
+            u = alloc.usage
             assert max(u) - min(u) <= 2, (seq, u)
 
 
@@ -153,29 +153,29 @@ def test_deterministic_trajectories(policy):
     a = AluAllocator(3, policy)
     b = AluAllocator(3, policy)
     for k in seq:
-        ra, rb = a.allocate([k])[0], b.allocate([k])[0]
+        ra, rb = grant(a, k), grant(b, k)
         assert ra == rb
-        assert a.usage_snapshot() == b.usage_snapshot()
-        assert a.ex_bits == b.ex_bits and a.global_bit == b.global_bit
+        assert a.usage == b.usage
+        assert ex_bits(a) == ex_bits(b) and global_bit(a) == global_bit(b)
 
 
 def test_clone_is_independent():
     a = AluAllocator(3, TOGGLE_BALANCE)
     a.allocate([2])
     c = clone(a)
-    assert c.usage_snapshot() == a.usage_snapshot()
-    assert c.ex_bits == a.ex_bits and c.global_bit == a.global_bit
+    assert c.usage == a.usage
+    assert ex_bits(c) == ex_bits(a) and global_bit(c) == global_bit(a)
     c.allocate([3])
-    assert c.usage_snapshot() != a.usage_snapshot()
+    assert c.usage != a.usage
     # and the clone continues exactly like the original would have
-    assert clone(a).allocate([3])[0] == a.allocate([3])[0]
+    assert grant(clone(a), 3) == grant(a, 3)
 
 
 def _same_state(mine, ref):
-    assert mine.usage_snapshot() == tuple(ref.usage)
+    assert mine.usage == ref.usage
     if ref.policy == TOGGLE_BALANCE:
-        assert mine.ex_bits == tuple(ref.bits)
-        assert mine.global_bit == ref.global_bit
+        assert ex_bits(mine) == tuple(ref.bits)
+        assert global_bit(mine) == ref.global_bit
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,21 +187,21 @@ def test_matches_reference_allocator(data, n, policy):
     split = data.draw(st.integers(0, len(ks)))
     mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
     for k in ks[:split]:
-        r = mine.allocate([k])[0]
+        r = grant(mine, k)
         assert r == ref.allocate(k)
         _same_state(mine, ref)
     twin = clone(mine)
-    frozen = (mine.usage_snapshot(), mine.ex_bits, mine.global_bit)
+    frozen = (tuple(mine.usage), ex_bits(mine), global_bit(mine))
     twin_ref = RefAluAllocator(n, policy)
     twin_ref.usage, twin_ref.lead = list(ref.usage), ref.lead
     twin_ref.bits, twin_ref.global_bit = list(ref.bits), ref.global_bit
     for k in ks[split:]:
-        r = twin.allocate([k])[0]
+        r = grant(twin, k)
         assert r == twin_ref.allocate(k)
         _same_state(twin, twin_ref)
-    assert (mine.usage_snapshot(), mine.ex_bits, mine.global_bit) == frozen
+    assert (tuple(mine.usage), ex_bits(mine), global_bit(mine)) == frozen
     for k in ks[split:]:
-        r = mine.allocate([k])[0]
+        r = grant(mine, k)
         assert r == ref.allocate(k)
         _same_state(mine, ref)
 
@@ -216,7 +216,7 @@ def test_toggle_balance_table_stays_small(n):
         for k in range(n + 1):
             b = clone(a)
             b.allocate([k])
-            state = (b.ex_bits, b.global_bit)
+            state = (ex_bits(b), global_bit(b))
             if state not in seen:
                 seen.add(state)
                 frontier.append(b)
@@ -233,14 +233,18 @@ def test_toggle_balance_table_stays_small(n):
 @given(data=st.data(), n=st.integers(1, 8), policy=st.sampled_from(POLICIES))
 def test_batches_in_random_splits_match_reference(data, n, policy):
     # one request stream cut into batches at random points, against the
-    # reference allocator one request at a time
+    # reference allocator one request at a time; a clone taken before each
+    # batch replays it one request at a time for the per-cycle grants
     ks = data.draw(st.lists(st.integers(0, n), max_size=80))
     cuts = sorted(set(data.draw(st.lists(st.integers(0, len(ks))))) | {0, len(ks)})
     mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
     for lo, hi in zip(cuts, cuts[1:]):
-        assert mine.allocate(ks[lo:hi]) == [ref.allocate(k) for k in ks[lo:hi]]
+        probe = clone(mine)
+        assert [grant(probe, k) for k in ks[lo:hi]] == [ref.allocate(k) for k in ks[lo:hi]]
+        assert mine.allocate(ks[lo:hi]) is None
         _same_state(mine, ref)
-    assert mine.allocate([]) == []
+        _same_state(probe, ref)
+    mine.allocate([])
     _same_state(mine, ref)
 
 
@@ -248,14 +252,14 @@ def test_batches_in_random_splits_match_reference(data, n, policy):
 def test_bad_request_in_a_batch_grants_nothing(policy):
     alloc = AluAllocator(3, policy)
     alloc.allocate([1, 2])
-    before = (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit)
+    before = (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc))
     for ks in ([2, 4, 1], [0, -1]):
         with pytest.raises(ValueError, match="k must be in"):
             alloc.allocate(ks)
-        assert (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit) == before
+        assert (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc)) == before
     # and it goes on as if the bad batches never came
     fresh = AluAllocator(3, policy)
     fresh.allocate([1, 2, 3])
     alloc.allocate([3])
-    assert (alloc.usage_snapshot(), alloc.ex_bits, alloc.global_bit) == \
-        (fresh.usage_snapshot(), fresh.ex_bits, fresh.global_bit)
+    assert (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc)) == \
+        (tuple(fresh.usage), ex_bits(fresh), global_bit(fresh))

@@ -115,6 +115,50 @@ def test_level_stream_in_random_splits_matches_reference(
     assert_same_counters(mine, ref)
 
 
+@st.composite
+def dirty_rotation_runs(draw):
+    """A cache and a stream whose rotations find several dirty lines: a pool
+    of a few blocks more than the cache holds, three writes in four
+    accesses, and a period of at least sets x ways accesses, so the cache
+    can fill up between rotations."""
+    sets, ways = draw(st.sampled_from([1, 2, 4])), draw(st.integers(2, 4))
+    line_bytes = draw(st.sampled_from([1, 8, 64]))
+    period = draw(st.integers(sets * ways, 3 * sets * ways))
+    pool = draw(st.lists(st.integers(0, 1 << 10), min_size=2,
+                         max_size=sets * ways + 4, unique=True))
+    accesses = draw(st.lists(
+        st.tuples(st.sampled_from(pool).map(lambda b: b * line_bytes),
+                  st.sampled_from(["WRITE", "WRITE", "WRITE", "READ"])),
+        min_size=period, max_size=4 * period))
+    return sets, ways, line_bytes, period, draw(st.booleans()), accesses
+
+
+def test_rotations_with_several_dirty_lines_match_reference():
+    # the write-back order of a rotation shows only when it finds two or
+    # more dirty lines, so the test counts those it drew and needs one;
+    # the write-backs are charged, or run() would return none of them
+    multi_dirty = 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=dirty_rotation_runs(), cuts=st.lists(st.integers(0, 200)))
+    def check(run, cuts):
+        nonlocal multi_dirty
+        sets, ways, line_bytes, period, write_allocate, accesses = run
+        mine, ref = cache_pair(sets, ways, line_bytes, period, write_allocate, True)
+        for batch in batches(accesses, cuts):
+            expected = []
+            for address, kind in batch:
+                before = ref.rotation_writebacks
+                expected += ref_outputs(ref, address, kind)
+                multi_dirty += ref.rotation_writebacks - before >= 2
+            assert mine.run([encode(a, k) for a, k in batch]) == expected
+        assert_lru_state(mine, ref)
+        assert_same_counters(mine, ref)
+
+    check()
+    assert multi_dirty >= 1
+
+
 def level_geometry(line_bytes):
     return st.fixed_dictionaries({
         "sets": st.sampled_from([1, 2, 4, 8]), "ways": st.integers(1, 4),

@@ -33,10 +33,10 @@ def test_map_after_rotations():
 def test_write_counter_follows_mapping():
     rf = make(4)
     rf.write([0], [11])
-    assert rf.write_snapshot() == (1, 0, 0, 0)
+    assert rf.phys_writes == [1, 0, 0, 0]
     rf.rotate()
     rf.write([0], [22])
-    assert rf.write_snapshot() == (1, 1, 0, 0)
+    assert rf.phys_writes == [1, 1, 0, 0]
 
 
 def test_single_register_wear_leveling():
@@ -48,8 +48,8 @@ def test_single_register_wear_leveling():
         rf.write([0], [i])
         if (i + 1) % 25 == 0:
             rf.rotate()
-    assert rf.write_snapshot() == (25, 25, 25, 25)
-    assert mtf_improvement(100, max(rf.write_snapshot())) == 3.0
+    assert rf.phys_writes == [25, 25, 25, 25]
+    assert mtf_improvement(100, max(rf.phys_writes)) == 3.0
 
 
 def test_reads_survive_rotation():
@@ -67,7 +67,7 @@ def test_rotate_single_slot():
     rf.write([0], [5])
     rf.rotate()
     assert rf.read(0) == 5
-    assert rf.rotator == 0
+    assert rf.map(0) == 0
 
 
 def test_full_cycle_restores_layout():
@@ -77,7 +77,7 @@ def test_full_cycle_restores_layout():
     layout = list(rf.values)
     for _ in range(5):
         rf.rotate()
-    assert rf.rotator == 0
+    assert [rf.map(a) for a in range(5)] == list(range(5))
     assert rf.values == layout
 
 
@@ -109,7 +109,7 @@ def test_construction_errors():
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_transparency_fuzz(n):
     # random interleaving of writes, reads, and rotations must agree with a
-    # plain dict at every read, and rotator must track rotations_done mod N
+    # plain dict at every read
     rf = make(n)
     ref = {}
     rng = SplitMix64(n * 1000 + 17)
@@ -124,7 +124,6 @@ def test_transparency_fuzz(n):
             assert rf.read(a) == ref.get(a, 0)
         else:
             rf.rotate()
-        assert rf.rotator == rf.rotations_done % n
     for a in range(n):
         assert rf.read(a) == ref.get(a, 0)
 
@@ -133,11 +132,11 @@ def test_rotation_shift_counting_flag():
     rf = make(4, count_rotation_shifts=True)
     rf.write([0], [1])
     rf.rotate()
-    assert rf.write_snapshot() == (2, 1, 1, 1)
+    assert rf.phys_writes == [2, 1, 1, 1]
     rf2 = make(4)
     rf2.write([0], [1])
     rf2.rotate()
-    assert rf2.write_snapshot() == (1, 0, 0, 0)
+    assert rf2.phys_writes == [1, 0, 0, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,9 +152,8 @@ def test_rotate_times_matches_single_rotations(n, shifts, ops):
             stepped.rotate()
         batched.write([reg % n], [value])
         stepped.write([reg % n], [value])
-        assert (batched.rotator, batched.rotations_done, batched.values,
-                batched.phys_writes) == (stepped.rotator, stepped.rotations_done,
-                                         stepped.values, stepped.phys_writes)
+        assert (batched.rotations_done, batched.values, batched.phys_writes) == \
+            (stepped.rotations_done, stepped.values, stepped.phys_writes)
 
 
 def test_rotate_rejects_negative_times():
@@ -218,9 +216,8 @@ def test_epoch_batches_match_writes_one_at_a_time(n, period, shifts, writes, cut
             stepped.rotate(owed)
             rotate_calls += 1
         stepped.write([a], [c])
-    assert (batched.rotator, batched.rotations_done, batched.values,
-            batched.phys_writes) == (stepped.rotator, stepped.rotations_done,
-                                     stepped.values, stepped.phys_writes)
+    assert (batched.rotations_done, batched.values, batched.phys_writes) == \
+        (stepped.rotations_done, stepped.values, stepped.phys_writes)
     # one rotate() per epoch that has writes, as one write at a time makes
     assert batched.rotate_calls == rotate_calls
 
@@ -229,10 +226,10 @@ def test_write_batch_counts_every_write_and_keeps_the_last_value():
     rf = make(4)
     rf.rotate()
     rf.write([0, 2, 0, 3, 0], [10, 20, 30, 40, 50])
-    assert rf.write_snapshot() == (1, 3, 0, 1)
+    assert rf.phys_writes == [1, 3, 0, 1]
     assert [rf.read(a) for a in range(4)] == [50, 0, 20, 40]
     rf.write([], [])
-    assert rf.write_snapshot() == (1, 3, 0, 1)
+    assert rf.phys_writes == [1, 3, 0, 1]
 
 
 @pytest.mark.parametrize("indices,values,error", [
@@ -242,5 +239,5 @@ def test_bad_write_batch_writes_nothing(indices, values, error):
     rf = make(4)
     with pytest.raises(error):
         rf.write(indices, values)
-    assert rf.write_snapshot() == (0, 0, 0, 0)
+    assert rf.phys_writes == [0, 0, 0, 0]
     assert rf.values == [0, 0, 0, 0]

@@ -494,8 +494,9 @@ def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys):
 
 
 def test_cli_malformed_trace_exits_3(tmp_path, capsys):
-    # the second trace's cycle is one int() takes but the grammar does not
-    for text in ("0 A 1\nbroken\n", "0 A 1\n1_000 A 1\n"):
+    # the second trace's cycle is one int() takes but the grammar does not;
+    # the third's, under a record already seen, has more digits than int() takes
+    for text in ("0 A 1\nbroken\n", "0 A 1\n1_000 A 1\n", "0 A 1\n" + "9" * 5000 + " A 1\n"):
         trace = write(tmp_path / "bad.trace", text)
         rc = main(["simulate", "--trace", trace, "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -539,6 +540,31 @@ def test_cli_domain_error_exits_4(capsys):
     assert main(["em-calc", "black-mtf", "--current-density", "0"]) == 4
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    # the model's arithmetic leaves the float range: an error line, exit 4
+    ("rms-mtf --width 1e-7 --height 2e-7 --capacitance 0 --vdd 1.1 --freq 3e9 "
+     "--toggle 0.5", 4),
+    ("black-mtf --current-density 1e-200 --exponent-n 3", 4),
+    ("k1 --width 1e-7 --height 2e-7 --activation-ea 100 --temp-k 1", 4),
+    ("black-mtf --scale-a 1e300 --current-density 1e-10", 4),
+    ("improvement 1e300 1e-300", 4),
+    # a number that is not finite is a usage error, exit 2
+    ("black-mtf --current-density nan", 2),
+    ("improvement inf 1", 2),
+    ("lifetime-extension nan", 2),
+    ("k1 --width 1e-7 --height 2e-7 --temp-c=-inf", 2),
+])
+def test_cli_em_calc_bad_numbers_exit_without_traceback(capsys, argv, code):
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(["em-calc", *argv.split()])
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+    else:
+        assert main(["em-calc", *argv.split()]) == 4
+        assert capsys.readouterr().err.startswith("error:")
 
 
 # Random JSON for the config and generator-spec loaders: objects over the

@@ -240,6 +240,7 @@ def test_parse_matches_reference(lines):
     ["1 M R 0 I\r\n", "2 M R 0 I\r\n", "2 A 1\r\n", "1 M R 0 I\r\n"],  # CRLF
     ["1 M W -64 D\n"],                        # never a seen record
     ["1 A 1\n", "2 M W -64 D\n", "3 M W -64 D\n"],
+    ["1 A 1\n", "9" * 5000 + " A 1\n"],       # more digits than int() takes
 ])
 def test_parse_of_seen_records_matches_reference(lines):
     assert_parse_matches_reference(lines)
