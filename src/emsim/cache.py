@@ -30,7 +30,7 @@ from operator import itemgetter
 from .workload import ConfigError
 
 _PAGE_SHIFT = 14  # 4 KiB pages: a record's mem_code >> 14 is its page number
-CHUNK_RECORDS = 1024  # trace events per split chunk; memory records per batch, at least
+CHUNK_RECORDS = 1024  # records of one structure per replay slice
 LEVEL_ROLES = ("L1D", "L1I", "L2", "L3", "DTLB", "ITLB", "STLB")
 
 

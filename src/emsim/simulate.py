@@ -2,24 +2,22 @@
 a wear-aware variant of each selected structure, and the per-entry write
 counters of the two runs become one StructureReport per structure.
 
-The trace is walked CHUNK_RECORDS events at a time, and each chunk is split
-once into one column per structure, so that no column spans the whole
-trace. Structure drivers:
+A Trace holds one column per structure. Each selected structure is
+replayed from its own column, CHUNK_RECORDS records at a time, one
+structure after another, since they share no state:
 
-* alu: each AluIssue asks both allocators for min(ready_count, units)
+* alu: each ready count asks both allocators for min(ready_count, units)
   units (a trace may request more than exist; the grant saturates); a
-  chunk's requests go to each allocator in one allocate() call.
-* regfile: RegWrite events whose (class, id) belongs to the configured
-  ring land on both register files, a chunk in one write() call on the
-  baseline, which never rotates. The aware file takes a chunk's writes
-  one rotation epoch (cycle // period) at a time: one rotate() call for
-  the rotations the epoch owes, then one write() call.
-* cache: the memory records are collected in order, and each batch of at
-  least CHUNK_RECORDS (or the trace's last) is split once and replayed
-  through two full hierarchies, one access() call each; the aware one
-  rotates per level every rotation_period accesses, the baseline never.
-
-Chunks without records for a structure make no call on it.
+  slice goes to each allocator in one allocate() call.
+* regfile: a slice of register keys becomes ring positions, and the writes
+  to registers outside the ring are dropped. The rest land on both files,
+  in one write() call on the baseline, which never rotates; the aware file
+  takes them one rotation epoch (cycle // period) at a time, one rotate()
+  call for the rotations the epoch owes, then one write() call. A slice
+  without writes to ring members makes no call.
+* cache: a slice of memory records is split once and replayed through two
+  full hierarchies, one access() call each; the aware one rotates per
+  level every rotation_period accesses, the baseline never.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -29,8 +27,10 @@ counters) so identical runs serialize identically.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, split_codes
@@ -43,7 +43,7 @@ from .wear_stats import (
     write_reports_csv,
     write_reports_json,
 )
-from .workload import AluIssue, ConfigError, RegWrite, Trace, TracePayload
+from .workload import ALU, MEM, REG, ConfigError, Trace
 
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
@@ -82,84 +82,15 @@ class SimConfig:
             raise ConfigError("count_rotation_writebacks must be a boolean")
 
 
-def _strip_rotation(overrides: dict | None) -> dict | None:
-    """Geometry-only view of cache overrides for the never-rotating baseline."""
-    if not overrides:
-        return overrides
-    return {role: {k: v for k, v in fields.items() if k != "rotation_period"}
-            for role, fields in overrides.items()}
-
-
 def run_simulation(trace: Trace, cfg: SimConfig):
     """Returns (reports, summary)."""
-    do_alu = "alu" in cfg.structures
-    do_reg = "regfile" in cfg.structures
-    do_cache = "cache" in cfg.structures
-
-    if do_alu:
-        alu_base = AluAllocator(cfg.alu_units, FIXED_PRIORITY)
-        alu_aware = AluAllocator(cfg.alu_units, cfg.alu_policy)
-    if do_reg:
-        ring = ring_preset(cfg.regfile_preset)
-        rf_base = RotatingRegFile(ring, rotation_period=cfg.rotation_period)
-        rf_aware = RotatingRegFile(ring, rotation_period=cfg.rotation_period,
-                                   count_rotation_shifts=cfg.count_rotation_shifts)
-    if do_cache:
-        # the aware build checks the overrides that _strip_rotation walks
-        hier_aware = build_hierarchy(
-            rotation_period=cfg.rotation_period,
-            overrides=cfg.cache_overrides,
-            charge_rotation_writebacks=cfg.charge_rotation_writebacks)
-        hier_base = build_hierarchy(
-            rotation_period=None,
-            overrides=_strip_rotation(cfg.cache_overrides),
-            charge_rotation_writebacks=cfg.charge_rotation_writebacks)
-
-    # the trace goes by in chunks, each split once into per-structure columns;
-    # without a register file no write has a ring position
-    ring_index = rf_base.ring_index if do_reg else {}
-    cycles, payloads = trace.cycles, trace.payloads
-    alu_units = cfg.alu_units
-    codes: list[int] = []  # memory records not yet replayed
-    n_alu = n_mem = 0
-    for start in range(0, len(trace), CHUNK_RECORDS):
-        stop = start + CHUNK_RECORDS
-        ks, positions, reg_cycles = _split(
-            cycles[start:stop], payloads[start:stop], ring_index, codes)
-        n_alu += len(ks)
-        if do_alu and ks:
-            if max(ks) > alu_units:
-                ks = [k if k <= alu_units else alu_units for k in ks]
-            alu_base.allocate(ks)
-            alu_aware.allocate(ks)
-        if positions:
-            rf_base.write(positions, reg_cycles)
-            _write_by_epoch(rf_aware, positions, reg_cycles)
-        if len(codes) >= CHUNK_RECORDS or codes and stop >= len(trace):
-            n_mem += len(codes)
-            if do_cache:
-                batch = split_codes(codes)
-                hier_base.access(batch)
-                hier_aware.access(batch)
-            codes.clear()
-    n_events = len(trace)
-    n_reg = n_events - n_alu - n_mem
-
     reports: list[StructureReport] = []
-    if do_alu:
-        reports.append(improvement_report(
-            alu_base.usage, alu_aware.usage, "alu", include_counts=True))
-    if do_reg:
-        reports.append(improvement_report(
-            rf_base.phys_writes, rf_aware.phys_writes,
-            f"regfile.{cfg.regfile_preset}", include_counts=True))
-    if do_cache:
-        for role in LEVEL_ROLES:
-            base, aware = hier_base.caches[role], hier_aware.caches[role]
-            reports.append(improvement_report(
-                base.line_writes, aware.line_writes, f"cache.{role}.lines"))
-            reports.append(improvement_report(
-                base.set_writes, aware.set_writes, f"cache.{role}.tags"))
+    if "alu" in cfg.structures:
+        reports.append(_replay_alu(trace.values[ALU], cfg))
+    if "regfile" in cfg.structures:
+        reports.append(_replay_regfile(trace.cycles[REG], trace.values[REG], cfg))
+    if "cache" in cfg.structures:
+        reports += _replay_caches(trace.values[MEM], cfg)
 
     summary = {
         "structures": list(cfg.structures),
@@ -168,42 +99,73 @@ def run_simulation(trace: Trace, cfg: SimConfig):
         "regfile_preset": cfg.regfile_preset,
         "rotation_period": cfg.rotation_period,
         "count_rotation_shifts": cfg.count_rotation_shifts,
-        "events": n_events,
-        "alu_issues": n_alu,
-        "reg_writes": n_reg,
-        "mem_accesses": n_mem,
-        "cycles": trace.cycles[-1] + 1 if n_events else 0,
+        "events": len(trace),
+        "alu_issues": len(trace.values[ALU]),
+        "reg_writes": len(trace.values[REG]),
+        "mem_accesses": len(trace.values[MEM]),
+        # the last event's cycle is the last in its kind's column
+        "cycles": trace.cycles[trace.kinds[-1]][-1] + 1 if trace.kinds else 0,
         "geo_mean_improvement": _aggregate(reports),
     }
     return reports, summary
 
 
-def _split(cycles: list[int], payloads: list[TracePayload],
-           ring_index: dict[tuple[str, int], int], codes: list[int]):
-    """One chunk's columns: the ALU records' ready counts, and the ring
-    positions and cycles of the register writes to ring members. The memory
-    records' codes are appended to codes."""
-    ks: list[int] = []
-    positions: list[int] = []
-    reg_cycles: list[int] = []
-    add_k, add_position, add_cycle, add_mem = \
-        ks.append, positions.append, reg_cycles.append, codes.append
-    position_of = ring_index.get
-    for cycle, p in zip(cycles, payloads):
-        cls = type(p)
-        if cls is AluIssue:
-            add_k(p.ready_count)
-        elif cls is RegWrite:
-            position = position_of((p.reg_class, p.arch_id))
-            if position is not None:
-                add_position(position)
-                add_cycle(cycle)
-        else:
-            add_mem(p)
-    return ks, positions, reg_cycles
+def _replay_alu(counts: list[int], cfg: SimConfig) -> StructureReport:
+    base = AluAllocator(cfg.alu_units, FIXED_PRIORITY)
+    aware = AluAllocator(cfg.alu_units, cfg.alu_policy)
+    units = cfg.alu_units
+    for start in range(0, len(counts), CHUNK_RECORDS):
+        ks = counts[start:start + CHUNK_RECORDS]
+        if max(ks) > units:
+            ks = [k if k <= units else units for k in ks]
+        base.allocate(ks)
+        aware.allocate(ks)
+    return improvement_report(base.usage, aware.usage, "alu", include_counts=True)
 
 
-def _write_by_epoch(rf: RotatingRegFile, indices: list[int], cycles: list[int]) -> None:
+def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureReport:
+    ring = ring_preset(cfg.regfile_preset)
+    base = RotatingRegFile(ring, rotation_period=cfg.rotation_period)
+    aware = RotatingRegFile(ring, rotation_period=cfg.rotation_period,
+                            count_rotation_shifts=cfg.count_rotation_shifts)
+    position_of = base.ring_index.get
+    for start in range(0, len(keys), CHUNK_RECORDS):
+        stop = start + CHUNK_RECORDS
+        positions = list(map(position_of, keys[start:stop]))
+        values = cycles[start:stop]
+        if None in positions:  # drop the writes to registers outside the ring
+            members = [position is not None for position in positions]
+            positions = list(compress(positions, members))
+            values = list(compress(values, members))
+        if positions:
+            base.write(positions, values)
+            _write_by_epoch(aware, positions, values)
+    return improvement_report(base.phys_writes, aware.phys_writes,
+                              f"regfile.{cfg.regfile_preset}", include_counts=True)
+
+
+def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
+    # the aware build checks the overrides; the never-rotating baseline
+    # takes their geometry only
+    aware = build_hierarchy(rotation_period=cfg.rotation_period, overrides=cfg.cache_overrides,
+                            charge_rotation_writebacks=cfg.charge_rotation_writebacks)
+    geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}
+                for role, fields in (cfg.cache_overrides or {}).items()}
+    base = build_hierarchy(rotation_period=None, overrides=geometry,
+                           charge_rotation_writebacks=cfg.charge_rotation_writebacks)
+    for start in range(0, len(codes), CHUNK_RECORDS):
+        batch = split_codes(codes[start:start + CHUNK_RECORDS])
+        base.access(batch)
+        aware.access(batch)
+    reports = []
+    for role in LEVEL_ROLES:
+        b, a = base.caches[role], aware.caches[role]
+        reports.append(improvement_report(b.line_writes, a.line_writes, f"cache.{role}.lines"))
+        reports.append(improvement_report(b.set_writes, a.set_writes, f"cache.{role}.tags"))
+    return reports
+
+
+def _write_by_epoch(rf: RotatingRegFile, indices: list[int], cycles) -> None:
     """Writes cycles[i] to ring position indices[i] at cycle cycles[i]
     (non-decreasing): the writes are cut where the rotation epoch
     (cycle // period) changes, and each epoch catches up on the rotations

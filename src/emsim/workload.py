@@ -7,11 +7,11 @@ starts with `#` is a comment, integers are ASCII decimal):
     <cycle> R <GPR|FP|FLAGS|SP> <arch_id>   architectural register write
     <cycle> M <R|W> <address> <D|I>         memory access (data/instruction)
 
-Cycles must be non-decreasing and a cycle may carry at most one ALU issue
-record. Synthetic traces come from generate() (or iter_events(), one event
-at a time), a pure function of its GenSpec (seed included): identical
-specs give byte-identical traces on any platform, courtesy of the fixed
-SplitMix64 generator.
+Cycles must be non-decreasing and below 2**64, and a cycle may carry at
+most one ALU issue record. Synthetic traces come from generate() (or
+iter_events(), one event at a time), a pure function of its GenSpec (seed
+included): identical specs give byte-identical traces on any platform,
+courtesy of the fixed SplitMix64 generator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterable, Iterator, Union
 
 from .rng import SplitMix64
@@ -62,7 +64,6 @@ class MemAccess:
 
 
 Payload = Union[AluIssue, RegWrite, MemAccess]
-TracePayload = Union[AluIssue, RegWrite, int]  # a memory record as its mem_code
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,32 +84,48 @@ def mem_code(p: MemAccess) -> int:
     return p.address << 2 | (p.kind == "WRITE") << 1 | (p.space == "INSTR")
 
 
+ALU, REG, MEM = range(3)  # an event's kind in Trace.kinds
+_CYCLE_BOUND = 1 << 64  # cycles are held as 8-byte unsigned ints
+
+
 @dataclass(frozen=True, slots=True)
 class Trace:
-    """A trace held as two parallel columns: event i happens in cycles[i]
-    and carries payloads[i], an AluIssue, a RegWrite or a memory record's
-    mem_code. Iterating yields Events, memory records as MemAccess."""
+    """A trace held as one column per structure, by kind: values[ALU] holds
+    the ALU records' ready counts, values[REG] the register writes' (class,
+    id) keys and values[MEM] the memory records' mem_codes, each beside its
+    cycles[kind], an array of 8-byte unsigned ints. kinds holds each event's
+    kind in file order, so iterating yields the Events in order, memory
+    records as MemAccess."""
 
-    cycles: list[int]
-    payloads: list[TracePayload]
+    kinds: bytearray = field(default_factory=bytearray)
+    cycles: tuple[array, ...] = field(default_factory=lambda: tuple(array("Q") for _ in range(3)))
+    values: tuple[list, ...] = field(default_factory=lambda: ([], [], []))
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> Trace:
-        cycles: list[int] = []
-        payloads: list[TracePayload] = []
-        for ev in events:
-            cycles.append(ev.cycle)
-            p = ev.payload
-            payloads.append(mem_code(p) if type(p) is MemAccess else p)
-        return cls(cycles, payloads)
+        """The trace of events, checked as serialize_trace checks them: an
+        event that parse_trace would reject raises ValueError."""
+        trace = cls()
+        add_kind = trace.kinds.append
+        add_cycle = [column.append for column in trace.cycles]
+        add_value = [column.append for column in trace.values]
+        for cycle, kind, value in _records(events):
+            add_kind(kind)
+            add_cycle[kind](cycle)
+            add_value[kind](value)
+        return trace
 
     def __len__(self) -> int:
-        return len(self.cycles)
+        return len(self.kinds)
 
     def __iter__(self) -> Iterator[Event]:
-        return (Event(cycle, p if type(p) is not int else
-                      MemAccess(MEM_KINDS[p >> 1 & 1], p >> 2, MEM_SPACES[p & 1]))
-                for cycle, p in zip(self.cycles, self.payloads))
+        # one (cycle, payload) iterator per kind, each drawn from in file order
+        cycles, values = self.cycles, self.values
+        columns = (zip(cycles[ALU], map(AluIssue, values[ALU])),
+                   zip(cycles[REG], starmap(RegWrite, values[REG])),
+                   zip(cycles[MEM], (MemAccess(MEM_KINDS[code >> 1 & 1], code >> 2,
+                                               MEM_SPACES[code & 1]) for code in values[MEM])))
+        return starmap(Event, map(next, map(columns.__getitem__, self.kinds)))
 
 
 # --- parsing / serialization -------------------------------------------------
@@ -129,44 +146,39 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     """Parse a trace from an iterable of text lines (an open file works).
 
     Integers are ASCII decimal with an optional leading '-' (negative values
-    are then rejected by the per-field range checks). Raises TraceParseError
-    with the offending line number on malformed input, decreasing cycles, or
-    two ALU issues in one cycle.
+    are then rejected by the per-field range checks); a cycle must also be
+    below 2**64. Raises TraceParseError with the offending line number on
+    malformed input, decreasing cycles, or two ALU issues in one cycle.
 
-    Returns the trace as two columns, not one Event per line, with each
-    memory record as its mem_code. The records of one cycle share its int.
-
-    Every valid record is also kept by its whole text after "<cycle> ": a
-    later line with that text and a plain ASCII-digit cycle field costs one
-    lookup plus the cycle checks and shares the first line's immutable
-    payload. Every other line is split and checked field by field, and gets
-    a payload of its own.
+    Every valid record is also kept, as its kind and column value, by its
+    text after "<cycle> ": a later line with that text and a plain ASCII-digit
+    cycle field costs one lookup plus the cycle checks and shares the value.
+    Every other line is split and checked field by field.
     """
-    cycles: list[int] = []
-    payloads: list[TracePayload] = []
-    append_cycle, append_payload = cycles.append, payloads.append
-    # valid records by the line text after "<cycle> "
-    records: dict[str, TracePayload] = {}
-    last_cycle = -1
-    last_cycle_text = None
+    trace = Trace()
+    add_kind = trace.kinds.append
+    add_cycle = [column.append for column in trace.cycles]
+    add_value = [column.append for column in trace.values]
+    # valid records' (kind, value) by the line text after "<cycle> "
+    records: dict[str, tuple[int, object]] = {}
+    # the cycle checks run where the cycle changes: a first cycle of 0 needs none
+    last_cycle, last_cycle_text = 0, "0"
     alu_cycle = -1
     for line_no, raw in enumerate(lines, start=1):
-        payload = None
-        if records:
-            cycle_text, _, rest = raw.partition(" ")
-            payload = records.get(rest)
-            if payload is not None:
-                # a record seen before: only the cycle field is new
-                if cycle_text == last_cycle_text:
-                    cycle = last_cycle
-                elif cycle_text.isascii() and cycle_text.isdigit():
-                    try:
-                        cycle = int(cycle_text)
-                    except ValueError:  # too many digits: the checked path says so
-                        payload = None
-                else:
-                    payload = None
-        if payload is None:
+        cycle_text, _, rest = raw.partition(" ")
+        record = records.get(rest)
+        if record is not None:
+            # a record seen before: only the cycle field is new
+            if cycle_text == last_cycle_text:
+                cycle = last_cycle
+            elif cycle_text.isascii() and cycle_text.isdigit():
+                try:
+                    cycle = int(cycle_text)
+                except ValueError:  # too many digits: the checked path says so
+                    record = None
+            else:
+                record = None
+        if record is None:
             fields = raw.split()
             if not fields or fields[0][0] == "#":
                 continue
@@ -174,21 +186,22 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             # line decides whether its integer fields need the strict check
             to_int = int if raw.isascii() and "_" not in raw and "+" not in raw else _strict_int
             try:
-                # records of one cycle also share its int
+                # the records of one cycle parse its field once
                 cycle = last_cycle if fields[0] == last_cycle_text else to_int(fields[0])
                 tag = fields[1]
                 if tag == "A":
                     if len(fields) != 3:
                         raise TraceParseError("ALU record needs 3 fields", line_no)
-                    payload = AluIssue(ready_count=to_int(fields[2]))
+                    record = ALU, to_int(fields[2])
                 elif tag == "R":
                     if len(fields) != 4:
                         raise TraceParseError("register record needs 4 fields", line_no)
                     if fields[2] not in REG_CLASSES:
                         raise TraceParseError(f"unknown register class {fields[2]!r}", line_no)
-                    payload = RegWrite(reg_class=fields[2], arch_id=to_int(fields[3]))
-                    if payload.arch_id < 0:
+                    arch_id = to_int(fields[3])
+                    if arch_id < 0:
                         raise TraceParseError("register id must be non-negative", line_no)
+                    record = REG, (fields[2], arch_id)
                 elif tag == "M":
                     if len(fields) != 5:
                         raise TraceParseError("memory record needs 5 fields", line_no)
@@ -201,50 +214,82 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                     address = to_int(fields[3])
                     if address < 0:
                         raise TraceParseError("address must be non-negative", line_no)
-                    payload = address << 2 | write_bit | instr_bit
+                    record = MEM, address << 2 | write_bit | instr_bit
                 else:
                     raise TraceParseError(f"unknown record tag {tag!r}", line_no)
             except TraceParseError:
                 raise
             except (ValueError, IndexError) as exc:
                 raise TraceParseError(f"malformed record: {exc}", line_no) from exc
-            if tag != "A" or payload.ready_count >= 0:
-                # the rest of the line stands for this valid record, if the
-                # cycle field is all of the text before it
-                cycle_text, _, rest = raw.partition(" ")
-                if cycle_text.isascii() and cycle_text.isdigit():
-                    records[rest] = payload
+            # the rest of the line stands for this valid record, if the
+            # cycle field is all of the text before it
+            if (tag != "A" or record[1] >= 0) and cycle_text.isascii() and cycle_text.isdigit():
+                records[rest] = record
             cycle_text = fields[0]
 
-        if cycle < 0:
-            raise TraceParseError("cycle must be non-negative", line_no)
-        if cycle < last_cycle:
-            raise TraceParseError(
-                f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
-        if type(payload) is AluIssue:
-            if payload.ready_count < 0:
-                raise TraceParseError("ready_count must be non-negative", line_no)
-            if cycle == alu_cycle:
-                raise TraceParseError(f"second ALU issue in cycle {cycle}", line_no)
+        kind, value = record
+        if cycle != last_cycle:
+            if not last_cycle < cycle < _CYCLE_BOUND:
+                raise TraceParseError(
+                    "cycle must be non-negative" if cycle < 0 else
+                    "cycle must be below 2**64" if cycle >= _CYCLE_BOUND else
+                    f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
+            last_cycle, last_cycle_text = cycle, cycle_text
+        if kind == ALU:
+            if value < 0 or cycle == alu_cycle:
+                raise TraceParseError("ready_count must be non-negative" if value < 0
+                                      else f"second ALU issue in cycle {cycle}", line_no)
             alu_cycle = cycle
+        add_kind(kind)
+        add_cycle[kind](cycle)
+        add_value[kind](value)
+    return trace
+
+
+def _count(value, what: str) -> int:
+    """value, if it is a non-negative int (a bool is not one)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _records(events: Iterable[Event]) -> Iterator[tuple[int, int, object]]:
+    """Each event as (cycle, kind, column value), checked as parse_trace
+    checks its line: an event it would reject raises ValueError. Register
+    writes to one register share one key."""
+    last_cycle, alu_cycle = 0, -1
+    keys: dict[RegWrite, tuple[str, int]] = {}
+    for event in events:
+        cycle, p = _count(event.cycle, "cycle"), event.payload
+        if not last_cycle <= cycle < _CYCLE_BOUND:
+            raise ValueError(f"cycle {cycle} outside [{last_cycle}, 2**64)")
         last_cycle = cycle
-        last_cycle_text = cycle_text
-        append_cycle(cycle)
-        append_payload(payload)
-    return Trace(cycles, payloads)
+        if type(p) is AluIssue:
+            if cycle == alu_cycle:
+                raise ValueError(f"second ALU issue in cycle {cycle}")
+            alu_cycle = cycle
+            yield cycle, ALU, _count(p.ready_count, "ready_count")
+        elif type(p) is RegWrite:
+            if p.reg_class not in REG_CLASSES:
+                raise ValueError(f"unknown register class {p.reg_class!r}")
+            _count(p.arch_id, "register id")
+            yield cycle, REG, keys.get(p) or keys.setdefault(p, (p.reg_class, p.arch_id))
+        else:
+            yield cycle, MEM, mem_code(p)
 
 
 def serialize_trace(events: Iterable[Event]) -> Iterator[str]:
-    """Inverse of parse_trace: yields one line per event, no newline. A
-    memory record's kind and space letters are their names' first letters."""
-    for event in events:
-        p = event.payload
-        if isinstance(p, AluIssue):
-            yield f"{event.cycle} A {p.ready_count}"
-        elif isinstance(p, RegWrite):
-            yield f"{event.cycle} R {p.reg_class} {p.arch_id}"
+    """Inverse of parse_trace: yields one line per event, no newline. An
+    event that parse_trace would reject there raises ValueError before its
+    line is yielded. A memory record's kind and space letters are their
+    names' first letters."""
+    for cycle, kind, value in _records(events):
+        if kind == ALU:
+            yield f"{cycle} A {value}"
+        elif kind == REG:
+            yield f"{cycle} R {value[0]} {value[1]}"
         else:
-            yield f"{event.cycle} M {p.kind[0]} {p.address} {p.space[0]}"
+            yield f"{cycle} M {'RW'[value >> 1 & 1]} {value >> 2} {'DI'[value & 1]}"
 
 
 def load_trace(path) -> Trace:

@@ -335,6 +335,8 @@ def ref_parse_trace(lines):
 
         if cycle < 0:
             raise TraceParseError("cycle must be non-negative", line_no)
+        if cycle >= 2 ** 64:
+            raise TraceParseError("cycle must be below 2**64", line_no)
         if cycle < last_cycle:
             raise TraceParseError(
                 f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)

@@ -19,6 +19,7 @@ from emsim.regfile import RotatingRegFile
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
 from emsim.workload import (
+    MEM,
     AluIssue,
     ConfigError,
     Event,
@@ -74,7 +75,7 @@ def test_worked_alu_sequence_side_by_side():
 
 
 def test_empty_event_list():
-    reports, summary = run_simulation(Trace([], []), SimConfig())
+    reports, summary = run_simulation(Trace(), SimConfig())
     assert all(r.histogram_baseline.max_writes == 0 for r in reports)
     assert all(r.mtf_improvement == 0.0 for r in reports)
     assert summary["cycles"] == 0
@@ -147,7 +148,7 @@ def test_baseline_caches_never_rotate_even_with_level_overrides():
     # drive through run_simulation and reproduce the baseline by hand: the
     # baseline hierarchy must behave exactly like a never-rotating one
     reports, _ = run_simulation(ev, cfg)
-    base.access(split_codes(ev.payloads))
+    base.access(split_codes(ev.values[MEM]))
     by_name = {r.structure: r for r in reports}
     assert by_name["cache.L1D.tags"].histogram_baseline.max_writes == max(
         base.caches["L1D"].set_writes)
@@ -187,12 +188,12 @@ def test_no_allocate_or_write_calls_without_alu_or_ring_records(monkeypatch):
 
 
 def _peak_bytes_inside_run_simulation(cycles):
-    # one ALU burst and one register write per cycle, with shared payloads
+    # one ALU burst and one register write per cycle, with shared values
     # as the parser makes them; the structures take them a chunk at a time
     alu = [AluIssue(k) for k in range(5)]
     regs = [RegWrite("GPR", i) for i in range(20)]
-    trace = Trace([c for c in range(cycles) for _ in range(2)],
-                  [p for c in range(cycles) for p in (alu[c % 5], regs[c * 7 % 20])])
+    trace = Trace.from_events(Event(c, p) for c in range(cycles)
+                              for p in (alu[c % 5], regs[c * 7 % 20]))
     cfg = SimConfig(structures=("alu", "regfile"), rotation_period=5000)
     tracemalloc.start()
     try:
@@ -501,6 +502,36 @@ def test_cli_malformed_trace_exits_3(tmp_path, capsys):
         rc = main(["simulate", "--trace", trace, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_cycle_must_fit_in_64_bits(tmp_path, capsys):
+    # 2**64 - 1 is the last cycle a trace may hold; 2**64 exits 3, whether its
+    # record was seen before (one lookup) or is checked field by field
+    top = 2 ** 64 - 1
+    trace = write(tmp_path / "top.trace", f"0 R GPR 1\n{top} R GPR 1\n{top} A 1\n")
+    out = tmp_path / "top"
+    assert main(["simulate", "--trace", trace, "--out", str(out)]) == 0
+    summary = json.loads((out / "report.json").read_text(encoding="utf-8"))["summary"]
+    assert summary["cycles"] == 2 ** 64 and summary["events"] == 3
+    capsys.readouterr()
+    for text in (f"0 A 1\n{top + 1} A 1\n", f"0 A 1\n{top + 1} R GPR 1\n"):
+        trace = write(tmp_path / "over.trace", text)
+        out = tmp_path / "over"
+        assert main(["simulate", "--trace", trace, "--out", str(out)]) == 3
+        assert "line 2: cycle must be below 2**64" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_bad_last_line_leaves_no_reports(tmp_path, capsys):
+    # the whole trace is read before any report is written: a malformed last
+    # line exits 3 and leaves --out without either report file
+    text = "".join(f"{c} A 1\n{c} R GPR {c % 16}\n" for c in range(3000)) + "3000 A\n"
+    trace = write(tmp_path / "bad.trace", text)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["simulate", "--trace", trace, "--out", str(out)]) == 3
+    assert "line 6001: ALU record needs 3 fields" in capsys.readouterr().err
+    assert not (out / "report.csv").exists() and not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("config_text", [

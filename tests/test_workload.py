@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
 import re
+import tracemalloc
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emsim.workload import (
+    ALU,
+    MEM,
+    REG,
     AluBursts,
     AluIssue,
     ConfigError,
@@ -62,6 +68,29 @@ def test_serialize_parse_round_trip():
     assert again == events
 
 
+@pytest.mark.parametrize("event, needle", [
+    (Event(5, MemAccess("X", 8, "DATA")), "memory kind must be READ or WRITE"),
+    (Event(6, MemAccess("WRITE", -8, "I")), "address space must be DATA or INSTR"),
+    (Event(6, MemAccess("WRITE", -8, "INSTR")), "address must be non-negative"),
+    (Event(7, AluIssue(-3)), "ready_count must be a non-negative integer"),
+    (Event(8, RegWrite("VEC", 1)), "unknown register class 'VEC'"),
+    (Event(8, RegWrite("GPR", True)), "register id must be a non-negative integer"),
+    (Event(2 ** 64, AluIssue(1)), r"cycle 18446744073709551616 outside \[5, 2\*\*64\)"),
+    (Event(-1, AluIssue(1)), "cycle must be a non-negative integer"),
+    (Event(4, RegWrite("GPR", 0)), r"cycle 4 outside \[5, 2\*\*64\)"),
+    (Event(5, AluIssue(2)), "second ALU issue in cycle 5"),
+])
+def test_serialize_rejects_what_parse_rejects(event, needle):
+    # the good event's line is yielded; the bad event's never is
+    lines = serialize_trace([Event(5, AluIssue(1)), event])
+    assert next(lines) == "5 A 1"
+    with pytest.raises(ValueError, match=needle):
+        next(lines)
+    # a Trace holds only what a trace file can
+    with pytest.raises(ValueError, match=needle):
+        Trace.from_events([Event(5, AluIssue(1)), event])
+
+
 def test_parse_empty():
     assert list(parse_trace([])) == []
     assert list(parse_trace(["# only a comment", "   "])) == []
@@ -94,17 +123,18 @@ def test_parse_rejects(text, needle):
 
 
 def test_parse_shares_identical_payloads():
-    payloads = parse_trace(["0 A 2", "0 R GPR 5", "1 A 2", "1 R GPR 5", "2 R GPR 05",
-                            "2 M W 64 D", "3 M W 64 D"]).payloads
-    assert payloads[0] is payloads[2]
-    assert payloads[1] is payloads[3]
-    assert payloads[4] == payloads[3]
-    assert payloads[5] is payloads[6]
+    trace = parse_trace(["0 A 2", "0 R GPR 5", "1 A 2", "1 R GPR 5", "2 R GPR 05",
+                         "2 M W 64 D", "3 M W 64 D"])
+    assert trace.values[ALU] == [2, 2]
+    keys = trace.values[REG]
+    assert keys[0] is keys[1]
+    assert keys[2] == keys[1]
+    assert trace.values[MEM][0] is trace.values[MEM][1]
     # a memory record is one int code: equal records give equal codes,
     # whatever their text, and decode to equal events
     trace = parse_trace(["0 M W 64 D", "1 M W 064 D", "2 M R 64 D", "3 M W 64 I",
                          "4 M R 64 I", "5 M R 64 D", "6 M W 65 D"])
-    mem = trace.payloads
+    mem = trace.values[MEM]
     assert mem == [64 << 2 | 2, 64 << 2 | 2, 64 << 2, 64 << 2 | 3, 64 << 2 | 1,
                    64 << 2, 65 << 2 | 2]
     assert mem_code(MemAccess("WRITE", 64, "INSTR")) == mem[3]
@@ -117,14 +147,30 @@ def test_parse_shares_identical_payloads():
 
 def test_trace_columns():
     events = [Event(0, AluIssue(1)), Event(4000, RegWrite("FP", 2)),
-              Event(4000, MemAccess("READ", 64, "INSTR"))]
+              Event(4000, MemAccess("READ", 64, "INSTR")), Event(4001, RegWrite("FP", 2))]
     trace = Trace.from_events(events)
-    assert len(trace) == 3 and list(trace) == events
-    assert trace.cycles == [0, 4000, 4000]
+    assert len(trace) == 4 and list(trace) == events
+    assert trace.kinds == bytearray([ALU, REG, MEM, REG])
+    assert trace.cycles == (array("Q", [0]), array("Q", [4000, 4001]), array("Q", [4000]))
+    assert trace.values == ([1], [("FP", 2), ("FP", 2)], [64 << 2 | 1])
+    assert trace.values[REG][0] is trace.values[REG][1]
     assert parse_trace(serialize_trace(trace)) == trace
-    # the records of one cycle share its int
-    parsed = parse_trace(["4000 A 1", "4000 R GPR 0", "4001 A 1"])
-    assert parsed.cycles[0] is parsed.cycles[1]
+
+
+def test_parsed_trace_holds_few_bytes_per_event():
+    # one ALU burst and one register write per cycle: each event costs its
+    # kind byte, an 8-byte cycle and one shared value in its column
+    lines = [line for c in range(100_000)
+             for line in (f"{c} A {c % 4}\n", f"{c} R GPR {c * 7 % 16}\n")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = parse_trace(lines)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 200_000
+    assert held / len(trace) < 22
 
 
 def test_readme_trace_example_parses():
@@ -138,7 +184,8 @@ def test_readme_trace_example_parses():
 # --- differential test against the reference parser --------------------------
 
 LAX_INTS = ["1_0", "+5", "+0", "\u0663", "1\u0661", "\uff15", "-0", "007",
-            "1__0", "_1", "+", "-", "--1", "+-1", "x", "1.0"]
+            "1__0", "_1", "+", "-", "--1", "+-1", "x", "1.0",
+            str(2 ** 64 - 1), str(2 ** 64)]  # the last two: cycles at the 64-bit bound
 RECORDS = [  # {c}: cycle text, {i}: integer text
     "{c} A {i}", "{c} R GPR {i}", "{c} R FP {i}", "{c} R FLAGS {i}", "{c} R SP {i}",
     "{c} M R {i} D", "{c} M W {i} I",
@@ -213,6 +260,28 @@ def assert_parse_matches_reference(lines):
         assert list(parse_trace(lines)) == want
 
 
+SOME_INTS = st.integers(-2, 2 ** 64 + 1) | st.sampled_from([-1, 0, 2 ** 64 - 1, 2 ** 64]) \
+    | st.booleans()
+PAYLOADS = st.one_of(
+    st.builds(AluIssue, SOME_INTS),
+    st.builds(RegWrite, st.sampled_from(["GPR", "FP", "FLAGS", "SP", "VEC", "gpr"]), SOME_INTS),
+    st.builds(MemAccess, st.sampled_from(["READ", "WRITE", "R"]), SOME_INTS,
+              st.sampled_from(["DATA", "INSTR", "D"])))
+EVENTS = st.lists(st.builds(Event, SOME_INTS, PAYLOADS), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=EVENTS | EVENTS.map(lambda events: sorted(events, key=lambda e: e.cycle)))
+def test_every_serialized_line_parses_back_to_its_event(events):
+    # serialize_trace yields lines until the first event parse_trace would
+    # reject, and each line it yields parses back to its own event
+    lines = []
+    with contextlib.suppress(ValueError):
+        for line in serialize_trace(events):
+            lines.append(line)
+    assert list(parse_trace(lines)) == events[:len(lines)]
+
+
 @settings(max_examples=600, deadline=None)
 @given(lines=trace_lines())
 def test_parse_matches_reference(lines):
@@ -241,6 +310,13 @@ def test_parse_matches_reference(lines):
     ["1 M W -64 D\n"],                        # never a seen record
     ["1 A 1\n", "2 M W -64 D\n", "3 M W -64 D\n"],
     ["1 A 1\n", "9" * 5000 + " A 1\n"],       # more digits than int() takes
+    # cycles at the 64-bit bound, seen records and new ones
+    ["1 A 1\n", f"{2 ** 64 - 1} A 1\n", f"{2 ** 64} A 1\n"],
+    ["1 R GPR 2\n", f"{2 ** 64 - 1} R GPR 2\n", f"{2 ** 64 - 1} M R 8 D\n",
+     f"{2 ** 64 - 1} M R 8 D\n"],
+    [f"{2 ** 64} A 1\n"],
+    ["1 M R 8 D\n", f"{2 ** 64} M R 8 D\n"],
+    ["1 M R 8 D\n", f"{2 ** 65} M R 9 D\n"],
 ])
 def test_parse_of_seen_records_matches_reference(lines):
     assert_parse_matches_reference(lines)
