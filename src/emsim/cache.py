@@ -67,8 +67,8 @@ class CacheConfig:
 
 class RotatingCache:
     __slots__ = ("config", "rot_counter", "_where", "_lru", "_dirty",
-                 "line_writes", "accesses", "fills", "write_hits",
-                 "rotation_writebacks", "charge_rotation_writebacks")
+                 "line_writes", "accesses", "fills", "rotation_writebacks",
+                 "charge_rotation_writebacks")
 
     def __init__(self, config: CacheConfig, charge_rotation_writebacks: bool = True):
         self.config = config
@@ -80,7 +80,6 @@ class RotatingCache:
         self.line_writes = [0] * n  # per entry, set-major
         self.accesses = 0
         self.fills = 0
-        self.write_hits = 0
         self.rotation_writebacks = 0
         self.charge_rotation_writebacks = charge_rotation_writebacks
 
@@ -127,7 +126,7 @@ class RotatingCache:
         line_writes = self.line_writes
         emit = out.append
         sent_by = None if tags is None else tags.append
-        fills = write_hits = 0
+        fills = 0
         for k in range(start, stop):
             x = stream[k]
             block = x >> shift
@@ -141,7 +140,6 @@ class RotatingCache:
                 if x & 1:
                     dirty[e] = 1
                     line_writes[e] += 1
-                    write_hits += 1
                 continue
             if x & 1 and not allocate_writes:
                 emit(x)  # a write miss that does not allocate passes below
@@ -166,7 +164,6 @@ class RotatingCache:
                 sent_by(k)
         self.accesses += stop - start
         self.fills += fills
-        self.write_hits += write_hits
 
     def rotate(self) -> list[int]:
         """Invalidates every line and shifts the set mapping by one. Returns
@@ -277,16 +274,14 @@ def rotation_period_from_json(value) -> int | None:
                       f"got {value!r}")
 
 
-def build_hierarchy(rotation_period: int | None = None,
-                    overrides: dict | None = None,
-                    charge_rotation_writebacks: bool = True) -> Hierarchy:
-    """Assemble a hierarchy from defaults plus per-level overrides.
+def level_configs(rotation_period: int | None, overrides: dict | None) -> dict[str, CacheConfig]:
+    """Each role's CacheConfig: the default geometry, then rotation_period
+    (None = no rotation anywhere), then the role's overrides.
 
-    rotation_period applies to every level (None = no rotation anywhere).
     overrides is the "levels" object of a config file,
     {role: {sets|ways|line_bytes|rotation_period|write_allocate}}; it wins
     over the global period for the levels it names, and a per-level period
-    of "never" or None pins that level.
+    of "never" or None pins that level. A bad override raises ConfigError.
     """
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
@@ -294,7 +289,7 @@ def build_hierarchy(rotation_period: int | None = None,
     unknown = set(overrides) - set(LEVEL_ROLES)
     if unknown:
         raise ConfigError(f"unknown hierarchy levels: {sorted(unknown)}")
-    caches = {}
+    configs = {}
     for role, geom in _DEFAULT_GEOMETRY.items():
         fields = dict(geom, rotation_period=rotation_period, write_allocate=True)
         level = overrides.get(role, {})
@@ -305,9 +300,15 @@ def build_hierarchy(rotation_period: int | None = None,
                 raise ConfigError(f"unknown cache config field {key!r} for {role}")
             fields[key] = rotation_period_from_json(value) if key == "rotation_period" else value
         try:
-            cfg = CacheConfig(name=role, **fields)
+            configs[role] = CacheConfig(name=role, **fields)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        caches[role] = RotatingCache(
-            cfg, charge_rotation_writebacks=charge_rotation_writebacks)
-    return Hierarchy(caches)
+    return configs
+
+
+def build_hierarchy(rotation_period: int | None = None,
+                    overrides: dict | None = None,
+                    charge_rotation_writebacks: bool = True) -> Hierarchy:
+    """A hierarchy of the levels level_configs() describes."""
+    return Hierarchy({role: RotatingCache(cfg, charge_rotation_writebacks)
+                      for role, cfg in level_configs(rotation_period, overrides).items()})

@@ -125,12 +125,10 @@ def _load_genspec(arg: str, seed_override):
     return genspec_from_json(doc)
 
 
-def cmd_simulate(args) -> int:
+def _sim_config(args) -> SimConfig:
+    """The checked SimConfig of the flags and the --config file; reads no trace."""
     if args.seed is not None and not args.gen:
         raise ConfigError("--seed only applies to --gen runs")
-    # the config file's sections, fields and cache rotation_period are
-    # checked before the trace is read; its other values after, by SimConfig
-    # and build_hierarchy
     settings = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -153,7 +151,7 @@ def cmd_simulate(args) -> int:
                 noun = "hierarchy" if section == "cache" else section
                 raise ConfigError(f"unknown {noun} config fields: {sorted(unknown)}")
             settings.update((CONFIG_FIELDS[section][k], v) for k, v in fields.items())
-        if "rotation_period" in settings:
+        if "rotation_period" in settings:  # checked even when the flag wins
             settings["rotation_period"] = rotation_period_from_json(
                 settings["rotation_period"])
     # flags beat the config file, which beats SimConfig's defaults
@@ -161,19 +159,17 @@ def cmd_simulate(args) -> int:
         settings["alu_policy"] = args.policy
     if args.rotation_period is not None:
         settings["rotation_period"] = args.rotation_period
+    return SimConfig(
+        structures=STRUCTURES if args.structure == "all" else (args.structure,),
+        count_rotation_shifts=args.count_rotation_shifts, **settings)
 
+
+def cmd_simulate(args) -> int:
+    cfg = _sim_config(args)
     if args.trace:
         trace = load_trace(args.trace)
     else:
         trace = Trace.from_events(iter_events(_load_genspec(args.gen, args.seed)))
-
-    if "rotation_period" in settings and settings["rotation_period"] is None:
-        raise ConfigError(
-            'the aware run needs a finite rotation period; use a '
-            'per-level "never" to pin individual cache levels')
-    cfg = SimConfig(
-        structures=STRUCTURES if args.structure == "all" else (args.structure,),
-        count_rotation_shifts=args.count_rotation_shifts, **settings)
     reports, summary = run_simulation(trace, cfg)
     csv_path, json_path = write_report_files(reports, summary, args.out)
     _print_summary(reports, summary)
@@ -231,14 +227,15 @@ def _float_arg(*names, **kwargs):
 
 
 def _add_tech_flags(p) -> None:
-    p.add_argument("--scale-a", type=_finite, default=1.0)
-    p.add_argument("--exponent-n", type=_finite, default=2.0)
-    p.add_argument("--activation-ea", type=_finite, default=0.0,
+    tech = em.TechParams
+    p.add_argument("--scale-a", type=_finite, default=tech.scale_A)
+    p.add_argument("--exponent-n", type=_finite, default=tech.exponent_n)
+    p.add_argument("--activation-ea", type=_finite, default=tech.activation_energy_ea,
                    help="activation energy in eV")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--temp-c", type=_finite, default=None,
                    help="temperature in Celsius (default 105)")
-    g.add_argument("--temp-k", type=_finite, default=378.15,  # 105 C
+    g.add_argument("--temp-k", type=_finite, default=tech.temperature_t,
                    help="temperature in kelvin")
 
 
@@ -249,8 +246,8 @@ _SIGNAL_FLAGS = (
     _float_arg("--vdd", required=True, help="supply, V"),
     _float_arg("--freq", required=True, help="clock, Hz"),
     _float_arg("--toggle", required=True, help="switching probability in [0, 1]"),
-    _float_arg("--rise", default=1e-10, help="rise time, s"),
-    _float_arg("--fall", default=1e-10, help="fall time, s"),
+    _float_arg("--rise", default=em.SignalElectricals.rise_tr, help="rise time, s"),
+    _float_arg("--fall", default=em.SignalElectricals.fall_tf, help="fall time, s"),
 )
 
 
@@ -287,7 +284,7 @@ EM_CALC = {
     "reduced-irms": (
         "allowed RMS current for a longer target lifetime",
         (_float_arg("--i-max", required=True, help="sign-off RMS current limit, A"),
-         _float_arg("--mtf-tech", default=10.0,
+         _float_arg("--mtf-tech", default=em.RmsLimit.mtf_technology,
                     help="lifetime the limit is specified for"),
          _float_arg("--mtf-reduced", required=True, help="target lifetime")),
         lambda a: em.reduced_rms_current(

@@ -20,26 +20,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .workload import ConfigError
-
 DEFAULT_ROTATION_PERIOD = 10_000_000
-
-
-def ring_preset(name: str) -> tuple[tuple[str, int], ...]:
-    """Named ring compositions for the CLI and the simulator.
-
-    gpr16         16 integer registers
-    gpr-flags-sp  16 integer registers plus FLAGS and SP in the last two slots
-    fp32          32 floating-point registers
-    """
-    if name == "gpr16":
-        return tuple(("GPR", i) for i in range(16))
-    if name == "gpr-flags-sp":
-        return tuple(("GPR", i) for i in range(16)) + (("FLAGS", 0), ("SP", 0))
-    if name == "fp32":
-        return tuple(("FP", i) for i in range(32))
-    raise ConfigError(f"unknown ring preset {name!r}; "
-                      "expected gpr16, gpr-flags-sp, or fp32")
+# the named ring compositions a config may select, in ring order
+RING_PRESETS = {
+    "gpr16": tuple(("GPR", i) for i in range(16)),
+    "gpr-flags-sp": tuple(("GPR", i) for i in range(16)) + (("FLAGS", 0), ("SP", 0)),
+    "fp32": tuple(("FP", i) for i in range(32)),
+}
 
 
 class RotatingRegFile:

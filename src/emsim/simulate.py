@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
-from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, split_codes
-from .regfile import DEFAULT_ROTATION_PERIOD, RotatingRegFile, ring_preset
+from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, level_configs, split_codes
+from .regfile import DEFAULT_ROTATION_PERIOD, RING_PRESETS, RotatingRegFile
 from .wear_stats import (
     StructureReport,
     geo_mean,
@@ -51,6 +51,9 @@ AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulate run's settings. Every field is checked here, whichever
+    structures are selected, so a constructed SimConfig always runs."""
+
     structures: tuple[str, ...] = STRUCTURES
     alu_units: int = 3
     alu_policy: str = TOGGLE_BALANCE
@@ -70,6 +73,13 @@ class SimConfig:
             raise ConfigError(
                 f"aware ALU policy must be one of {AWARE_ALU_POLICIES}, "
                 f"got {self.alu_policy!r}")
+        if self.regfile_preset not in tuple(RING_PRESETS):  # a list is unhashable
+            raise ConfigError(f"unknown ring preset {self.regfile_preset!r}; "
+                              f"expected one of {tuple(RING_PRESETS)}")
+        if self.rotation_period is None:
+            raise ConfigError(
+                'the aware run needs a finite rotation period; use a '
+                'per-level "never" to pin individual cache levels')
         for name in ("alu_units", "rotation_period"):
             value = getattr(self, name)
             if type(value) is not int:
@@ -80,6 +90,7 @@ class SimConfig:
             raise ConfigError("rotation_period must be >= 1")
         if type(self.charge_rotation_writebacks) is not bool:
             raise ConfigError("count_rotation_writebacks must be a boolean")
+        level_configs(self.rotation_period, self.cache_overrides)
 
 
 def run_simulation(trace: Trace, cfg: SimConfig):
@@ -124,7 +135,7 @@ def _replay_alu(counts: list[int], cfg: SimConfig) -> StructureReport:
 
 
 def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureReport:
-    ring = ring_preset(cfg.regfile_preset)
+    ring = RING_PRESETS[cfg.regfile_preset]
     base = RotatingRegFile(ring, rotation_period=cfg.rotation_period)
     aware = RotatingRegFile(ring, rotation_period=cfg.rotation_period,
                             count_rotation_shifts=cfg.count_rotation_shifts)
@@ -145,8 +156,7 @@ def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureRepor
 
 
 def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
-    # the aware build checks the overrides; the never-rotating baseline
-    # takes their geometry only
+    # the never-rotating baseline takes the overrides' geometry only
     aware = build_hierarchy(rotation_period=cfg.rotation_period, overrides=cfg.cache_overrides,
                             charge_rotation_writebacks=cfg.charge_rotation_writebacks)
     geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}

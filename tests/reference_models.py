@@ -75,7 +75,9 @@ class RefRotatingCache:
     the lowest-numbered way no line occupies, else evicts the LRU line.
     Every `rotation_period` accesses (None = never) the cache rotates: it
     hands each dirty line's address to `on_writeback` in physical order
-    (set 0 way 0, set 0 way 1, ...), empties every set, then shifts.
+    (set 0 way 0, set 0 way 1, ...), empties every set, then shifts. Only
+    the sets touched since the last rotation are held (`_sets`, set index
+    -> lines), so a rotation costs what those sets hold, not the set count.
     `line_writes[s][w]` counts fills and write hits landing on set s way w.
     """
 
@@ -89,7 +91,7 @@ class RefRotatingCache:
         self.charge_rotation_writebacks = charge_rotation_writebacks
         self.on_writeback = None
         self.shift = 0
-        self._sets = [[] for _ in range(sets)]
+        self._sets = {}
         self.line_writes = [[0] * ways for _ in range(sets)]
         self.accesses = 0
         self.fills = 0
@@ -97,13 +99,13 @@ class RefRotatingCache:
         self.rotation_writebacks = 0
 
     def resident_blocks(self):
-        return {line[1] for lines in self._sets for line in lines}
+        return {line[1] for lines in self._sets.values() for line in lines}
 
     def access(self, address, kind):
         """Returns (hit, fill, writeback_address_or_None)."""
         block = address // self.line_bytes
         s = (block % self.sets + self.shift) % self.sets
-        lines = self._sets[s]
+        lines = self._sets.setdefault(s, [])
         for pos, line in enumerate(lines):
             if line[1] == block:
                 lines.insert(0, lines.pop(pos))
@@ -136,13 +138,13 @@ class RefRotatingCache:
         return result
 
     def rotate(self):
-        for lines in self._sets:
-            for _way, block, dirty in sorted(lines):
+        for s in sorted(self._sets):
+            for _way, block, dirty in sorted(self._sets[s]):
                 if dirty:
                     self.rotation_writebacks += 1
                     if self.charge_rotation_writebacks and self.on_writeback:
                         self.on_writeback(block * self.line_bytes)
-        self._sets = [[] for _ in range(self.sets)]
+        self._sets = {}
         self.shift = (self.shift + 1) % self.sets
 
 

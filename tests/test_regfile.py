@@ -4,9 +4,8 @@ from hypothesis import strategies as st
 
 from emsim.em_models import mtf_improvement
 from emsim.simulate import _write_by_epoch
-from emsim.regfile import RotatingRegFile, ring_preset
+from emsim.regfile import RING_PRESETS, RotatingRegFile
 from emsim.rng import SplitMix64
-from emsim.workload import ConfigError
 from reference_models import member_index
 
 
@@ -162,19 +161,18 @@ def test_rotate_rejects_negative_times():
 
 
 def test_ring_presets():
-    g = ring_preset("gpr16")
+    assert list(RING_PRESETS) == ["gpr16", "gpr-flags-sp", "fp32"]
+    g = RING_PRESETS["gpr16"]
     assert len(g) == 16 and all(c == "GPR" for c, _ in g)
-    e = ring_preset("gpr-flags-sp")
+    e = RING_PRESETS["gpr-flags-sp"]
     assert len(e) == 18
     assert e[16] == ("FLAGS", 0) and e[17] == ("SP", 0)
-    f = ring_preset("fp32")
+    f = RING_PRESETS["fp32"]
     assert len(f) == 32 and f[31] == ("FP", 31)
-    with pytest.raises(ConfigError):
-        ring_preset("gpr8")
 
 
 def test_member_index():
-    rf = RotatingRegFile(ring_preset("gpr-flags-sp"))
+    rf = RotatingRegFile(RING_PRESETS["gpr-flags-sp"])
     assert member_index(rf, "GPR", 5) == 5
     assert member_index(rf, "FLAGS", 0) == 16
     assert member_index(rf, "SP", 0) == 17

@@ -243,6 +243,14 @@ def test_run_simulation_memory_stays_flat_in_the_memory_records():
     dict(alu_units=2.5),
     dict(rotation_period="5"),
     dict(charge_rotation_writebacks="yes"),
+    dict(rotation_period=None),
+    dict(regfile_preset="gpr8"),
+    dict(regfile_preset=[]),
+    dict(cache_overrides={"L9": {}}),
+    dict(cache_overrides={"L1D": {"sets": 3}}),
+    # checked whatever the structures, so a constructed SimConfig always runs
+    dict(structures=("alu",), regfile_preset="gpr8"),
+    dict(structures=("regfile",), cache_overrides={"L1D": {"sets": 3}}),
 ])
 def test_simconfig_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -272,7 +280,7 @@ def test_cli_simulate_worked_example(tmp_path, capsys):
     rc = main(["simulate", "--trace", trace, "--structure", "alu",
                "--out", str(out)])
     assert rc == 0
-    doc = json.loads((out / "report.json").read_text())
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     (row,) = doc["reports"]
     assert row["counts_aware"] == [3, 2, 2]
     assert row["counts_baseline"] == [3, 3, 1]
@@ -289,7 +297,7 @@ def test_cli_simulate_single_hot_register(tmp_path):
     rc = main(["simulate", "--trace", trace, "--structure", "regfile",
                "--rotation-period", "25", "--out", str(out)])
     assert rc == 0
-    doc = json.loads((out / "report.json").read_text())
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     (row,) = doc["reports"]
     assert row["max_baseline"] == 100
     assert row["max_aware"] == 25
@@ -311,7 +319,7 @@ def test_cli_simulate_from_gen_spec(tmp_path):
     rc = main(["simulate", "--gen", spec, "--structure", "regfile",
                "--rotation-period", "20", "--out", str(out)])
     assert rc == 0
-    doc = json.loads((out / "report.json").read_text())
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert doc["summary"]["reg_writes"] == 200
     assert doc["summary"]["rotation_period"] == 20
 
@@ -445,7 +453,7 @@ def test_cli_config_file_sets_units_and_flags_win(tmp_path):
     out1 = tmp_path / "o1"
     assert main(["simulate", "--trace", trace, "--config", cfg,
                  "--out", str(out1)]) == 0
-    doc = json.loads((out1 / "report.json").read_text())
+    doc = json.loads((out1 / "report.json").read_text(encoding="utf-8"))
     assert doc["summary"]["alu_units"] == 4
     assert doc["summary"]["rotation_period"] == 50
     assert doc["reports"][0]["num_entries"] == 4
@@ -453,7 +461,7 @@ def test_cli_config_file_sets_units_and_flags_win(tmp_path):
     out2 = tmp_path / "o2"
     assert main(["simulate", "--trace", trace, "--config", cfg,
                  "--rotation-period", "25", "--out", str(out2)]) == 0
-    doc = json.loads((out2 / "report.json").read_text())
+    doc = json.loads((out2 / "report.json").read_text(encoding="utf-8"))
     assert doc["summary"]["rotation_period"] == 25
 
 
@@ -463,7 +471,7 @@ def test_cli_policy_flag(tmp_path):
     rc = main(["simulate", "--trace", trace, "--structure", "alu",
                "--policy", "counter-rotate", "--out", str(out)])
     assert rc == 0
-    doc = json.loads((out / "report.json").read_text())
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert doc["summary"]["alu_policy"] == "counter-rotate"
     # counter-rotate on (0, 2, 2, 3): leads 0,1,2,3 -> grants
     # (), (1,2), (2,0), (0,1,2)
@@ -559,6 +567,26 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, config_text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("structure", ["alu", "regfile", "cache", "all"])
+@pytest.mark.parametrize("config", [
+    {"regfile": {"preset": "bogus"}},
+    {"cache": {"levels": {"L9": {}}}},
+    {"cache": {"levels": {"L1D": {"sets": 3}}}},
+    {"alu": {"units": 0}},
+])
+def test_cli_bad_config_exits_2_before_the_trace_is_read(tmp_path, capsys, config, structure):
+    # every section is checked, whichever structure runs, and a config error
+    # wins over a malformed trace
+    cfg = write(tmp_path / "cfg.json", json.dumps(config))
+    for text in (MIXED_TRACE, "0 A 1\nbroken\n"):
+        out = tmp_path / "o"
+        trace = write(tmp_path / "t.trace", text)
+        assert main(["simulate", "--trace", trace, "--config", cfg,
+                     "--structure", structure, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_seed_with_trace_exits_2(tmp_path):
     trace = write(tmp_path / "t.trace", WORKED_ALU_TRACE)
     rc = main(["simulate", "--trace", trace, "--seed", "9",
@@ -645,6 +673,32 @@ def test_cli_random_config_and_spec_exit_0_or_2(config, spec):
                      "--out", os.path.join(out, "g.trace")]) in (0, 2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(config=CONFIGS | ANY_JSON,
+       structure=st.sampled_from(["alu", "regfile", "cache", "all"]))
+def test_cli_random_config_exits_2_exactly_when_rejected(config, structure):
+    # a config that builds a SimConfig runs a good trace to the end and
+    # leaves a malformed one to exit 3; any other config exits 2 on both
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in (("cfg.json", json.dumps(config)), ("good.trace", MIXED_TRACE),
+                           ("bad.trace", MIXED_TRACE + "4 A\n")):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        codes = []
+        for trace in ("good.trace", "bad.trace"):
+            argv = ["simulate", "--trace", paths[trace], "--config", paths["cfg.json"],
+                    "--structure", structure, "--out", os.path.join(tmp, trace + ".out")]
+            codes.append(main(argv))
+        try:
+            cli._sim_config(cli.build_parser().parse_args(argv))
+        except ConfigError:
+            assert codes == [2, 2]
+        else:
+            assert codes == [0, 3]
+
+
 # Random trace lines from the grammar's own tokens plus the near misses:
 # signs, digit separators, non-ASCII digits, unknown tags and classes, and
 # comment marks anywhere in a line.
@@ -682,7 +736,7 @@ def test_cli_gen_trace_deterministic(tmp_path):
     assert main(["gen-trace", "--gen", spec, "--out", str(a)]) == 0
     assert main(["gen-trace", "--gen", spec, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_text().startswith("# emsim trace v1\n")
+    assert a.read_text(encoding="utf-8").startswith("# emsim trace v1\n")
 
 
 def test_cli_gen_trace_zero_length(tmp_path):
@@ -690,7 +744,7 @@ def test_cli_gen_trace_zero_length(tmp_path):
             '"num_regs": 4, "zipf_s": 1.0}')
     out = tmp_path / "z.trace"
     assert main(["gen-trace", "--gen", spec, "--out", str(out)]) == 0
-    assert out.read_text() == "# emsim trace v1\n"
+    assert out.read_text(encoding="utf-8") == "# emsim trace v1\n"
 
 
 def test_cli_gen_trace_spec_from_file(tmp_path):
@@ -699,7 +753,7 @@ def test_cli_gen_trace_spec_from_file(tmp_path):
                       '"num_regs": 8, "zipf_s": 1.2}')
     out = tmp_path / "t.trace"
     assert main(["gen-trace", "--gen", spec_path, "--out", str(out)]) == 0
-    body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    body = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     assert len(body) == 5
 
 
@@ -832,13 +886,13 @@ def test_cli_report_merge_geo_means_across_runs(tmp_path, capsys):
     r2 = run_single_hot(tmp_path, "r2", 50)   # improvement 1.0
     out = tmp_path / "merged"
     assert main(["report-merge", str(r1), str(r2), "--out", str(out)]) == 0
-    doc = json.loads((out / "merged.json").read_text())
+    doc = json.loads((out / "merged.json").read_text(encoding="utf-8"))
     (row,) = doc["merged"]
     assert row["structure"] == "regfile.gpr16"
     assert row["runs"] == 2
     # geo mean in ratio space: sqrt(4 * 2) - 1
     assert row["geo_mean_improvement"] == pytest.approx(8 ** 0.5 - 1)
-    assert (out / "merged.csv").read_text().splitlines()[0] == \
+    assert (out / "merged.csv").read_text(encoding="utf-8").splitlines()[0] == \
         "structure,runs,geo_mean_improvement,geo_mean_display"
     assert "wrote" in capsys.readouterr().out
 
@@ -851,11 +905,11 @@ def test_cli_report_merge_unbounded_propagates(tmp_path):
     paths = []
     for i, doc in enumerate(docs):
         p = tmp_path / f"r{i}.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(str(p))
     out = tmp_path / "m"
     assert main(["report-merge", *paths, "--out", str(out)]) == 0
-    merged = json.loads((out / "merged.json").read_text())
+    merged = json.loads((out / "merged.json").read_text(encoding="utf-8"))
     assert merged["merged"][0]["geo_mean_improvement"] == "unbounded"
 
 
@@ -863,9 +917,9 @@ def test_cli_report_merge_structure_mismatch_exits_2(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(json.dumps({"reports": [{"structure": "alu",
-                                          "mtf_improvement": 1.0}]}))
+                                          "mtf_improvement": 1.0}]}), encoding="utf-8")
     b.write_text(json.dumps({"reports": [{"structure": "regfile.gpr16",
-                                          "mtf_improvement": 1.0}]}))
+                                          "mtf_improvement": 1.0}]}), encoding="utf-8")
     assert main(["report-merge", str(a), str(b), "--out",
                  str(tmp_path / "m")]) == 2
     assert "missing" in capsys.readouterr().err
@@ -873,7 +927,7 @@ def test_cli_report_merge_structure_mismatch_exits_2(tmp_path, capsys):
 
 def test_cli_report_merge_rejects_non_report_json(tmp_path):
     p = tmp_path / "x.json"
-    p.write_text("[1, 2, 3]")
+    p.write_text("[1, 2, 3]", encoding="utf-8")
     assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 2
 
 
@@ -890,7 +944,7 @@ def test_cli_report_merge_rejects_non_report_json(tmp_path):
 ])
 def test_cli_report_merge_bad_shape_exits_2(tmp_path, capsys, doc, needle):
     p = tmp_path / "r.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
@@ -899,7 +953,8 @@ def test_cli_report_merge_bad_shape_exits_2(tmp_path, capsys, doc, needle):
 def test_cli_report_merge_total_regression_is_a_domain_error(tmp_path, capsys):
     # -1 (an idle baseline against a busy aware run) has no ratio-space mean
     p = tmp_path / "r.json"
-    p.write_text(json.dumps({"reports": [{"structure": "alu", "mtf_improvement": -1.0}]}))
+    p.write_text(json.dumps({"reports": [{"structure": "alu", "mtf_improvement": -1.0}]}),
+                 encoding="utf-8")
     assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 4
     assert "improvements must be > -1" in capsys.readouterr().err
 

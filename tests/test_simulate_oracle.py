@@ -103,3 +103,13 @@ def test_run_simulation_in_small_chunks_matches_reference(lines, config, chunk):
     # cycle and runs of ALU requests straddle chunk boundaries
     with mock.patch.object(simulate, "CHUNK_RECORDS", chunk):
         check_against_reference(lines, config)
+
+
+def test_default_l3_geometry_matches_reference():
+    # the draws above always shrink L3; here 8,193 reads of distinct lines
+    # reach the default L3 (8,192 sets), which rotates after every access
+    # and so wraps its set mapping once, while no other level rotates
+    levels = {role: {"rotation_period": 1 if role == "L3" else "never"}
+              for role in LEVEL_ROLES}
+    lines = [f"{c} M R {c * 64} D" for c in range(8193)]
+    check_against_reference(lines, dict(boundary_config(("cache",)), cache_overrides=levels))

@@ -256,4 +256,4 @@ def test_json_mirror(tmp_path):
     path = tmp_path / "report.json"
     write_reports_json(reports, path, summary={"total_cycles": 9})
     import json
-    assert json.loads(path.read_text()) == doc
+    assert json.loads(path.read_text(encoding="utf-8")) == doc

@@ -345,7 +345,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "t.trace"
     save_trace(path, events, header="unit test")
     assert load_trace(path) == events
-    first = path.read_text().splitlines()[0]
+    first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first.startswith("#")
 
 
