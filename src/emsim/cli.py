@@ -9,6 +9,7 @@ model precondition was violated).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -375,6 +376,9 @@ def cmd_report_merge(args) -> int:
                                              and math.isfinite(value)):
                 raise ConfigError(f"{path}: report row {i}: mtf_improvement must be "
                                   f'a finite number or "unbounded", got {value!r}')
+            if structure in run:
+                raise ConfigError(f"{path}: report row {i}: structure {structure!r} "
+                                  f"appears twice")
             run[structure] = value
         runs.append(run)
 
@@ -392,10 +396,10 @@ def cmd_report_merge(args) -> int:
     csv_path = os.path.join(args.out, "merged.csv")
     json_path = os.path.join(args.out, "merged.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("structure,runs,geo_mean_improvement,geo_mean_display\n")
-        for structure, n, agg in merged:
-            fh.write(f"{structure},{n},{improvement_cell(agg)},"
-                     f"{improvement_display(agg)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("structure", "runs", "geo_mean_improvement", "geo_mean_display"))
+        writer.writerows((structure, n, improvement_cell(agg), improvement_display(agg))
+                         for structure, n, agg in merged)
     doc = {"sources": list(args.reports),
            "merged": [{"structure": s, "runs": n,
                        "geo_mean_improvement": improvement_to_json(agg)}

@@ -17,7 +17,9 @@ structure after another, since they share no state:
   without writes to ring members makes no call.
 * cache: a slice of memory records is split once and replayed through two
   full hierarchies, one access() call each; the aware one rotates per
-  level every rotation_period accesses, the baseline never.
+  level every rotation_period accesses, the baseline never. A trace
+  without memory records builds no hierarchy: each level's rows are idle
+  rows of the size its geometry gives.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -38,6 +40,7 @@ from .regfile import DEFAULT_ROTATION_PERIOD, RING_PRESETS, RotatingRegFile
 from .wear_stats import (
     StructureReport,
     geo_mean,
+    idle_report,
     improvement_report,
     improvement_to_json,
     write_reports_csv,
@@ -156,6 +159,11 @@ def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureRepor
 
 
 def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
+    if not codes:  # every level stays idle: its rows follow from its geometry
+        levels = level_configs(cfg.rotation_period, cfg.cache_overrides)
+        return [idle_report(n, f"cache.{role}.{row}") for role in LEVEL_ROLES
+                for row, n in (("lines", levels[role].sets * levels[role].ways),
+                               ("tags", levels[role].sets))]
     # the never-rotating baseline takes the overrides' geometry only
     aware = build_hierarchy(rotation_period=cfg.rotation_period, overrides=cfg.cache_overrides,
                             charge_rotation_writebacks=cfg.charge_rotation_writebacks)

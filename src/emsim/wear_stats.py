@@ -119,6 +119,17 @@ def improvement_report(baseline_counts: Sequence[int],
     )
 
 
+def idle_report(num_entries: int, structure: str) -> StructureReport:
+    """What improvement_report returns for two all-zero count vectors of
+    num_entries (>= 1) entries, built without them."""
+    hist = WriteHistogram(bins=(num_entries, 0, 0, 0, 0), max_writes=0,
+                          avg_writes=0.0, num_entries=num_entries)
+    return StructureReport(structure=structure, num_entries=num_entries,
+                           histogram_baseline=hist, histogram_aware=hist,
+                           avg_to_max_baseline=0.0, avg_to_max_aware=0.0,
+                           mtf_improvement=0.0)
+
+
 def geo_mean(improvements: Iterable[Improvement]) -> Improvement:
     vals = list(improvements)
     if not vals:

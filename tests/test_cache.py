@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from emsim import cli
+from emsim import cli, simulate
 from emsim.cache import (
     CHUNK_RECORDS,
     CacheConfig,
@@ -347,11 +347,18 @@ def test_run_simulation_calls_access_once_per_hierarchy_and_only_with_records(mo
     calls = []
     monkeypatch.setattr(Hierarchy, "access", lambda self, batch: calls.append(
         (len(batch[0][0]), len(batch[1][0]))))
+    # keyword arguments only: the benchmark's tracer tells the two
+    # hierarchies apart by the rotation_period keyword
+    builds = []
+    build = simulate.build_hierarchy
+    monkeypatch.setattr(simulate, "build_hierarchy",
+                        lambda **kwargs: builds.append(kwargs) or build(**kwargs))
     no_memory = parse_trace(["0 A 2", "0 R GPR 3", "5 A 1"])
     run_simulation(no_memory, SimConfig())
-    assert calls == []
+    assert calls == [] and builds == []
     run_simulation(parse_trace(["0 A 2", "1 M W 64 D", "2 R GPR 3", "2 M R 0 I"]), SimConfig())
     assert calls == [(1, 1), (1, 1)]
+    assert len(builds) == 2
     # a batch is handed on once it holds CHUNK_RECORDS records, and at the
     # end of the trace, also when that ends a full chunk of events: here
     # every second event of five full chunks is a memory record

@@ -1,5 +1,6 @@
 """Side-by-side simulation driver and command-line interface tests."""
 
+import csv
 import hashlib
 import json
 import os
@@ -230,6 +231,21 @@ def test_run_simulation_memory_stays_flat_in_the_memory_records():
     # times the records must not raise the peak either
     assert _peak_bytes_inside_cache_run(200_000) <= \
         _peak_bytes_inside_cache_run(20_000) + 64 * 1024
+
+
+@pytest.mark.parametrize("overrides", [None, {"L3": {"sets": 131072}}])
+def test_run_simulation_memory_stays_flat_in_the_cache_geometry(overrides):
+    # without memory records no level is ever touched, so the cache rows
+    # must cost nothing that grows with the geometry (2M L3 lines here)
+    trace = parse_trace(["0 A 2", "0 R GPR 3", "5 A 1"])
+    cfg = SimConfig(cache_overrides=overrides)
+    tracemalloc.start()
+    try:
+        run_simulation(trace, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -941,13 +957,31 @@ def test_cli_report_merge_rejects_non_report_json(tmp_path):
      "structure must be a string"),
     ({"reports": [{"structure": "alu", "mtf_improvement": float("nan")}]},
      "mtf_improvement must be"),
+    # two rows of one structure would leave the merge to keep either value
+    ({"reports": [{"structure": "x", "mtf_improvement": 0.1},
+                  {"structure": "x", "mtf_improvement": 0.9}]},
+     "report row 1: structure 'x' appears twice"),
 ])
 def test_cli_report_merge_bad_shape_exits_2(tmp_path, capsys, doc, needle):
     p = tmp_path / "r.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["report-merge", str(p), "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and needle in err
+    assert err.startswith(f"error: {p}:") and needle in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_cli_report_merge_csv_quotes_structure_names(tmp_path):
+    names = ['odd,"name', "plain", "two\nlines"]
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"reports": [{"structure": name, "mtf_improvement": 0.5}
+                                         for name in names]}), encoding="utf-8")
+    out = tmp_path / "m"
+    assert main(["report-merge", str(p), str(p), "--out", str(out)]) == 0
+    with open(out / "merged.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["structure", "runs", "geo_mean_improvement", "geo_mean_display"],
+                    *([name, "2", "0.5", "50.00%"] for name in names)]
 
 
 def test_cli_report_merge_total_regression_is_a_domain_error(tmp_path, capsys):

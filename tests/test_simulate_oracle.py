@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,13 @@ def test_run_simulation_in_small_chunks_matches_reference(lines, config, chunk):
     # cycle and runs of ALU requests straddle chunk boundaries
     with mock.patch.object(simulate, "CHUNK_RECORDS", chunk):
         check_against_reference(lines, config)
+
+
+@pytest.mark.parametrize("lines", [[], ["0 A 2", "0 R GPR 3", "4 R FP 1", "5 A 9"]])
+def test_trace_without_memory_records_matches_reference(lines):
+    # no hierarchy is built for such a trace: its idle cache rows must
+    # still match the reference, which replays two full hierarchies
+    check_against_reference(lines, boundary_config(STRUCTURES))
 
 
 def test_default_l3_geometry_matches_reference():

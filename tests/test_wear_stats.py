@@ -10,6 +10,7 @@ from emsim.wear_stats import (
     CSV_COLUMNS,
     geo_mean,
     histogram,
+    idle_report,
     improvement_from_maxima,
     improvement_report,
     reports_to_doc,
@@ -187,6 +188,14 @@ def test_improvement_report_copies_only_the_counts_it_keeps():
     r = improvement_report(base, aware, "alu", include_counts=True)
     base[0] = aware[0] = 0
     assert (r.counts_baseline, r.counts_aware) == ((4, 2), (3, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512, 131072])
+def test_idle_report_equals_the_report_of_zero_counts(n):
+    built = improvement_report([0] * n, [0] * n, "cache.L3.tags")
+    idle = idle_report(n, "cache.L3.tags")
+    assert idle == built
+    assert repr(idle) == repr(built)  # 0.0, not 0, where the report holds a float
 
 
 def test_improvement_report_length_mismatch():
