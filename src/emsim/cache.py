@@ -235,10 +235,10 @@ class Hierarchy:
 
 def split_codes(codes: list[int]) -> tuple:
     """Splits a batch of memory records, each a mem_code (address << 2 |
-    is_write << 1 | is_instr), once for every hierarchy that replays it:
-    per space (DATA, INSTR), its records' L1 stream (address << 1 |
-    is_write), their TLB stream (page << 1, reads) and, if the batch holds
-    both spaces, their indices in the batch."""
+    is_write << 1 | is_instr), as Hierarchy.access() takes it: per space
+    (DATA, INSTR), its records' L1 stream (address << 1 | is_write), their
+    TLB stream (page << 1, reads) and, if the batch holds both spaces,
+    their indices in the batch."""
     instr = [i for i, code in enumerate(codes) if code & 1]
     if 0 < len(instr) < len(codes):
         by_space = ([i for i, code in enumerate(codes) if not code & 1], instr)

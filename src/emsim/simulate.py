@@ -15,11 +15,14 @@ structure after another, since they share no state:
   takes them one rotation epoch (cycle // period) at a time, one rotate()
   call for the rotations the epoch owes, then one write() call. A slice
   without writes to ring members makes no call.
-* cache: a slice of memory records is split once and replayed through two
-  full hierarchies, one access() call each; the aware one rotates per
-  level every rotation_period accesses, the baseline never. A trace
-  without memory records builds no hierarchy: each level's rows are idle
-  rows of the size its geometry gives.
+* cache: the memory records run through one hierarchy at a time, a split
+  slice per access() call: first the baseline, which never rotates, then
+  the aware copy, which rotates each level every rotation_period
+  accesses. Only the baseline's per-entry and per-set write counts outlive
+  its replay, so at most one hierarchy is alive at a time, beside those
+  counts; each splits the slices for itself. A trace without memory
+  records builds no hierarchy: each level's rows are idle rows of the
+  size its geometry gives.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -72,6 +75,8 @@ class SimConfig:
             raise ConfigError(f"unknown structures: {sorted(unknown)}")
         if not self.structures:
             raise ConfigError("at least one structure must be selected")
+        if len(set(self.structures)) != len(self.structures):
+            raise ConfigError(f"structures must not repeat, got {list(self.structures)}")
         if self.alu_policy not in AWARE_ALU_POLICIES:
             raise ConfigError(
                 f"aware ALU policy must be one of {AWARE_ALU_POLICIES}, "
@@ -91,6 +96,8 @@ class SimConfig:
             raise ConfigError("alu_units must be >= 1")
         if self.rotation_period < 1:
             raise ConfigError("rotation_period must be >= 1")
+        if type(self.count_rotation_shifts) is not bool:
+            raise ConfigError("count_rotation_shifts must be a boolean")
         if type(self.charge_rotation_writebacks) is not bool:
             raise ConfigError("count_rotation_writebacks must be a boolean")
         level_configs(self.rotation_period, self.cache_overrides)
@@ -164,23 +171,33 @@ def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
         return [idle_report(n, f"cache.{role}.{row}") for role in LEVEL_ROLES
                 for row, n in (("lines", levels[role].sets * levels[role].ways),
                                ("tags", levels[role].sets))]
-    # the never-rotating baseline takes the overrides' geometry only
-    aware = build_hierarchy(rotation_period=cfg.rotation_period, overrides=cfg.cache_overrides,
-                            charge_rotation_writebacks=cfg.charge_rotation_writebacks)
+    # one hierarchy at a time: the never-rotating baseline, which takes the
+    # overrides' geometry only, is replayed to its counters and let go
+    # before the aware copy is built
     geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}
                 for role, fields in (cfg.cache_overrides or {}).items()}
-    base = build_hierarchy(rotation_period=None, overrides=geometry,
-                           charge_rotation_writebacks=cfg.charge_rotation_writebacks)
-    for start in range(0, len(codes), CHUNK_RECORDS):
-        batch = split_codes(codes[start:start + CHUNK_RECORDS])
-        base.access(batch)
-        aware.access(batch)
+    charge = cfg.charge_rotation_writebacks
+    base = _replay_hierarchy(codes, rotation_period=None, overrides=geometry,
+                             charge_rotation_writebacks=charge)
+    aware = _replay_hierarchy(codes, rotation_period=cfg.rotation_period,
+                              overrides=cfg.cache_overrides, charge_rotation_writebacks=charge)
     reports = []
     for role in LEVEL_ROLES:
-        b, a = base.caches[role], aware.caches[role]
-        reports.append(improvement_report(b.line_writes, a.line_writes, f"cache.{role}.lines"))
-        reports.append(improvement_report(b.set_writes, a.set_writes, f"cache.{role}.tags"))
+        (b_lines, b_sets), (a_lines, a_sets) = base[role], aware[role]
+        reports.append(improvement_report(b_lines, a_lines, f"cache.{role}.lines"))
+        reports.append(improvement_report(b_sets, a_sets, f"cache.{role}.tags"))
     return reports
+
+
+def _replay_hierarchy(codes: list[int], **settings) -> dict[str, tuple[list[int], list[int]]]:
+    """Replays every memory record through a hierarchy built with settings,
+    one split batch at a time, and keeps only each level's (line_writes,
+    set_writes): the rest of the hierarchy goes when this returns."""
+    hierarchy = build_hierarchy(**settings)
+    for start in range(0, len(codes), CHUNK_RECORDS):
+        hierarchy.access(split_codes(codes[start:start + CHUNK_RECORDS]))
+    return {role: (level.line_writes, level.set_writes)
+            for role, level in hierarchy.caches.items()}
 
 
 def _write_by_epoch(rf: RotatingRegFile, indices: list[int], cycles) -> None:

@@ -15,7 +15,7 @@ from emsim.cache import (
 )
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
-from emsim.workload import ConfigError, Event, MemAccess, Trace, mem_code, parse_trace
+from emsim.workload import MEM, ConfigError, Event, MemAccess, Trace, mem_code, parse_trace
 from reference_models import RefSetAssocLRU, access, physical_set
 
 
@@ -323,18 +323,22 @@ def test_hierarchy_rejects_bad_input():
         build_hierarchy(overrides={"L1D": {"sets": 3}})
 
 
+def _peak_bytes(replay):
+    tracemalloc.start()
+    try:
+        replay()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _peak_bytes_inside_access(n):
     # 64 distinct lines per space, all L1-resident after the first pass
     distinct = [MemAccess("WRITE" if i % 3 else "READ", i * 64, "DATA") for i in range(64)]
     distinct += [MemAccess("READ", i * 64, "INSTR") for i in range(64)]
     batch = split_codes([mem_code(distinct[i * 37 % 128]) for i in range(n)])
     h = build_hierarchy()
-    tracemalloc.start()
-    try:
-        h.access(batch)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _peak_bytes(lambda: h.access(batch))
 
 
 def test_access_memory_stays_flat_in_the_batch_size():
@@ -358,15 +362,37 @@ def test_run_simulation_calls_access_once_per_hierarchy_and_only_with_records(mo
     assert calls == [] and builds == []
     run_simulation(parse_trace(["0 A 2", "1 M W 64 D", "2 R GPR 3", "2 M R 0 I"]), SimConfig())
     assert calls == [(1, 1), (1, 1)]
-    assert len(builds) == 2
+    # the never-rotating baseline is built and replayed first
+    assert [kwargs["rotation_period"] for kwargs in builds] == [None, SimConfig().rotation_period]
     # a batch is handed on once it holds CHUNK_RECORDS records, and at the
     # end of the trace, also when that ends a full chunk of events: here
-    # every second event of five full chunks is a memory record
+    # every second event of five full chunks is a memory record; the
+    # baseline takes all of its batches before the aware copy takes any
     calls.clear()
     n = CHUNK_RECORDS
     lines = [line for c in range(5 * n // 2) for line in (f"{c} A 1", f"{c} M R {c * 64} D")]
     run_simulation(parse_trace(lines), SimConfig())
-    assert calls == [(n, 0), (n, 0), (n, 0), (n, 0), (n // 2, 0), (n // 2, 0)]
+    assert calls == [(n, 0), (n, 0), (n // 2, 0)] * 2
+
+
+def test_run_simulation_holds_one_hierarchy_at_a_time():
+    # one write to each of 20,000 distinct data lines: the baseline keeps
+    # them all in L3, so its block map is the largest thing alive. The
+    # aware copy, built only once the baseline is gone, rotates every 5,000
+    # accesses and so holds far fewer lines; with the baseline's counters
+    # beside it, the whole run still peaks no higher than one baseline
+    # replay of the same batches.
+    trace = Trace.from_events(Event(i, MemAccess("WRITE", i * 64, "DATA")) for i in range(20_000))
+    codes = trace.values[MEM]
+
+    def one_baseline():
+        base = build_hierarchy(rotation_period=None)
+        for start in range(0, len(codes), CHUNK_RECORDS):
+            base.access(split_codes(codes[start:start + CHUNK_RECORDS]))
+
+    cfg = SimConfig(structures=("cache",), rotation_period=5000)
+    assert _peak_bytes(lambda: run_simulation(trace, cfg)) <= \
+        _peak_bytes(one_baseline) + 64 * 1024
 
 
 def _simulate_with_cache_config(tmp_path, cache, *flags):

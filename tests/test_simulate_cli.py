@@ -267,6 +267,11 @@ def test_run_simulation_memory_stays_flat_in_the_cache_geometry(overrides):
     # checked whatever the structures, so a constructed SimConfig always runs
     dict(structures=("alu",), regfile_preset="gpr8"),
     dict(structures=("regfile",), cache_overrides={"L1D": {"sets": 3}}),
+    # the summary writes both as given, so a string flag or a repeated
+    # structure would reach report.json
+    dict(count_rotation_shifts="yes"),
+    dict(count_rotation_shifts=1),
+    dict(structures=("alu", "alu")),
 ])
 def test_simconfig_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
