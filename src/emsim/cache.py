@@ -24,8 +24,8 @@ pages), so a "block address" there is just the page number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .workload import ConfigError
 
@@ -38,8 +38,7 @@ def _power_of_two(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
-@dataclass(frozen=True)
-class CacheConfig:
+class _CacheConfig(NamedTuple):
     name: str
     sets: int
     ways: int
@@ -47,7 +46,12 @@ class CacheConfig:
     rotation_period: int | None = None  # None = never rotate
     write_allocate: bool = True
 
-    def __post_init__(self):
+
+class CacheConfig(_CacheConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for field in ("sets", "ways", "line_bytes", "rotation_period"):
             value = getattr(self, field)
             if type(value) is not int and not (field == "rotation_period" and value is None):
@@ -63,6 +67,7 @@ class CacheConfig:
             raise ValueError(f"{self.name}: ways must be >= 1")
         if self.rotation_period is not None and self.rotation_period < 1:
             raise ValueError(f"{self.name}: rotation_period must be >= 1 or None")
+        return self
 
 
 class RotatingCache:

@@ -228,7 +228,7 @@ def _float_arg(*names, **kwargs):
 
 
 def _add_tech_flags(p) -> None:
-    tech = em.TechParams
+    tech = em.TechParams()
     p.add_argument("--scale-a", type=_finite, default=tech.scale_A)
     p.add_argument("--exponent-n", type=_finite, default=tech.exponent_n)
     p.add_argument("--activation-ea", type=_finite, default=tech.activation_energy_ea,
@@ -247,8 +247,8 @@ _SIGNAL_FLAGS = (
     _float_arg("--vdd", required=True, help="supply, V"),
     _float_arg("--freq", required=True, help="clock, Hz"),
     _float_arg("--toggle", required=True, help="switching probability in [0, 1]"),
-    _float_arg("--rise", default=em.SignalElectricals.rise_tr, help="rise time, s"),
-    _float_arg("--fall", default=em.SignalElectricals.fall_tf, help="fall time, s"),
+    _float_arg("--rise", default=em.SignalElectricals._field_defaults["rise_tr"], help="rise time, s"),
+    _float_arg("--fall", default=em.SignalElectricals._field_defaults["fall_tf"], help="fall time, s"),
 )
 
 
@@ -285,7 +285,7 @@ EM_CALC = {
     "reduced-irms": (
         "allowed RMS current for a longer target lifetime",
         (_float_arg("--i-max", required=True, help="sign-off RMS current limit, A"),
-         _float_arg("--mtf-tech", default=em.RmsLimit.mtf_technology,
+         _float_arg("--mtf-tech", default=em.RmsLimit._field_defaults["mtf_technology"],
                     help="lifetime the limit is specified for"),
          _float_arg("--mtf-reduced", required=True, help="target lifetime")),
         lambda a: em.reduced_rms_current(

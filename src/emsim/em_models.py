@@ -24,7 +24,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Boltzmann constant in eV/K (CODATA; exact under the 2019 SI).
 BOLTZMANN_EV_PER_K = 8.617333262e-5
@@ -55,8 +55,14 @@ def celsius_to_kelvin(temp_c: float) -> float:
     return temp_c + 273.15
 
 
-@dataclass(frozen=True)
-class TechParams:
+class _TechParams(NamedTuple):
+    scale_A: float = 1.0
+    exponent_n: float = 2.0
+    activation_energy_ea: float = 0.0
+    temperature_t: float = 378.15  # 105 C, the usual sign-off corner
+
+
+class TechParams(_TechParams):
     """Process/fit constants of the MTF laws.
 
     scale_A carries whatever MTF unit the fit was made in and cancels in
@@ -65,12 +71,10 @@ class TechParams:
     in kelvin.
     """
 
-    scale_A: float = 1.0
-    exponent_n: float = 2.0
-    activation_energy_ea: float = 0.0
-    temperature_t: float = 378.15  # 105 C, the usual sign-off corner
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.scale_A <= 0:
             raise ValueError("scale_A must be > 0")
         if self.exponent_n <= 0:
@@ -79,36 +83,35 @@ class TechParams:
             raise ValueError("activation_energy_ea must be >= 0")
         if self.temperature_t <= 0:
             raise ValueError("temperature_t must be > 0 (kelvin)")
+        return self
 
     def thermal_factor(self) -> float:
         """exp(Ea / (kB * T)), shared by both MTF laws."""
         return math.exp(self.activation_energy_ea / (BOLTZMANN_EV_PER_K * self.temperature_t))
 
 
-@dataclass(frozen=True)
-class WireGeometry:
-    """Metal cross-section: width and height in meters."""
-
+class _WireGeometry(NamedTuple):
     width_w: float
     height_h: float
 
-    def __post_init__(self):
+
+class WireGeometry(_WireGeometry):
+    """Metal cross-section: width and height in meters."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.width_w <= 0 or self.height_h <= 0:
             raise ValueError("wire width and height must be > 0")
+        return self
 
     @property
     def area(self) -> float:
         return self.width_w * self.height_h
 
 
-@dataclass(frozen=True)
-class SignalElectricals:
-    """Electrical parameters of one signal net.
-
-    toggle_p is the switching probability per cycle; frequency_f doubles as
-    the maximum clock frequency in the RMS MTF law.
-    """
-
+class _SignalElectricals(NamedTuple):
     capacitance_c: float
     supply_vdd: float
     frequency_f: float
@@ -116,7 +119,18 @@ class SignalElectricals:
     rise_tr: float = 1e-10
     fall_tf: float = 1e-10
 
-    def __post_init__(self):
+
+class SignalElectricals(_SignalElectricals):
+    """Electrical parameters of one signal net.
+
+    toggle_p is the switching probability per cycle; frequency_f doubles as
+    the maximum clock frequency in the RMS MTF law.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.capacitance_c < 0:
             raise ValueError("capacitance_c must be >= 0")
         if self.supply_vdd <= 0:
@@ -127,18 +141,24 @@ class SignalElectricals:
             raise ValueError("toggle_p must be within [0, 1]")
         if self.rise_tr <= 0 or self.fall_tf <= 0:
             raise ValueError("rise/fall times must be > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class RmsLimit:
-    """Foundry RMS-current limit and the technology MTF it guarantees."""
-
+class _RmsLimit(NamedTuple):
     i_rms_max: float
     mtf_technology: float = 10.0  # years
 
-    def __post_init__(self):
+
+class RmsLimit(_RmsLimit):
+    """Foundry RMS-current limit and the technology MTF it guarantees."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.i_rms_max <= 0 or self.mtf_technology <= 0:
             raise ValueError("RMS limit fields must be > 0")
+        return self
 
 
 def black_mtf(tech: TechParams, current_density_j: float) -> float:

@@ -34,8 +34,8 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, level_configs, split_codes
@@ -55,11 +55,7 @@ STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """A simulate run's settings. Every field is checked here, whichever
-    structures are selected, so a constructed SimConfig always runs."""
-
+class _SimConfig(NamedTuple):
     structures: tuple[str, ...] = STRUCTURES
     alu_units: int = 3
     alu_policy: str = TOGGLE_BALANCE
@@ -69,7 +65,15 @@ class SimConfig:
     cache_overrides: dict | None = None
     charge_rotation_writebacks: bool = True
 
-    def __post_init__(self):
+
+class SimConfig(_SimConfig):
+    """A simulate run's settings. Every field is checked here, whichever
+    structures are selected, so a constructed SimConfig always runs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         unknown = set(self.structures) - set(STRUCTURES)
         if unknown:
             raise ConfigError(f"unknown structures: {sorted(unknown)}")
@@ -101,6 +105,7 @@ class SimConfig:
         if type(self.charge_rotation_writebacks) is not bool:
             raise ConfigError("count_rotation_writebacks must be a boolean")
         level_configs(self.rotation_period, self.cache_overrides)
+        return self
 
 
 def run_simulation(trace: Trace, cfg: SimConfig):

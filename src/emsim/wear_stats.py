@@ -17,8 +17,7 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .em_models import UNBOUNDED, Unbounded, mtf_improvement
 
@@ -28,16 +27,14 @@ _BIN_UPPER = (25, 50, 75, 90)
 Improvement = Union[float, Unbounded]
 
 
-@dataclass(frozen=True)
-class WriteHistogram:
+class WriteHistogram(NamedTuple):
     bins: tuple[int, int, int, int, int]
     max_writes: int
     avg_writes: float
     num_entries: int
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     structure: str
     num_entries: int
     histogram_baseline: WriteHistogram

@@ -20,9 +20,8 @@ import bisect
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
 from itertools import starmap
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .rng import SplitMix64
 
@@ -45,19 +44,16 @@ class ConfigError(ValueError):
     """Invalid generator spec or run configuration."""
 
 
-@dataclass(frozen=True, slots=True)
-class AluIssue:
+class AluIssue(NamedTuple):
     ready_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class RegWrite:
+class RegWrite(NamedTuple):
     reg_class: str
     arch_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class MemAccess:
+class MemAccess(NamedTuple):
     kind: str  # READ | WRITE
     address: int  # byte address
     space: str  # DATA | INSTR
@@ -66,8 +62,7 @@ class MemAccess:
 Payload = Union[AluIssue, RegWrite, MemAccess]
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     cycle: int
     payload: Payload
 
@@ -88,18 +83,25 @@ ALU, REG, MEM = range(3)  # an event's kind in Trace.kinds
 _CYCLE_BOUND = 1 << 64  # cycles are held as 8-byte unsigned ints
 
 
-@dataclass(frozen=True, slots=True)
 class Trace:
     """A trace held as one column per structure, by kind: values[ALU] holds
     the ALU records' ready counts, values[REG] the register writes' (class,
     id) keys and values[MEM] the memory records' mem_codes, each beside its
     cycles[kind], an array of 8-byte unsigned ints. kinds holds each event's
     kind in file order, so iterating yields the Events in order, memory
-    records as MemAccess."""
+    records as MemAccess. Trace() is the empty trace."""
 
-    kinds: bytearray = field(default_factory=bytearray)
-    cycles: tuple[array, ...] = field(default_factory=lambda: tuple(array("Q") for _ in range(3)))
-    values: tuple[list, ...] = field(default_factory=lambda: ([], [], []))
+    __slots__ = ("kinds", "cycles", "values")
+
+    def __init__(self, kinds=None, cycles=None, values=None):
+        self.kinds = bytearray() if kinds is None else kinds
+        self.cycles = tuple(array("Q") for _ in range(3)) if cycles is None else cycles
+        self.values = ([], [], []) if values is None else values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kinds, self.cycles, self.values) == (other.kinds, other.cycles, other.values)
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> Trace:
@@ -309,8 +311,7 @@ def save_trace(path, events: Iterable[Event], header: str | None = None) -> None
 # --- synthetic workload generation -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZipfRegWrites:
+class ZipfRegWrites(NamedTuple):
     """Register writes with rank-frequency weight (rank+1)^-s over num_regs."""
 
     num_regs: int
@@ -318,8 +319,7 @@ class ZipfRegWrites:
     KIND = "zipf-reg-writes"
 
 
-@dataclass(frozen=True)
-class SkewedAddrs:
+class SkewedAddrs(NamedTuple):
     """Data accesses over working_set_lines cache lines, a hot_fraction of
     which receives hot_weight times the base access weight."""
 
@@ -330,8 +330,7 @@ class SkewedAddrs:
     KIND = "skewed-addrs"
 
 
-@dataclass(frozen=True)
-class AluBursts:
+class AluBursts(NamedTuple):
     """One ALU issue per cycle, width drawn from width_distribution, which
     lists one relative weight per width 0..max_width."""
 
@@ -343,13 +342,17 @@ class AluBursts:
 Kind = Union[ZipfRegWrites, SkewedAddrs, AluBursts]
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class _GenSpec(NamedTuple):
     seed: int
     length: int
     kind: Kind
 
-    def __post_init__(self):
+
+class GenSpec(_GenSpec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
         if self.length < 0:
@@ -380,6 +383,7 @@ class GenSpec:
                 raise ConfigError("width weights must not all be zero")
         else:
             raise ConfigError(f"unknown generator kind {k!r}")
+        return self
 
 
 def _cumulative(weights) -> list[float]:
@@ -484,7 +488,7 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     for field, want in fields.items():
         if field in doc:
             kwargs[field] = _typed(doc, field, want)
-        elif field != "line_bytes":  # the one field with a default
+        elif field not in cls._field_defaults:
             raise ConfigError(f"generator kind {kind_name!r} requires field {field!r}")
     extra = set(doc) - {"kind", "seed", "length", *fields}
     if extra:
@@ -494,7 +498,6 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
 
 def genspec_to_json(spec: GenSpec) -> dict:
     doc = {"kind": spec.kind.KIND, "seed": spec.seed, "length": spec.length}
-    for field in _KIND_FIELDS[spec.kind.KIND][1]:
-        value = getattr(spec.kind, field)
+    for field, value in spec.kind._asdict().items():
         doc[field] = list(value) if isinstance(value, tuple) else value
     return doc

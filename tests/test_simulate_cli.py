@@ -844,7 +844,9 @@ def test_cli_em_calc_k2(capsys):
     assert value == pytest.approx((2e11) ** 0.5)
 
 
-# one invocation per subcommand and flag group; stdout pinned byte for byte
+# one invocation per subcommand and flag group; stdout pinned byte for byte.
+# For each subcommand with defaulted flags (the tech flags, --rise, --fall,
+# --mtf-tech), one invocation leaves all of them out.
 EM_CALC_GOLDEN = [
     ("black-mtf --scale-a 8.0 --exponent-n 2.0 --activation-ea 0.7 "
      "--current-density 3e9 --temp-k 350",
@@ -855,6 +857,9 @@ EM_CALC_GOLDEN = [
     ("black-mtf --current-density 2e10", "black-mtf = 2.5e-21 time-units"),
     ("current-density --capacitance 1e-15 --vdd 1.1 --freq 3e9 --toggle 0.25 "
      "--rise 2e-11 --fall 3e-11 --width 1e-7 --height 2e-7",
+     "current-density = 41250000.00000001 A/m^2"),
+    ("current-density --capacitance 1e-15 --vdd 1.1 --freq 3e9 --toggle 0.25 "
+     "--width 1e-7 --height 2e-7",
      "current-density = 41250000.00000001 A/m^2"),
     ("reduced-irms --i-max 2e-3 --mtf-tech 7 --mtf-reduced 10",
      "reduced-irms = 0.001673320053068151 A"),
@@ -868,6 +873,9 @@ EM_CALC_GOLDEN = [
     ("rms-mtf --scale-a 2.0 --activation-ea 0.5 --temp-k 360 --width 1e-7 "
      "--height 2e-7 --capacitance 1e-15 --vdd 1.1 --freq 3e9 --toggle 0.3",
      "rms-mtf = 2.9343096842629107e-30 time-units"),
+    ("rms-mtf --width 1e-7 --height 2e-7 --capacitance 1e-15 --vdd 1.1 --freq 3e9 "
+     "--toggle 0.3",
+     "rms-mtf = 7.346189164370975e-45 time-units"),
     ("rms-mtf --width 1e-7 --height 2e-7 --capacitance 1e-15 --vdd 1.1 "
      "--freq 3e9 --toggle 0",
      "rms-mtf = unbounded (zero toggle probability)"),
