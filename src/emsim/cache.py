@@ -8,11 +8,15 @@ record the wear the rotation is meant to spread.
 
 Each cache keeps one LRU model: per set a list of its resident blocks,
 most recently used first (the LRU stack of Mattson et al., IBM Sys. J.
-1970), and a dict from every resident block to its entry index (set * ways
-+ way), where its write counters live. An eviction pops the set's LRU block
-and takes its entry back from the dict, so no entry records its block. A
-fill takes the lowest free way and only a rotation frees lines, so a set's
-resident ways are always 0 .. len(list) - 1.
+1970), and a dict from every resident block to its way. The block's set
+follows from the block and the rotation, so its entry index (set * ways +
+way), where its write counters live, is computed where it is needed: on a
+write hit, a fill or an eviction. A way is a small int that CPython
+shares, so the dict holds no int of its own per resident line. An
+eviction pops the set's LRU block and takes its way back from the dict,
+so no entry records its block. A fill takes the lowest free way and only
+a rotation frees lines, so a set's resident ways are always 0 ..
+len(list) - 1.
 
 Write accounting: a write hit and a line fill each count as one write to
 the touched entry (a fill rewrites the whole line). Invalidation clears
@@ -24,14 +28,13 @@ pages), so a "block address" there is just the page number.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
+from .records import Checked
 from .workload import ConfigError
 
 _PAGE_SHIFT = 14  # 4 KiB pages: a record's mem_code >> 14 is its page number
 CHUNK_RECORDS = 1024  # records of one structure per replay slice
-LEVEL_ROLES = ("L1D", "L1I", "L2", "L3", "DTLB", "ITLB", "STLB")
 
 
 def _power_of_two(x: int) -> bool:
@@ -47,7 +50,7 @@ class _CacheConfig(NamedTuple):
     write_allocate: bool = True
 
 
-class CacheConfig(_CacheConfig):
+class CacheConfig(Checked, _CacheConfig):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -79,7 +82,7 @@ class RotatingCache:
         self.config = config
         self.rot_counter = 0
         n = config.sets * config.ways
-        self._where: dict[int, int] = {}  # resident block -> entry index
+        self._where: dict[int, int] = {}  # resident block -> way
         self._lru = [[] for _ in range(config.sets)]  # resident blocks, MRU first
         self._dirty = bytearray(n)
         self.line_writes = [0] * n  # per entry, set-major
@@ -136,13 +139,14 @@ class RotatingCache:
             x = stream[k]
             block = x >> shift
             s = (block + rot) & sets_mask
-            e = where.get(block)
-            if e is not None:
+            way = where.get(block)
+            if way is not None:
                 lru = lrus[s]
                 if lru[0] != block:
                     lru.remove(block)
                     lru.insert(0, block)
                 if x & 1:
+                    e = s * ways + way
                     dirty[e] = 1
                     line_writes[e] += 1
                 continue
@@ -150,17 +154,19 @@ class RotatingCache:
                 emit(x)  # a write miss that does not allocate passes below
             else:
                 lru = lrus[s]
-                if len(lru) < ways:
-                    e = s * ways + len(lru)
+                way = len(lru)
+                if way < ways:
+                    e = s * ways + way
                 else:
                     victim = lru.pop()
-                    e = where.pop(victim)
+                    way = where.pop(victim)
+                    e = s * ways + way
                     if dirty[e]:
                         emit(victim << shift | 1)
                         if sent_by:
                             sent_by(k)
                 lru.insert(0, block)
-                where[block] = e
+                where[block] = way
                 dirty[e] = x & 1
                 line_writes[e] += 1
                 fills += 1
@@ -177,14 +183,18 @@ class RotatingCache:
         either way)."""
         cfg = self.config
         shift = cfg.line_bytes.bit_length()
-        # resident lines only, set-major and way-ascending (entry index order):
-        # the order the write-backs reach the level below decides its LRU state
-        resident = sorted(self._where.items(), key=itemgetter(1))
-        writebacks = [block << shift | 1 for block, e in resident if self._dirty[e]]
+        rot, sets_mask, ways = self.rot_counter, cfg.sets - 1, cfg.ways
+        where, lrus = self._where, self._lru
+        # resident lines only, by entry index (set-major, way-ascending): the
+        # order the write-backs reach the level below decides its LRU state
+        block_at = {((block + rot) & sets_mask) * ways + way: block
+                    for block, way in where.items()}
+        writebacks = [block_at[e] << shift | 1
+                      for e in sorted(filter(self._dirty.__getitem__, block_at))]
         self.rotation_writebacks += len(writebacks)
-        for s in {e // cfg.ways for _, e in resident}:
-            self._lru[s].clear()
-        self._where.clear()
+        for s in {(block + rot) & sets_mask for block in where}:
+            lrus[s].clear()
+        where.clear()
         self.rot_counter = (self.rot_counter + 1) % cfg.sets
         return writebacks if self.charge_rotation_writebacks else []
 
@@ -202,6 +212,7 @@ _DEFAULT_GEOMETRY = {
     "ITLB": dict(sets=32, ways=4, line_bytes=1),
     "STLB": dict(sets=128, ways=4, line_bytes=1),
 }
+LEVEL_ROLES = tuple(_DEFAULT_GEOMETRY)
 
 
 class Hierarchy:

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .records import Checked
+
 # Boltzmann constant in eV/K (CODATA; exact under the 2019 SI).
 BOLTZMANN_EV_PER_K = 8.617333262e-5
 
@@ -62,7 +64,7 @@ class _TechParams(NamedTuple):
     temperature_t: float = 378.15  # 105 C, the usual sign-off corner
 
 
-class TechParams(_TechParams):
+class TechParams(Checked, _TechParams):
     """Process/fit constants of the MTF laws.
 
     scale_A carries whatever MTF unit the fit was made in and cancels in
@@ -95,7 +97,7 @@ class _WireGeometry(NamedTuple):
     height_h: float
 
 
-class WireGeometry(_WireGeometry):
+class WireGeometry(Checked, _WireGeometry):
     """Metal cross-section: width and height in meters."""
 
     __slots__ = ()
@@ -120,7 +122,7 @@ class _SignalElectricals(NamedTuple):
     fall_tf: float = 1e-10
 
 
-class SignalElectricals(_SignalElectricals):
+class SignalElectricals(Checked, _SignalElectricals):
     """Electrical parameters of one signal net.
 
     toggle_p is the switching probability per cycle; frequency_f doubles as
@@ -149,7 +151,7 @@ class _RmsLimit(NamedTuple):
     mtf_technology: float = 10.0  # years
 
 
-class RmsLimit(_RmsLimit):
+class RmsLimit(Checked, _RmsLimit):
     """Foundry RMS-current limit and the technology MTF it guarantees."""
 
     __slots__ = ()

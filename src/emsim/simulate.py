@@ -18,11 +18,11 @@ structure after another, since they share no state:
 * cache: the memory records run through one hierarchy at a time, a split
   slice per access() call: first the baseline, which never rotates, then
   the aware copy, which rotates each level every rotation_period
-  accesses. Only the baseline's per-entry and per-set write counts outlive
-  its replay, so at most one hierarchy is alive at a time, beside those
-  counts; each splits the slices for itself. A trace without memory
-  records builds no hierarchy: each level's rows are idle rows of the
-  size its geometry gives.
+  accesses. Only the histograms of each level's per-entry and per-set
+  write counts outlive a replay, so at most one hierarchy, and no other
+  count vector, is alive at a time; each splits the slices for itself. A
+  trace without memory records builds no hierarchy: each level's rows are
+  idle rows of the size its geometry gives.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -39,10 +39,14 @@ from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, level_configs, split_codes
+from .records import Checked
 from .regfile import DEFAULT_ROTATION_PERIOD, RING_PRESETS, RotatingRegFile
 from .wear_stats import (
     StructureReport,
+    WriteHistogram,
     geo_mean,
+    histogram,
+    histogram_report,
     idle_report,
     improvement_report,
     improvement_to_json,
@@ -66,7 +70,7 @@ class _SimConfig(NamedTuple):
     charge_rotation_writebacks: bool = True
 
 
-class SimConfig(_SimConfig):
+class SimConfig(Checked, _SimConfig):
     """A simulate run's settings. Every field is checked here, whichever
     structures are selected, so a constructed SimConfig always runs."""
 
@@ -177,7 +181,7 @@ def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
                 for row, n in (("lines", levels[role].sets * levels[role].ways),
                                ("tags", levels[role].sets))]
     # one hierarchy at a time: the never-rotating baseline, which takes the
-    # overrides' geometry only, is replayed to its counters and let go
+    # overrides' geometry only, is replayed to its histograms and let go
     # before the aware copy is built
     geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}
                 for role, fields in (cfg.cache_overrides or {}).items()}
@@ -189,19 +193,21 @@ def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
     reports = []
     for role in LEVEL_ROLES:
         (b_lines, b_sets), (a_lines, a_sets) = base[role], aware[role]
-        reports.append(improvement_report(b_lines, a_lines, f"cache.{role}.lines"))
-        reports.append(improvement_report(b_sets, a_sets, f"cache.{role}.tags"))
+        reports.append(histogram_report(b_lines, a_lines, f"cache.{role}.lines"))
+        reports.append(histogram_report(b_sets, a_sets, f"cache.{role}.tags"))
     return reports
 
 
-def _replay_hierarchy(codes: list[int], **settings) -> dict[str, tuple[list[int], list[int]]]:
+def _replay_hierarchy(codes: list[int],
+                      **settings) -> dict[str, tuple[WriteHistogram, WriteHistogram]]:
     """Replays every memory record through a hierarchy built with settings,
-    one split batch at a time, and keeps only each level's (line_writes,
-    set_writes): the rest of the hierarchy goes when this returns."""
+    one split batch at a time, and keeps only the histograms of each level's
+    line_writes and set_writes: the rest of the hierarchy goes when this
+    returns."""
     hierarchy = build_hierarchy(**settings)
     for start in range(0, len(codes), CHUNK_RECORDS):
         hierarchy.access(split_codes(codes[start:start + CHUNK_RECORDS]))
-    return {role: (level.line_writes, level.set_writes)
+    return {role: (histogram(level.line_writes), histogram(level.set_writes))
             for role, level in hierarchy.caches.items()}
 
 

@@ -97,22 +97,33 @@ def improvement_report(baseline_counts: Sequence[int],
                        include_counts: bool = False) -> StructureReport:
     """Reads the two count vectors in place; only a report that keeps its
     counts takes a copy of them."""
-    if len(baseline_counts) != len(aware_counts):
+    return histogram_report(
+        histogram(baseline_counts), histogram(aware_counts), structure,
+        counts_baseline=tuple(baseline_counts) if include_counts else None,
+        counts_aware=tuple(aware_counts) if include_counts else None)
+
+
+def histogram_report(hist_baseline: WriteHistogram,
+                     hist_aware: WriteHistogram,
+                     structure: str,
+                     counts_baseline: tuple[int, ...] | None = None,
+                     counts_aware: tuple[int, ...] | None = None) -> StructureReport:
+    """The report row of two runs' histograms: a caller that histograms its
+    counters as it lets them go keeps no count vector for the row."""
+    if hist_baseline.num_entries != hist_aware.num_entries:
         raise ValueError(
-            f"{structure}: baseline has {len(baseline_counts)} entries, "
-            f"aware has {len(aware_counts)}; the runs must cover one structure")
-    hb = histogram(baseline_counts)
-    ha = histogram(aware_counts)
+            f"{structure}: baseline has {hist_baseline.num_entries} entries, "
+            f"aware has {hist_aware.num_entries}; the runs must cover one structure")
     return StructureReport(
         structure=structure,
-        num_entries=hb.num_entries,
-        histogram_baseline=hb,
-        histogram_aware=ha,
-        avg_to_max_baseline=_ratio_or_zero(hb),
-        avg_to_max_aware=_ratio_or_zero(ha),
-        mtf_improvement=improvement_from_maxima(hb.max_writes, ha.max_writes),
-        counts_baseline=tuple(baseline_counts) if include_counts else None,
-        counts_aware=tuple(aware_counts) if include_counts else None,
+        num_entries=hist_baseline.num_entries,
+        histogram_baseline=hist_baseline,
+        histogram_aware=hist_aware,
+        avg_to_max_baseline=_ratio_or_zero(hist_baseline),
+        avg_to_max_aware=_ratio_or_zero(hist_aware),
+        mtf_improvement=improvement_from_maxima(hist_baseline.max_writes, hist_aware.max_writes),
+        counts_baseline=counts_baseline,
+        counts_aware=counts_aware,
     )
 
 
@@ -121,10 +132,7 @@ def idle_report(num_entries: int, structure: str) -> StructureReport:
     num_entries (>= 1) entries, built without them."""
     hist = WriteHistogram(bins=(num_entries, 0, 0, 0, 0), max_writes=0,
                           avg_writes=0.0, num_entries=num_entries)
-    return StructureReport(structure=structure, num_entries=num_entries,
-                           histogram_baseline=hist, histogram_aware=hist,
-                           avg_to_max_baseline=0.0, avg_to_max_aware=0.0,
-                           mtf_improvement=0.0)
+    return histogram_report(hist, hist, structure)
 
 
 def geo_mean(improvements: Iterable[Improvement]) -> Improvement:

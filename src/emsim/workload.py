@@ -23,6 +23,7 @@ from array import array
 from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple, Union
 
+from .records import Checked
 from .rng import SplitMix64
 
 REG_CLASSES = ("GPR", "FP", "FLAGS", "SP")
@@ -134,6 +135,7 @@ class Trace:
 
 _KIND_BIT = {"R": 0, "W": 2}  # a memory record's letters as mem_code bits
 _SPACE_BIT = {"D": 0, "I": 1}
+PARSE_MEMO_TEXTS = 1 << 13  # the most record texts parse_trace keeps at once
 
 
 def _strict_int(text: str) -> int:
@@ -152,10 +154,12 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     below 2**64. Raises TraceParseError with the offending line number on
     malformed input, decreasing cycles, or two ALU issues in one cycle.
 
-    Every valid record is also kept, as its kind and column value, by its
-    text after "<cycle> ": a later line with that text and a plain ASCII-digit
-    cycle field costs one lookup plus the cycle checks and shares the value.
-    Every other line is split and checked field by field.
+    Valid records are also kept, as kind and column value, by their text
+    after "<cycle> " (at most PARSE_MEMO_TEXTS texts: a full memo is emptied
+    first): a later line with that text and a plain ASCII-digit cycle field
+    costs one lookup plus the cycle checks and shares the value, so register
+    keys are shared within a memo generation. Other lines are checked field
+    by field.
     """
     trace = Trace()
     add_kind = trace.kinds.append
@@ -226,6 +230,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             # the rest of the line stands for this valid record, if the
             # cycle field is all of the text before it
             if (tag != "A" or record[1] >= 0) and cycle_text.isascii() and cycle_text.isdigit():
+                if len(records) >= PARSE_MEMO_TEXTS:
+                    records.clear()
                 records[rest] = record
             cycle_text = fields[0]
 
@@ -348,7 +354,7 @@ class _GenSpec(NamedTuple):
     kind: Kind
 
 
-class GenSpec(_GenSpec):
+class GenSpec(Checked, _GenSpec):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):

@@ -30,13 +30,13 @@ def assert_same_counters(mine, ref):
 
 
 def assert_lru_state(mine, ref):
-    """The block map sends each set's LRU list onto a permutation of its
-    resident entries base .. base+len-1, and holds exactly the resident
-    blocks."""
-    ways = mine.config.ways
+    """Each set's LRU list holds blocks that map to that set, the block map
+    sends it onto a permutation of its resident ways 0 .. len-1, and the
+    block map holds exactly the resident blocks."""
+    sets_mask = mine.config.sets - 1
     for s, lru in enumerate(mine._lru):
-        assert sorted(mine._where[block] for block in lru) == \
-            list(range(s * ways, s * ways + len(lru)))
+        assert all((block + mine.rot_counter) & sets_mask == s for block in lru)
+        assert sorted(mine._where[block] for block in lru) == list(range(len(lru)))
     resident = [block for lru in mine._lru for block in lru]
     assert len(resident) == len(mine._where)
     assert set(resident) == set(mine._where) == ref.resident_blocks()

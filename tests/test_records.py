@@ -250,6 +250,39 @@ def test_checked_records_reject_bad_values(build, exc_type, message):
     assert str(excinfo.value) == message
 
 
+# a valid checked record, one field made bad, the exception type, its message
+REPLACED = [
+    (GenSpec(1, 10, ZIPF), {"length": -1}, ConfigError, "length must be >= 0"),
+    (CacheConfig("L1", 64, 8, 64), {"sets": 3}, ValueError,
+     "L1: sets must be a power of two, got 3"),
+    (SimConfig(), {"alu_units": 0}, ConfigError, "alu_units must be >= 1"),
+    (TechParams(), {"temperature_t": 0.0}, ValueError, "temperature_t must be > 0 (kelvin)"),
+    (WireGeometry(1e-7, 2e-7), {"height_h": 0.0}, ValueError,
+     "wire width and height must be > 0"),
+    (SignalElectricals(1e-15, 1.1, 3e9, 0.25), {"toggle_p": 1.5}, ValueError,
+     "toggle_p must be within [0, 1]"),
+    (RmsLimit(2e-3), {"mtf_technology": 0.0}, ValueError, "RMS limit fields must be > 0"),
+]
+
+
+@pytest.mark.parametrize("record,bad,exc_type,message", REPLACED,
+                         ids=[type(r).__name__ for r, *_ in REPLACED])
+def test_replace_and_make_check_as_the_constructor_does(record, bad, exc_type, message):
+    cls = type(record)
+    for build in (lambda: record._replace(**bad),
+                  lambda: cls._make({**record._asdict(), **bad}.values())):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert excinfo.type is exc_type
+        assert str(excinfo.value) == message
+    # a good copy still builds, as the record's own type
+    copy = record._replace()
+    assert copy == record and type(copy) is cls
+    assert cls._make(iter(record)) == record and type(cls._make(record)) is cls
+    with pytest.raises(TypeError, match=f"Expected {len(record)} arguments, got 0"):
+        cls._make(())
+
+
 # --- Trace ----------------------------------------------------------------------
 
 EVENTS = [Event(0, AluIssue(2)), Event(0, RegWrite("GPR", 3)),

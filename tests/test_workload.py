@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from emsim.workload import (
     ALU,
     MEM,
+    PARSE_MEMO_TEXTS,
     REG,
     AluBursts,
     AluIssue,
@@ -173,6 +174,27 @@ def test_parsed_trace_holds_few_bytes_per_event():
     assert held / len(trace) < 22
 
 
+def _parse_margin(n):
+    """Peak traced memory of parsing n memory records with distinct texts,
+    less what the parsed trace holds."""
+    lines = [f"{c} M {'RW'[c % 2]} {c * 64} D\n" for c in range(n)]
+    tracemalloc.start()
+    try:
+        trace = parse_trace(lines)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    return peak - held
+
+
+def test_parse_memo_memory_stays_flat_in_the_distinct_records():
+    # the memo keeps at most PARSE_MEMO_TEXTS texts, about 150 B each, so
+    # past that many distinct records its memory no longer grows
+    assert _parse_margin(50_000) <= 1.5 * 2 ** 20
+    assert _parse_margin(100_000) <= _parse_margin(25_000) + 64 * 1024
+
+
 def test_readme_trace_example_parses():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Trace format", 1)[1]
@@ -320,6 +342,45 @@ def test_parse_matches_reference(lines):
 ])
 def test_parse_of_seen_records_matches_reference(lines):
     assert_parse_matches_reference(lines)
+
+
+MEMO_TEXTS = [(f"M {'RW'[i % 2]} {i * 64} {'DI'[i % 5 == 0]}", f"A {i}", f"R GPR {i}")[i % 3]
+              for i in range(PARSE_MEMO_TEXTS * 3 // 2)]
+
+
+def memo_clearing_lines(tail=()):
+    """A line for each of MEMO_TEXTS, which are distinct, so the parse memo
+    clears once; then its first 300 texts, cleared by then, its last 300,
+    still kept, and its first 300 again; then tail, (cycle, text) pairs
+    whose cycle None means the cycle after the last one."""
+    texts = MEMO_TEXTS + MEMO_TEXTS[:300] + MEMO_TEXTS[-300:] + MEMO_TEXTS[:300]
+    lines = [f"{c} {text}\n" for c, text in enumerate(texts)]
+    return lines + [f"{len(texts) if c is None else c} {text}\n" for c, text in tail]
+
+
+# MEMO_TEXTS[1] and [4] are ALU texts seen again after the clear, [301] and
+# [304] ALU texts not seen again, [402] a memory text not seen again
+@pytest.mark.parametrize("tail", [
+    [],
+    [(None, "M X 64 D")],
+    [(None, "R GPR -1")],
+    [(None, MEMO_TEXTS[402]), (3, MEMO_TEXTS[402])],
+    [(None, MEMO_TEXTS[4]), (3, MEMO_TEXTS[4])],
+    [(None, MEMO_TEXTS[301]), (None, MEMO_TEXTS[304])],
+    [(None, MEMO_TEXTS[1]), (None, MEMO_TEXTS[4])],
+], ids=["valid", "bad-kind", "bad-id", "decreasing-cleared", "decreasing-kept",
+        "second-alu-cleared", "second-alu-kept"])
+def test_parse_across_a_memo_clear_matches_reference(tail):
+    assert_parse_matches_reference(memo_clearing_lines(tail))
+
+
+def test_register_keys_are_shared_within_one_memo_generation():
+    first, *seen_again = [key for key in parse_trace(memo_clearing_lines()).values[REG]
+                          if key == ("GPR", 2)]
+    assert len(seen_again) == 2
+    # the first generation's key went with the clear; the two later lines
+    # share the one key their generation made
+    assert first is not seen_again[0] and seen_again[0] is seen_again[1]
 
 
 def test_parse_error_carries_line_number():
