@@ -34,7 +34,6 @@ from .records import Checked
 from .workload import ConfigError
 
 _PAGE_SHIFT = 14  # 4 KiB pages: a record's mem_code >> 14 is its page number
-CHUNK_RECORDS = 1024  # records of one structure per replay slice
 
 
 def _power_of_two(x: int) -> bool:

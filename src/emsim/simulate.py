@@ -2,9 +2,10 @@
 a wear-aware variant of each selected structure, and the per-entry write
 counters of the two runs become one StructureReport per structure.
 
-A Trace holds one column per structure. Each selected structure is
-replayed from its own column, CHUNK_RECORDS records at a time, one
-structure after another, since they share no state:
+A Trace holds one column per structure: the ALU ready counts, the
+register keys beside their cycles, and the memory record codes. Each
+selected structure is replayed from its own column, CHUNK_RECORDS records
+at a time, one structure after another, since they share no state:
 
 * alu: each ready count asks both allocators for min(ready_count, units)
   units (a trace may request more than exist; the grant saturates); a
@@ -38,7 +39,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
-from .cache import CHUNK_RECORDS, LEVEL_ROLES, build_hierarchy, level_configs, split_codes
+from .cache import LEVEL_ROLES, build_hierarchy, level_configs, split_codes
 from .records import Checked
 from .regfile import DEFAULT_ROTATION_PERIOD, RING_PRESETS, RotatingRegFile
 from .wear_stats import (
@@ -53,10 +54,11 @@ from .wear_stats import (
     write_reports_csv,
     write_reports_json,
 )
-from .workload import ALU, MEM, REG, ConfigError, Trace
+from .workload import ConfigError, Trace
 
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
+CHUNK_RECORDS = 1024  # records of one structure per replay slice
 
 
 class _SimConfig(NamedTuple):
@@ -116,11 +118,11 @@ def run_simulation(trace: Trace, cfg: SimConfig):
     """Returns (reports, summary)."""
     reports: list[StructureReport] = []
     if "alu" in cfg.structures:
-        reports.append(_replay_alu(trace.values[ALU], cfg))
+        reports.append(_replay_alu(trace.alu, cfg))
     if "regfile" in cfg.structures:
-        reports.append(_replay_regfile(trace.cycles[REG], trace.values[REG], cfg))
+        reports.append(_replay_regfile(trace.reg_cycles, trace.reg_keys, cfg))
     if "cache" in cfg.structures:
-        reports += _replay_caches(trace.values[MEM], cfg)
+        reports += _replay_caches(trace.mem, cfg)
 
     summary = {
         "structures": list(cfg.structures),
@@ -130,11 +132,10 @@ def run_simulation(trace: Trace, cfg: SimConfig):
         "rotation_period": cfg.rotation_period,
         "count_rotation_shifts": cfg.count_rotation_shifts,
         "events": len(trace),
-        "alu_issues": len(trace.values[ALU]),
-        "reg_writes": len(trace.values[REG]),
-        "mem_accesses": len(trace.values[MEM]),
-        # the last event's cycle is the last in its kind's column
-        "cycles": trace.cycles[trace.kinds[-1]][-1] + 1 if trace.kinds else 0,
+        "alu_issues": len(trace.alu),
+        "reg_writes": len(trace.reg_keys),
+        "mem_accesses": len(trace.mem),
+        "cycles": trace.cycles,
         "geo_mean_improvement": _aggregate(reports),
     }
     return reports, summary
@@ -150,7 +151,7 @@ def _replay_alu(counts: list[int], cfg: SimConfig) -> StructureReport:
             ks = [k if k <= units else units for k in ks]
         base.allocate(ks)
         aware.allocate(ks)
-    return improvement_report(base.usage, aware.usage, "alu", include_counts=True)
+    return improvement_report(base.usage, aware.usage, "alu")
 
 
 def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureReport:
@@ -171,7 +172,7 @@ def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureRepor
             base.write(positions, values)
             _write_by_epoch(aware, positions, values)
     return improvement_report(base.phys_writes, aware.phys_writes,
-                              f"regfile.{cfg.regfile_preset}", include_counts=True)
+                              f"regfile.{cfg.regfile_preset}")
 
 
 def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:

@@ -93,14 +93,11 @@ def improvement_from_maxima(max_baseline: int, max_aware: int) -> Improvement:
 
 def improvement_report(baseline_counts: Sequence[int],
                        aware_counts: Sequence[int],
-                       structure: str,
-                       include_counts: bool = False) -> StructureReport:
-    """Reads the two count vectors in place; only a report that keeps its
-    counts takes a copy of them."""
+                       structure: str) -> StructureReport:
+    """The report row of two count vectors, which it keeps as copies."""
     return histogram_report(
         histogram(baseline_counts), histogram(aware_counts), structure,
-        counts_baseline=tuple(baseline_counts) if include_counts else None,
-        counts_aware=tuple(aware_counts) if include_counts else None)
+        counts_baseline=tuple(baseline_counts), counts_aware=tuple(aware_counts))
 
 
 def histogram_report(hist_baseline: WriteHistogram,
@@ -128,8 +125,8 @@ def histogram_report(hist_baseline: WriteHistogram,
 
 
 def idle_report(num_entries: int, structure: str) -> StructureReport:
-    """What improvement_report returns for two all-zero count vectors of
-    num_entries (>= 1) entries, built without them."""
+    """What histogram_report returns for the histograms of two all-zero
+    count vectors of num_entries (>= 1) entries, built without them."""
     hist = WriteHistogram(bins=(num_entries, 0, 0, 0, 0), max_writes=0,
                           avg_writes=0.0, num_entries=num_entries)
     return histogram_report(hist, hist, structure)

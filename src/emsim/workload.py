@@ -20,7 +20,6 @@ import bisect
 import json
 import math
 from array import array
-from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .records import Checked
@@ -70,7 +69,7 @@ class Event(NamedTuple):
 
 def mem_code(p: MemAccess) -> int:
     """A memory record as a Trace holds it: one int, address << 2 |
-    is_write << 1 | is_instr. Iterating a Trace decodes it."""
+    is_write << 1 | is_instr."""
     if p.kind not in MEM_KINDS:
         raise ValueError("memory kind must be READ or WRITE")
     if p.space not in MEM_SPACES:
@@ -80,55 +79,50 @@ def mem_code(p: MemAccess) -> int:
     return p.address << 2 | (p.kind == "WRITE") << 1 | (p.space == "INSTR")
 
 
-ALU, REG, MEM = range(3)  # an event's kind in Trace.kinds
+ALU, REG, MEM = range(3)  # a record's kind in parse_trace and _records
 _CYCLE_BOUND = 1 << 64  # cycles are held as 8-byte unsigned ints
 
 
 class Trace:
-    """A trace held as one column per structure, by kind: values[ALU] holds
-    the ALU records' ready counts, values[REG] the register writes' (class,
-    id) keys and values[MEM] the memory records' mem_codes, each beside its
-    cycles[kind], an array of 8-byte unsigned ints. kinds holds each event's
-    kind in file order, so iterating yields the Events in order, memory
-    records as MemAccess. Trace() is the empty trace."""
+    """A trace as the replay reads it, one column per structure: alu holds
+    the ALU records' ready counts, reg_keys the register writes' (class, id)
+    keys beside their cycles in reg_cycles (an array of 8-byte unsigned
+    ints), mem the memory records' mem_codes, and cycles the last record's
+    cycle + 1, or 0 for a trace without records. An ALU or memory record's
+    cycle and the file order across kinds are checked on the way in, not
+    kept. Trace() is the empty trace."""
 
-    __slots__ = ("kinds", "cycles", "values")
+    __slots__ = ("alu", "reg_keys", "reg_cycles", "mem", "cycles")
 
-    def __init__(self, kinds=None, cycles=None, values=None):
-        self.kinds = bytearray() if kinds is None else kinds
-        self.cycles = tuple(array("Q") for _ in range(3)) if cycles is None else cycles
-        self.values = ([], [], []) if values is None else values
+    def __init__(self, alu=None, reg_keys=None, reg_cycles=None, mem=None, cycles=0):
+        self.alu = [] if alu is None else alu
+        self.reg_keys = [] if reg_keys is None else reg_keys
+        self.reg_cycles = array("Q") if reg_cycles is None else reg_cycles
+        self.mem = [] if mem is None else mem
+        self.cycles = cycles
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kinds, self.cycles, self.values) == (other.kinds, other.cycles, other.values)
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> Trace:
         """The trace of events, checked as serialize_trace checks them: an
         event that parse_trace would reject raises ValueError."""
         trace = cls()
-        add_kind = trace.kinds.append
-        add_cycle = [column.append for column in trace.cycles]
-        add_value = [column.append for column in trace.values]
+        add_value = (trace.alu.append, trace.reg_keys.append, trace.mem.append)
+        add_reg_cycle = trace.reg_cycles.append
+        cycle = -1
         for cycle, kind, value in _records(events):
-            add_kind(kind)
-            add_cycle[kind](cycle)
             add_value[kind](value)
+            if kind == REG:
+                add_reg_cycle(cycle)
+        trace.cycles = cycle + 1
         return trace
 
     def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __iter__(self) -> Iterator[Event]:
-        # one (cycle, payload) iterator per kind, each drawn from in file order
-        cycles, values = self.cycles, self.values
-        columns = (zip(cycles[ALU], map(AluIssue, values[ALU])),
-                   zip(cycles[REG], starmap(RegWrite, values[REG])),
-                   zip(cycles[MEM], (MemAccess(MEM_KINDS[code >> 1 & 1], code >> 2,
-                                               MEM_SPACES[code & 1]) for code in values[MEM])))
-        return starmap(Event, map(next, map(columns.__getitem__, self.kinds)))
+        return len(self.alu) + len(self.reg_keys) + len(self.mem)
 
 
 # --- parsing / serialization -------------------------------------------------
@@ -161,10 +155,9 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     keys are shared within a memo generation. Other lines are checked field
     by field.
     """
-    trace = Trace()
-    add_kind = trace.kinds.append
-    add_cycle = [column.append for column in trace.cycles]
-    add_value = [column.append for column in trace.values]
+    alu, reg_keys, reg_cycles, mem = [], [], array("Q"), []
+    add_alu, add_reg_key, add_reg_cycle, add_mem = (
+        alu.append, reg_keys.append, reg_cycles.append, mem.append)
     # valid records' (kind, value) by the line text after "<cycle> "
     records: dict[str, tuple[int, object]] = {}
     # the cycle checks run where the cycle changes: a first cycle of 0 needs none
@@ -248,10 +241,14 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 raise TraceParseError("ready_count must be non-negative" if value < 0
                                       else f"second ALU issue in cycle {cycle}", line_no)
             alu_cycle = cycle
-        add_kind(kind)
-        add_cycle[kind](cycle)
-        add_value[kind](value)
-    return trace
+            add_alu(value)
+        elif kind == REG:
+            add_reg_key(value)
+            add_reg_cycle(cycle)
+        else:
+            add_mem(value)
+    return Trace(alu, reg_keys, reg_cycles, mem,
+                 last_cycle + 1 if alu or reg_keys or mem else 0)
 
 
 def _count(value, what: str) -> int:

@@ -6,7 +6,6 @@ import pytest
 
 from emsim import cli, simulate
 from emsim.cache import (
-    CHUNK_RECORDS,
     CacheConfig,
     Hierarchy,
     RotatingCache,
@@ -14,8 +13,8 @@ from emsim.cache import (
     split_codes,
 )
 from emsim.rng import SplitMix64
-from emsim.simulate import SimConfig, run_simulation
-from emsim.workload import MEM, ConfigError, Event, MemAccess, Trace, mem_code, parse_trace
+from emsim.simulate import CHUNK_RECORDS, SimConfig, run_simulation
+from emsim.workload import ConfigError, Event, MemAccess, Trace, mem_code, parse_trace
 from reference_models import RefSetAssocLRU, access, physical_set
 
 
@@ -383,7 +382,7 @@ def test_run_simulation_holds_one_hierarchy_at_a_time():
     # beside it, the whole run still peaks no higher than one baseline
     # replay of the same batches.
     trace = Trace.from_events(Event(i, MemAccess("WRITE", i * 64, "DATA")) for i in range(20_000))
-    codes = trace.values[MEM]
+    codes = trace.mem
 
     def one_baseline():
         base = build_hierarchy(rotation_period=None)

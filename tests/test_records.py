@@ -1,7 +1,7 @@
 """The record types: repr text, construction by position and by keyword,
 defaults, equality and hash, refusal of assignment, and every check of the
 checked records with the exception type and message it raises. Trace:
-fresh empty columns by default, and equality by its columns."""
+fresh empty columns by default, and equality by its columns and cycle count."""
 
 from array import array
 
@@ -289,28 +289,32 @@ EVENTS = [Event(0, AluIssue(2)), Event(0, RegWrite("GPR", 3)),
           Event(1, MemAccess("WRITE", 128, "INSTR")), Event(4, RegWrite("FP", 1))]
 
 
+def columns(trace):
+    return trace.alu, trace.reg_keys, trace.reg_cycles, trace.mem
+
+
 def test_trace_defaults_are_fresh_empty_columns():
     a, b = Trace(), Trace()
-    assert len(a) == 0 and list(a) == []
-    assert a.kinds == bytearray()
-    assert a.cycles == (array("Q"), array("Q"), array("Q"))
-    assert a.values == ([], [], [])
-    assert a.kinds is not b.kinds
-    assert all(x is not y for x, y in zip(a.cycles, b.cycles))
-    assert all(x is not y for x, y in zip(a.values, b.values))
+    assert len(a) == 0 and a.cycles == 0
+    assert columns(a) == ([], [], array("Q"), [])
+    assert all(x is not y for x, y in zip(columns(a), columns(b)))
 
 
 def test_trace_equality_compares_the_columns():
     trace = Trace.from_events(EVENTS)
-    assert len(trace) == 4 and list(trace) == EVENTS
-    columns = (trace.kinds, trace.cycles, trace.values)
-    assert Trace(*columns) == trace
-    assert Trace(kinds=columns[0], cycles=columns[1], values=columns[2]) == trace
+    assert len(trace) == 4 and trace.cycles == 5
+    assert columns(trace) == ([2], [("GPR", 3), ("FP", 1)], array("Q", [0, 4]),
+                              [128 << 2 | 3])
+    assert Trace(*columns(trace), 5) == trace
+    alu, reg_keys, reg_cycles, mem = columns(trace)
+    assert Trace(alu=alu, reg_keys=reg_keys, reg_cycles=reg_cycles, mem=mem,
+                 cycles=5) == trace
+    assert Trace(*columns(trace), 6) != trace
     assert Trace.from_events(EVENTS) == trace and not Trace.from_events(EVENTS) != trace
     assert Trace.from_events(EVENTS[:3]) != trace
     assert Trace.from_events([*EVENTS[:3], Event(5, RegWrite("FP", 1))]) != trace
     assert Trace.from_events([*EVENTS[:3], Event(4, RegWrite("FP", 2))]) != trace
     assert Trace() == Trace() and Trace() != trace
-    assert trace != columns
+    assert trace != columns(trace)
     with pytest.raises(TypeError):
         hash(trace)

@@ -20,7 +20,6 @@ from emsim.regfile import RotatingRegFile
 from emsim.rng import SplitMix64
 from emsim.simulate import SimConfig, run_simulation
 from emsim.workload import (
-    MEM,
     AluIssue,
     ConfigError,
     Event,
@@ -149,7 +148,7 @@ def test_baseline_caches_never_rotate_even_with_level_overrides():
     # drive through run_simulation and reproduce the baseline by hand: the
     # baseline hierarchy must behave exactly like a never-rotating one
     reports, _ = run_simulation(ev, cfg)
-    base.access(split_codes(ev.values[MEM]))
+    base.access(split_codes(ev.mem))
     by_name = {r.structure: r for r in reports}
     assert by_name["cache.L1D.tags"].histogram_baseline.max_writes == max(
         base.caches["L1D"].set_writes)

@@ -10,6 +10,7 @@ from emsim.wear_stats import (
     CSV_COLUMNS,
     geo_mean,
     histogram,
+    histogram_report,
     idle_report,
     improvement_from_maxima,
     improvement_report,
@@ -170,29 +171,33 @@ def test_improvement_degenerate_maxima():
     assert r.avg_to_max_aware == 0.0
 
 
-def test_improvement_report_copies_only_the_counts_it_keeps():
+def test_histogram_report_copies_nothing():
     n = 131_072  # the lines of one default L3
     base, aware = [0] * n, [0] * n
     base[5], aware[9] = 3, 1
     tracemalloc.start()
     try:
-        r = improvement_report(base, aware, "cache.L3.lines")
+        r = histogram_report(histogram(base), histogram(aware), "cache.L3.lines")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024  # a tuple copy of one of them alone is 1 MiB
     assert (r.histogram_baseline.max_writes, r.histogram_aware.max_writes) == (3, 1)
     assert r.counts_baseline is r.counts_aware is None
-    # a report that keeps its counts keeps a copy, not the caller's list
+
+
+def test_improvement_report_keeps_copies_of_its_counts():
+    # a copy, not the caller's list
     base, aware = [4, 2], [3, 3]
-    r = improvement_report(base, aware, "alu", include_counts=True)
+    r = improvement_report(base, aware, "alu")
     base[0] = aware[0] = 0
     assert (r.counts_baseline, r.counts_aware) == ((4, 2), (3, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 512, 131072])
 def test_idle_report_equals_the_report_of_zero_counts(n):
-    built = improvement_report([0] * n, [0] * n, "cache.L3.tags")
+    zeros = [0] * n
+    built = histogram_report(histogram(zeros), histogram(zeros), "cache.L3.tags")
     idle = idle_report(n, "cache.L3.tags")
     assert idle == built
     assert repr(idle) == repr(built)  # 0.0, not 0, where the report holds a float
@@ -229,9 +234,9 @@ def test_geo_mean():
 
 def sample_reports():
     return [
-        improvement_report((60, 30, 10), (34, 33, 33), "alu", include_counts=True),
+        improvement_report((60, 30, 10), (34, 33, 33), "alu"),
         improvement_report((100, 0, 0, 0), (25, 25, 25, 25), "regfile.gpr16"),
-        improvement_report((5, 5), (0, 0), "cache.L1D.lines"),
+        histogram_report(histogram((5, 5)), histogram((0, 0)), "cache.L1D.lines"),
     ]
 
 
@@ -258,7 +263,8 @@ def test_json_mirror(tmp_path):
     assert doc["summary"] == {"total_cycles": 9}
     alu, reg, idle = doc["reports"]
     assert alu["counts_baseline"] == [60, 30, 10]
-    assert "counts_baseline" not in reg
+    assert reg["counts_aware"] == [25, 25, 25, 25]
+    assert "counts_baseline" not in idle
     assert idle["mtf_improvement"] == "unbounded"
     assert reg["bins_aware"] == [0, 0, 0, 0, 4]
 

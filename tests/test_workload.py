@@ -11,10 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emsim.workload import (
-    ALU,
-    MEM,
     PARSE_MEMO_TEXTS,
-    REG,
     AluBursts,
     AluIssue,
     ConfigError,
@@ -48,25 +45,30 @@ MIXED = """\
 7 A 0
 7 R SP 0
 """
+MIXED_EVENTS = [
+    Event(0, AluIssue(2)),
+    Event(0, RegWrite("GPR", 5)),
+    Event(1, MemAccess("WRITE", 4096, "DATA")),
+    Event(2, MemAccess("READ", 64, "INSTR")),
+    Event(2, RegWrite("FLAGS", 0)),
+    Event(7, AluIssue(0)),
+    Event(7, RegWrite("SP", 0)),
+]
 
 
 def test_parse_mixed_trace():
     trace = parse_trace(MIXED.splitlines())
-    assert list(trace) == [
-        Event(0, AluIssue(2)),
-        Event(0, RegWrite("GPR", 5)),
-        Event(1, MemAccess("WRITE", 4096, "DATA")),
-        Event(2, MemAccess("READ", 64, "INSTR")),
-        Event(2, RegWrite("FLAGS", 0)),
-        Event(7, AluIssue(0)),
-        Event(7, RegWrite("SP", 0)),
-    ]
+    assert trace == Trace.from_events(MIXED_EVENTS)
+    assert trace.alu == [2, 0]
+    assert trace.reg_keys == [("GPR", 5), ("FLAGS", 0), ("SP", 0)]
+    assert trace.reg_cycles == array("Q", [0, 2, 7])
+    assert trace.mem == [4096 << 2 | 2, 64 << 2 | 1]
+    assert trace.cycles == 8 and len(trace) == 7
 
 
 def test_serialize_parse_round_trip():
-    events = parse_trace(MIXED.splitlines())
-    again = parse_trace(serialize_trace(events))
-    assert again == events
+    again = parse_trace(serialize_trace(MIXED_EVENTS))
+    assert again == parse_trace(MIXED.splitlines())
 
 
 @pytest.mark.parametrize("event, needle", [
@@ -93,8 +95,9 @@ def test_serialize_rejects_what_parse_rejects(event, needle):
 
 
 def test_parse_empty():
-    assert list(parse_trace([])) == []
-    assert list(parse_trace(["# only a comment", "   "])) == []
+    assert parse_trace([]) == Trace()
+    assert parse_trace(["# only a comment", "   "]) == Trace()
+    assert len(Trace()) == 0 and Trace().cycles == 0
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -126,43 +129,38 @@ def test_parse_rejects(text, needle):
 def test_parse_shares_identical_payloads():
     trace = parse_trace(["0 A 2", "0 R GPR 5", "1 A 2", "1 R GPR 5", "2 R GPR 05",
                          "2 M W 64 D", "3 M W 64 D"])
-    assert trace.values[ALU] == [2, 2]
-    keys = trace.values[REG]
+    assert trace.alu == [2, 2]
+    keys = trace.reg_keys
     assert keys[0] is keys[1]
     assert keys[2] == keys[1]
-    assert trace.values[MEM][0] is trace.values[MEM][1]
+    assert trace.mem[0] is trace.mem[1]
     # a memory record is one int code: equal records give equal codes,
-    # whatever their text, and decode to equal events
+    # whatever their text, and the codes mem_code gives their events
     trace = parse_trace(["0 M W 64 D", "1 M W 064 D", "2 M R 64 D", "3 M W 64 I",
                          "4 M R 64 I", "5 M R 64 D", "6 M W 65 D"])
-    mem = trace.values[MEM]
+    mem = trace.mem
     assert mem == [64 << 2 | 2, 64 << 2 | 2, 64 << 2, 64 << 2 | 3, 64 << 2 | 1,
                    64 << 2, 65 << 2 | 2]
-    assert mem_code(MemAccess("WRITE", 64, "INSTR")) == mem[3]
-    assert [e.payload for e in trace] == [
+    assert mem == [mem_code(p) for p in (
         MemAccess("WRITE", 64, "DATA"), MemAccess("WRITE", 64, "DATA"),
         MemAccess("READ", 64, "DATA"), MemAccess("WRITE", 64, "INSTR"),
         MemAccess("READ", 64, "INSTR"), MemAccess("READ", 64, "DATA"),
-        MemAccess("WRITE", 65, "DATA")]
+        MemAccess("WRITE", 65, "DATA"))]
 
 
 def test_trace_columns():
     events = [Event(0, AluIssue(1)), Event(4000, RegWrite("FP", 2)),
               Event(4000, MemAccess("READ", 64, "INSTR")), Event(4001, RegWrite("FP", 2))]
     trace = Trace.from_events(events)
-    assert len(trace) == 4 and list(trace) == events
-    assert trace.kinds == bytearray([ALU, REG, MEM, REG])
-    assert trace.cycles == (array("Q", [0]), array("Q", [4000, 4001]), array("Q", [4000]))
-    assert trace.values == ([1], [("FP", 2), ("FP", 2)], [64 << 2 | 1])
-    assert trace.values[REG][0] is trace.values[REG][1]
-    assert parse_trace(serialize_trace(trace)) == trace
+    assert len(trace) == 4 and trace.cycles == 4002
+    assert (trace.alu, trace.reg_keys, trace.mem) == ([1], [("FP", 2), ("FP", 2)], [64 << 2 | 1])
+    assert trace.reg_cycles == array("Q", [4000, 4001])
+    assert trace.reg_keys[0] is trace.reg_keys[1]
+    assert parse_trace(serialize_trace(events)) == trace
 
 
-def test_parsed_trace_holds_few_bytes_per_event():
-    # one ALU burst and one register write per cycle: each event costs its
-    # kind byte, an 8-byte cycle and one shared value in its column
-    lines = [line for c in range(100_000)
-             for line in (f"{c} A {c % 4}\n", f"{c} R GPR {c * 7 % 16}\n")]
+def _held_bytes_per_event(lines):
+    """Traced memory the parsed trace of lines holds, per record."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -170,8 +168,28 @@ def test_parsed_trace_holds_few_bytes_per_event():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(trace) == 200_000
-    assert held / len(trace) < 22
+    assert len(trace) == len(lines)
+    return held / len(trace)
+
+
+def test_parsed_trace_holds_few_bytes_per_event():
+    # one ALU burst and one register write per cycle: each event costs one
+    # shared value in its column, and a register write its 8-byte cycle
+    lines = [line for c in range(100_000)
+             for line in (f"{c} A {c % 4}\n", f"{c} R GPR {c * 7 % 16}\n")]
+    assert _held_bytes_per_event(lines) < 22
+
+
+@pytest.mark.parametrize("record, bound", [
+    (lambda c: f"A {c % 4}", 9),
+    (lambda c: f"M {'RW'[c % 2]} {c % 64 * 64} {'DI'[c % 3 == 0]}", 9),
+    (lambda c: f"R GPR {c * 7 % 16}", 17),
+], ids=["alu", "mem", "reg"])
+def test_parsed_trace_keeps_a_cycle_for_register_writes_only(record, bound):
+    # an ALU or memory record costs one pointer to a shared value in its
+    # column; a register write adds its 8-byte cycle
+    lines = [f"{c} {record(c)}\n" for c in range(100_000)]
+    assert _held_bytes_per_event(lines) <= bound
 
 
 def _parse_margin(n):
@@ -199,8 +217,8 @@ def test_readme_trace_example_parses():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Trace format", 1)[1]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    events = parse_trace(block.splitlines())
-    assert [type(e.payload) for e in events] == [AluIssue, RegWrite, MemAccess]
+    trace = parse_trace(block.splitlines())
+    assert (trace.alu, trace.reg_keys, trace.mem) == ([2], [("GPR", 3)], [8192 << 2 | 2])
 
 
 # --- differential test against the reference parser --------------------------
@@ -279,7 +297,7 @@ def assert_parse_matches_reference(lines):
             parse_trace(lines)
         assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
     else:
-        assert list(parse_trace(lines)) == want
+        assert parse_trace(lines) == Trace.from_events(want)
 
 
 SOME_INTS = st.integers(-2, 2 ** 64 + 1) | st.sampled_from([-1, 0, 2 ** 64 - 1, 2 ** 64]) \
@@ -301,7 +319,7 @@ def test_every_serialized_line_parses_back_to_its_event(events):
     with contextlib.suppress(ValueError):
         for line in serialize_trace(events):
             lines.append(line)
-    assert list(parse_trace(lines)) == events[:len(lines)]
+    assert parse_trace(lines) == Trace.from_events(events[:len(lines)])
 
 
 @settings(max_examples=600, deadline=None)
@@ -375,7 +393,7 @@ def test_parse_across_a_memo_clear_matches_reference(tail):
 
 
 def test_register_keys_are_shared_within_one_memo_generation():
-    first, *seen_again = [key for key in parse_trace(memo_clearing_lines()).values[REG]
+    first, *seen_again = [key for key in parse_trace(memo_clearing_lines()).reg_keys
                           if key == ("GPR", 2)]
     assert len(seen_again) == 2
     # the first generation's key went with the clear; the two later lines
@@ -402,10 +420,9 @@ def test_parse_rejects_double_alu_issue():
 
 
 def test_save_load_round_trip(tmp_path):
-    events = parse_trace(MIXED.splitlines())
     path = tmp_path / "t.trace"
-    save_trace(path, events, header="unit test")
-    assert load_trace(path) == events
+    save_trace(path, MIXED_EVENTS, header="unit test")
+    assert load_trace(path) == parse_trace(MIXED.splitlines())
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first.startswith("#")
 
