@@ -34,6 +34,8 @@ from .records import Checked
 from .workload import ConfigError
 
 _PAGE_SHIFT = 14  # 4 KiB pages: a record's mem_code >> 14 is its page number
+MAX_SETS = 1 << 20  # a level builds one list per set
+MAX_ENTRIES = 1 << 24  # and a write counter per entry (sets * ways)
 
 
 def _power_of_two(x: int) -> bool:
@@ -52,8 +54,7 @@ class _CacheConfig(NamedTuple):
 class CacheConfig(Checked, _CacheConfig):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for field in ("sets", "ways", "line_bytes", "rotation_period"):
             value = getattr(self, field)
             if type(value) is not int and not (field == "rotation_period" and value is None):
@@ -63,13 +64,17 @@ class CacheConfig(Checked, _CacheConfig):
                              f"got {self.write_allocate!r}")
         if not _power_of_two(self.sets):
             raise ValueError(f"{self.name}: sets must be a power of two, got {self.sets}")
+        if self.sets > MAX_SETS:
+            raise ValueError(f"{self.name}: sets must be <= {MAX_SETS}, got {self.sets}")
         if not _power_of_two(self.line_bytes):
             raise ValueError(f"{self.name}: line_bytes must be a power of two")
         if self.ways < 1:
             raise ValueError(f"{self.name}: ways must be >= 1")
+        if self.sets * self.ways > MAX_ENTRIES:
+            raise ValueError(f"{self.name}: sets * ways must be <= {MAX_ENTRIES}, "
+                             f"got {self.sets * self.ways}")
         if self.rotation_period is not None and self.rotation_period < 1:
             raise ValueError(f"{self.name}: rotation_period must be >= 1 or None")
-        return self
 
 
 class RotatingCache:

@@ -75,8 +75,7 @@ class TechParams(Checked, _TechParams):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.scale_A <= 0:
             raise ValueError("scale_A must be > 0")
         if self.exponent_n <= 0:
@@ -85,7 +84,6 @@ class TechParams(Checked, _TechParams):
             raise ValueError("activation_energy_ea must be >= 0")
         if self.temperature_t <= 0:
             raise ValueError("temperature_t must be > 0 (kelvin)")
-        return self
 
     def thermal_factor(self) -> float:
         """exp(Ea / (kB * T)), shared by both MTF laws."""
@@ -102,11 +100,9 @@ class WireGeometry(Checked, _WireGeometry):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.width_w <= 0 or self.height_h <= 0:
             raise ValueError("wire width and height must be > 0")
-        return self
 
     @property
     def area(self) -> float:
@@ -131,8 +127,7 @@ class SignalElectricals(Checked, _SignalElectricals):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.capacitance_c < 0:
             raise ValueError("capacitance_c must be >= 0")
         if self.supply_vdd <= 0:
@@ -143,7 +138,6 @@ class SignalElectricals(Checked, _SignalElectricals):
             raise ValueError("toggle_p must be within [0, 1]")
         if self.rise_tr <= 0 or self.fall_tf <= 0:
             raise ValueError("rise/fall times must be > 0")
-        return self
 
 
 class _RmsLimit(NamedTuple):
@@ -156,11 +150,9 @@ class RmsLimit(Checked, _RmsLimit):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.i_rms_max <= 0 or self.mtf_technology <= 0:
             raise ValueError("RMS limit fields must be > 0")
-        return self
 
 
 def black_mtf(tech: TechParams, current_density_j: float) -> float:

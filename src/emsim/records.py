@@ -1,18 +1,22 @@
 """The base of emsim's checked records: the NamedTuple subclasses whose
-__new__ checks their fields (GenSpec, CacheConfig, SimConfig and the
+_check method checks their fields (GenSpec, CacheConfig, SimConfig and the
 em_models parameter records)."""
 
 
 class Checked:
-    """Base of the checked records, class R(Checked, _R), whose __new__
-    checks the fields: NamedTuple's _make, which _replace calls, skips
-    __new__; this one goes through it."""
+    """Base of the checked records, class R(Checked, _R). R defines
+    _check(self), which raises on a bad field; the constructor, _make and
+    so _replace build the tuple through NamedTuple and then call it."""
 
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
     @classmethod
     def _make(cls, iterable):
-        values = tuple(iterable)
-        if len(values) != len(cls._fields):
-            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
-        return cls(*values)
+        self = super()._make(iterable)
+        self._check()
+        return self

@@ -59,6 +59,7 @@ from .workload import ConfigError, Trace
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
 CHUNK_RECORDS = 1024  # records of one structure per replay slice
+MAX_ALU_UNITS = 256  # toggle-balance's step memo grows as 2N(N+1)
 
 
 class _SimConfig(NamedTuple):
@@ -78,8 +79,7 @@ class SimConfig(Checked, _SimConfig):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         unknown = set(self.structures) - set(STRUCTURES)
         if unknown:
             raise ConfigError(f"unknown structures: {sorted(unknown)}")
@@ -104,6 +104,8 @@ class SimConfig(Checked, _SimConfig):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.alu_units < 1:
             raise ConfigError("alu_units must be >= 1")
+        if self.alu_units > MAX_ALU_UNITS:
+            raise ConfigError(f"alu_units must be <= {MAX_ALU_UNITS}")
         if self.rotation_period < 1:
             raise ConfigError("rotation_period must be >= 1")
         if type(self.count_rotation_shifts) is not bool:
@@ -111,7 +113,6 @@ class SimConfig(Checked, _SimConfig):
         if type(self.charge_rotation_writebacks) is not bool:
             raise ConfigError("count_rotation_writebacks must be a boolean")
         level_configs(self.rotation_period, self.cache_overrides)
-        return self
 
 
 def run_simulation(trace: Trace, cfg: SimConfig):

@@ -343,6 +343,7 @@ class AluBursts(NamedTuple):
 
 
 Kind = Union[ZipfRegWrites, SkewedAddrs, AluBursts]
+MAX_TABLE = 1 << 20  # num_regs and working_set_lines: one float each in a table
 
 
 class _GenSpec(NamedTuple):
@@ -354,8 +355,7 @@ class _GenSpec(NamedTuple):
 class GenSpec(Checked, _GenSpec):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
         if self.length < 0:
@@ -364,11 +364,15 @@ class GenSpec(Checked, _GenSpec):
         if isinstance(k, ZipfRegWrites):
             if k.num_regs < 1:
                 raise ConfigError("num_regs must be >= 1")
+            if k.num_regs > MAX_TABLE:
+                raise ConfigError(f"num_regs must be <= {MAX_TABLE}")
             if k.zipf_s <= 0:
                 raise ConfigError("zipf_s must be > 0")
         elif isinstance(k, SkewedAddrs):
             if k.working_set_lines < 1:
                 raise ConfigError("working_set_lines must be >= 1")
+            if k.working_set_lines > MAX_TABLE:
+                raise ConfigError(f"working_set_lines must be <= {MAX_TABLE}")
             if not 0.0 < k.hot_fraction <= 1.0:
                 raise ConfigError("hot_fraction must be in (0, 1]")
             if k.hot_weight < 1.0:
@@ -386,7 +390,6 @@ class GenSpec(Checked, _GenSpec):
                 raise ConfigError("width weights must not all be zero")
         else:
             raise ConfigError(f"unknown generator kind {k!r}")
-        return self
 
 
 def _cumulative(weights) -> list[float]:

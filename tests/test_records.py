@@ -183,8 +183,11 @@ CHECKS = [
     (_spec(seed=1 << 64), ConfigError, "seed must fit in 64 bits"),
     (_spec(length=-1), ConfigError, "length must be >= 0"),
     (_kind(ZipfRegWrites(0, 1.0)), ConfigError, "num_regs must be >= 1"),
+    (_kind(ZipfRegWrites((1 << 20) + 1, 1.0)), ConfigError, "num_regs must be <= 1048576"),
     (_kind(ZipfRegWrites(4, 0.0)), ConfigError, "zipf_s must be > 0"),
     (_kind(SkewedAddrs(0, 0.5, 2.0)), ConfigError, "working_set_lines must be >= 1"),
+    (_kind(SkewedAddrs((1 << 20) + 1, 0.5, 2.0)), ConfigError,
+     "working_set_lines must be <= 1048576"),
     (_kind(SkewedAddrs(8, 0.0, 2.0)), ConfigError, "hot_fraction must be in (0, 1]"),
     (_kind(SkewedAddrs(8, 0.5, 0.5)), ConfigError, "hot_weight must be >= 1"),
     (_kind(SkewedAddrs(8, 0.5, 2.0, 0)), ConfigError, "line_bytes must be >= 1"),
@@ -200,8 +203,11 @@ CHECKS = [
     (_cache(rotation_period=1.5), ValueError, "L1: rotation_period must be an integer, got 1.5"),
     (_cache(write_allocate=1), ValueError, "L1: write_allocate must be a boolean, got 1"),
     (_cache(sets=3), ValueError, "L1: sets must be a power of two, got 3"),
+    (_cache(sets=1 << 21), ValueError, "L1: sets must be <= 1048576, got 2097152"),
     (_cache(line_bytes=48), ValueError, "L1: line_bytes must be a power of two"),
     (_cache(ways=0), ValueError, "L1: ways must be >= 1"),
+    (_cache(sets=1 << 20, ways=17), ValueError,
+     "L1: sets * ways must be <= 16777216, got 17825792"),
     (_cache(rotation_period=0), ValueError, "L1: rotation_period must be >= 1 or None"),
     (_sim(structures=("alu", "tlb")), ConfigError, "unknown structures: ['tlb']"),
     (_sim(structures=()), ConfigError, "at least one structure must be selected"),
@@ -218,6 +224,7 @@ CHECKS = [
     (_sim(alu_units=2.0), ConfigError, "alu_units must be an integer, got 2.0"),
     (_sim(rotation_period="5"), ConfigError, "rotation_period must be an integer, got '5'"),
     (_sim(alu_units=0), ConfigError, "alu_units must be >= 1"),
+    (_sim(alu_units=257), ConfigError, "alu_units must be <= 256"),
     (_sim(rotation_period=0), ConfigError, "rotation_period must be >= 1"),
     (_sim(count_rotation_shifts=1), ConfigError, "count_rotation_shifts must be a boolean"),
     (_sim(charge_rotation_writebacks="yes"), ConfigError,
@@ -248,6 +255,14 @@ def test_checked_records_reject_bad_values(build, exc_type, message):
         build()
     assert excinfo.type is exc_type
     assert str(excinfo.value) == message
+
+
+def test_the_size_bounds_themselves_are_legal():
+    # built only, never allocated: a 2**20-set, 16-way L3 and the largest tables
+    assert CacheConfig("L3", 1 << 20, 16, 64).sets * 16 == 1 << 24
+    assert SimConfig(alu_units=256).alu_units == 256
+    assert GenSpec(1, 10, ZipfRegWrites(1 << 20, 1.0)).kind.num_regs == 1 << 20
+    assert GenSpec(1, 10, SkewedAddrs(1 << 20, 0.5, 2.0)).kind.working_set_lines == 1 << 20
 
 
 # a valid checked record, one field made bad, the exception type, its message

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -605,6 +607,35 @@ def test_cli_bad_config_exits_2_before_the_trace_is_read(tmp_path, capsys, confi
                      "--structure", structure, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+# inputs that would allocate per entry far past any memory: a cache level's
+# counters, the ALU units' state and the Zipf weight table; the child's address
+# space is capped so that a missing bound fails fast instead of filling memory
+OVERSIZED = [
+    ["--config", '{"cache": {"levels": {"L1D": {"ways": 1125899906842624}}}}'],
+    ["--config", '{"alu": {"units": 1000000000}}'],
+    ["--gen", '{"kind": "zipf-reg-writes", "seed": 1, "length": 10, '
+              '"num_regs": 4611686018427387904, "zipf_s": 1.0}'],
+]
+CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from emsim.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_cli_oversized_inputs_exit_2_before_allocating(tmp_path):
+    trace = write(tmp_path / "t.trace", MIXED_TRACE)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for flag, value in OVERSIZED:
+        if flag == "--config":
+            args = ["--trace", trace, "--config", write(tmp_path / "cfg.json", value)]
+        else:
+            args = ["--gen", value]
+        run = subprocess.run([sys.executable, "-c", CAPPED_CLI, "simulate", *args,
+                              "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, encoding="utf-8", timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_with_trace_exits_2(tmp_path):
