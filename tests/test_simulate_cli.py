@@ -1027,6 +1027,33 @@ def test_cli_report_merge_csv_quotes_structure_names(tmp_path):
                     *([name, "2", "0.5", "50.00%"] for name in names)]
 
 
+# Frozen sha256 of (merged.csv, merged.json) for two fixed report.json
+# documents: a finite mean, an unbounded one, and a structure name that the
+# CSV must quote. The inputs are named relative to the working directory,
+# since merged.json lists them.
+MERGE_INPUTS = {
+    "a.json": {"reports": [{"structure": "alu", "mtf_improvement": 0.5},
+                           {"structure": 'odd,"name', "mtf_improvement": 1.25},
+                           {"structure": "cache.L1D.lines", "mtf_improvement": 0}]},
+    "b.json": {"reports": [{"structure": "alu", "mtf_improvement": 2.0},
+                           {"structure": 'odd,"name', "mtf_improvement": 0.1},
+                           {"structure": "cache.L1D.lines",
+                            "mtf_improvement": "unbounded"}]},
+}
+
+
+def test_cli_report_merge_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in MERGE_INPUTS.items():
+        write(tmp_path / name, json.dumps(doc))
+    assert main(["report-merge", *MERGE_INPUTS, "--out", "m"]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / "m" / name).read_bytes()).hexdigest()
+                    for name in ("merged.csv", "merged.json"))
+    assert digests == (
+        "a3e5b89a43bd2a86ee913a9e8c78a8fbdfc2dfcaf8deb8580f6b2873d01fc078",
+        "b2855068fc9b96e9d1dcbc24917cbcef0aa7c54bc852a967b97f70c5a4fa20b0")
+
+
 def test_cli_report_merge_total_regression_is_a_domain_error(tmp_path, capsys):
     # -1 (an idle baseline against a busy aware run) has no ratio-space mean
     p = tmp_path / "r.json"
