@@ -9,7 +9,6 @@ model precondition was violated).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -27,10 +26,10 @@ from .simulate import (
 )
 from .wear_stats import (
     geo_mean,
-    improvement_cell,
     improvement_display,
     improvement_from_json,
     improvement_to_json,
+    write_outputs,
 )
 from .workload import (
     ConfigError,
@@ -111,16 +110,22 @@ def _add_simulate(sub) -> None:
     p.set_defaults(func=cmd_simulate)
 
 
-def _load_genspec(arg: str, seed_override):
-    if arg.lstrip().startswith("{"):
+def _read_json(arg: str, error: str, inline: bool = False):
+    """The JSON document in the file arg names, or, when inline and arg
+    starts with '{', in arg itself. Bad JSON raises ConfigError(error: why)."""
+    if inline and arg.lstrip().startswith("{"):
         text = arg
     else:
         with open(arg, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"generator spec is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{error}: {exc}") from exc
+
+
+def _load_genspec(arg: str, seed_override):
+    doc = _read_json(arg, "generator spec is not valid JSON", inline=True)
     if isinstance(doc, dict) and seed_override is not None:
         doc["seed"] = seed_override
     return genspec_from_json(doc)
@@ -132,11 +137,7 @@ def _sim_config(args) -> SimConfig:
         raise ConfigError("--seed only applies to --gen runs")
     settings = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        doc = _read_json(args.config, "config file is not valid JSON")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(doc) - set(CONFIG_FIELDS)
@@ -357,11 +358,7 @@ def _add_report_merge(sub) -> None:
 def cmd_report_merge(args) -> int:
     runs = []
     for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        doc = _read_json(path, f"{path}: not valid JSON")
         if not isinstance(doc, dict) or not isinstance(doc.get("reports"), list):
             raise ConfigError(f"{path}: not a simulation report")
         run = {}
@@ -382,34 +379,24 @@ def cmd_report_merge(args) -> int:
             run[structure] = value
         runs.append(run)
 
-    merged = []
+    merged = []  # (merged.json row, display form of its mean) per structure
     for structure in dict.fromkeys(s for run in runs for s in run):
         missing = [p for p, run in zip(args.reports, runs) if structure not in run]
         if missing:
             raise ConfigError(f"structure {structure!r} missing from "
                               f"{missing[0]}; merge needs matching runs")
-        vals = [improvement_from_json(run[structure]) for run in runs]
-        agg = geo_mean(vals)
-        merged.append((structure, len(vals), agg))
+        agg = geo_mean([improvement_from_json(run[structure]) for run in runs])
+        merged.append(({"structure": structure, "runs": len(runs),
+                        "geo_mean_improvement": improvement_to_json(agg)},
+                       improvement_display(agg)))
 
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "merged.csv")
-    json_path = os.path.join(args.out, "merged.json")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("structure", "runs", "geo_mean_improvement", "geo_mean_display"))
-        writer.writerows((structure, n, improvement_cell(agg), improvement_display(agg))
-                         for structure, n, agg in merged)
-    doc = {"sources": list(args.reports),
-           "merged": [{"structure": s, "runs": n,
-                       "geo_mean_improvement": improvement_to_json(agg)}
-                      for s, n, agg in merged]}
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-    for structure, n, agg in merged:
-        print(f"{structure:<24}{n:>5} runs  {improvement_display(agg):>12}")
+    csv_path, json_path = write_outputs(
+        args.out, "merged",
+        ("structure", "runs", "geo_mean_improvement", "geo_mean_display"),
+        ([*row.values(), shown] for row, shown in merged),
+        {"sources": list(args.reports), "merged": [row for row, _ in merged]})
+    for row, shown in merged:
+        print(f"{row['structure']:<24}{row['runs']:>5} runs  {shown:>12}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 

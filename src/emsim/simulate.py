@@ -32,7 +32,6 @@ counters) so identical runs serialize identically.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from itertools import compress
@@ -43,6 +42,7 @@ from .cache import LEVEL_ROLES, build_hierarchy, level_configs, split_codes
 from .records import Checked
 from .regfile import DEFAULT_ROTATION_PERIOD, RING_PRESETS, RotatingRegFile
 from .wear_stats import (
+    CSV_COLUMNS,
     StructureReport,
     WriteHistogram,
     geo_mean,
@@ -51,8 +51,9 @@ from .wear_stats import (
     idle_report,
     improvement_report,
     improvement_to_json,
-    write_reports_csv,
-    write_reports_json,
+    report_rows,
+    reports_to_doc,
+    write_outputs,
 )
 from .workload import ConfigError, Trace
 
@@ -240,9 +241,5 @@ def _aggregate(reports):
 
 
 def write_report_files(reports, summary, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "report.csv")
-    json_path = os.path.join(out_dir, "report.json")
-    write_reports_csv(reports, csv_path)
-    write_reports_json(reports, json_path, summary=summary)
-    return csv_path, json_path
+    return write_outputs(out_dir, "report", CSV_COLUMNS, report_rows(reports),
+                         reports_to_doc(reports, summary))

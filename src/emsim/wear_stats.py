@@ -6,6 +6,10 @@ write count relative to the hottest entry (r = 100*c/max, bins r <= 25,
 ratio, the hotspot lifetime improvement max_baseline/max_aware - 1, and a
 ratio-space geometric mean for aggregating improvements across structures.
 
+report_entry holds a report row's values, for report.json and report.csv
+alike; write_outputs owns the bytes of every report file, report.* and
+report-merge's merged.*.
+
 Bin placement compares 100*c against edge*max in exact integer arithmetic,
 so a count at exactly 25% or 90% of the maximum lands deterministically on
 the closed side of its boundary regardless of magnitudes.
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -159,17 +164,13 @@ CSV_COLUMNS = (
 )
 
 
-def improvement_cell(value: Improvement) -> str:
-    """CSV form: the exact float, or "unbounded"."""
-    return "unbounded" if value is UNBOUNDED else repr(value)
-
-
 def improvement_display(value: Improvement) -> str:
     """Percent form for people: "194.12%", or "unbounded"."""
     return "unbounded" if value is UNBOUNDED else f"{value * 100:.2f}%"
 
 
 def improvement_to_json(value: Improvement) -> float | str:
+    """The exact float, or "unbounded": a report's JSON value and CSV cell."""
     return "unbounded" if value is UNBOUNDED else value
 
 
@@ -177,45 +178,40 @@ def improvement_from_json(value: float | str) -> Improvement:
     return UNBOUNDED if value == "unbounded" else value
 
 
+def report_entry(r: StructureReport) -> dict:
+    """The one list of a report row's values, in CSV_COLUMNS order: the row
+    of report.json, and, with each bin list spread over five cells, of
+    report.csv."""
+    return {
+        "structure": r.structure,
+        "num_entries": r.num_entries,
+        "max_baseline": r.histogram_baseline.max_writes,
+        "max_aware": r.histogram_aware.max_writes,
+        "avg_to_max_baseline": r.avg_to_max_baseline,
+        "avg_to_max_aware": r.avg_to_max_aware,
+        "bins_baseline": list(r.histogram_baseline.bins),
+        "bins_aware": list(r.histogram_aware.bins),
+        "mtf_improvement": improvement_to_json(r.mtf_improvement),
+    }
+
+
 def report_rows(reports: Iterable[StructureReport]):
+    """report.csv's cells under CSV_COLUMNS: the report_entry values, a
+    list spread one element per cell, then the improvement's display form."""
     for r in reports:
-        yield [
-            r.structure,
-            str(r.num_entries),
-            str(r.histogram_baseline.max_writes),
-            str(r.histogram_aware.max_writes),
-            repr(r.avg_to_max_baseline),
-            repr(r.avg_to_max_aware),
-            *(str(b) for b in r.histogram_baseline.bins),
-            *(str(b) for b in r.histogram_aware.bins),
-            improvement_cell(r.mtf_improvement),
-            improvement_display(r.mtf_improvement),
-        ]
-
-
-def write_reports_csv(reports: Iterable[StructureReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(report_rows(reports))
+        row = []
+        for value in report_entry(r).values():
+            row += value if isinstance(value, list) else [value]
+        yield row + [improvement_display(r.mtf_improvement)]
 
 
 def reports_to_doc(reports: Iterable[StructureReport],
                    summary: dict | None = None) -> dict:
-    """JSON mirror of the CSV schema, plus raw counts where captured."""
+    """report.json's document: each report_entry, plus raw counts where
+    captured, and the summary."""
     out = []
     for r in reports:
-        entry = {
-            "structure": r.structure,
-            "num_entries": r.num_entries,
-            "max_baseline": r.histogram_baseline.max_writes,
-            "max_aware": r.histogram_aware.max_writes,
-            "avg_to_max_baseline": r.avg_to_max_baseline,
-            "avg_to_max_aware": r.avg_to_max_aware,
-            "bins_baseline": list(r.histogram_baseline.bins),
-            "bins_aware": list(r.histogram_aware.bins),
-            "mtf_improvement": improvement_to_json(r.mtf_improvement),
-        }
+        entry = report_entry(r)
         if r.counts_baseline is not None:
             entry["counts_baseline"] = list(r.counts_baseline)
             entry["counts_aware"] = list(r.counts_aware)
@@ -226,8 +222,20 @@ def reports_to_doc(reports: Iterable[StructureReport],
     return doc
 
 
-def write_reports_json(reports: Iterable[StructureReport], path,
-                       summary: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(reports_to_doc(reports, summary), fh, indent=2)
+def write_outputs(out_dir, name: str, header: Sequence[str],
+                  rows: Iterable[Sequence], doc) -> tuple[str, str]:
+    """The one owner of every report file's bytes: creates out_dir and
+    writes NAME.csv (header, then rows; UTF-8, LF line ends, minimal
+    quoting, a float as its repr) and then NAME.json (doc, two-space
+    indent, final LF). Returns both paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, f"{name}.csv")
+    json_path = os.path.join(out_dir, f"{name}.json")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(json_path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+    return csv_path, json_path

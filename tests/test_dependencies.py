@@ -39,3 +39,33 @@ def test_cli_import_leaves_dataclasses_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          encoding="utf-8", check=True).stdout
     assert out.strip() == "False"
+
+
+def unused_imports(tree):
+    """(line, name) of every name a module imports and never reads; the
+    first part of an attribute chain (os in os.path.join) counts as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_modules_use_every_name_they_import():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unused = [f"{path.name}:{line}: {name}"
+              for path in modules
+              for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unused == []
+
+
+def test_unused_import_scan_sees_what_it_must():
+    tree = ast.parse("from __future__ import annotations\nimport csv\nimport os.path\n"
+                     "from json import dump as d, loads\nos.sep\nloads('1')\n")
+    assert unused_imports(tree) == [(2, "csv"), (4, "d")]

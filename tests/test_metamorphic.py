@@ -8,7 +8,14 @@ size) moves every register write by a multiple of the ring size in
 rotation epochs, which leaves each write on the same physical slot; the
 ALU and the caches do not read cycles at all. With count_rotation_shifts
 off, the extra catch-up rotations write nothing, so only summary.cycles
-may change, and by exactly the offset."""
+may change, and by exactly the offset.
+
+Adding k * S to every memory address, where S is the largest level span,
+leaves both reports as they are. A cache level's span is sets * line_bytes
+bytes and a TLB's is sets * line_bytes pages of 4 KiB: the bytes after which
+its set index repeats. Every span is a power of two, so S is a multiple of
+each, and the offset moves only address bits above every level's index
+field: each access keeps its set at every level, so every count stays."""
 
 import json
 import tempfile
@@ -18,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from emsim.cache import level_configs
 from emsim.regfile import RING_PRESETS
 from emsim.simulate import SimConfig, run_simulation, write_report_files
 from emsim.workload import parse_trace
@@ -78,3 +86,64 @@ def test_offsetting_cycles_holds_on_a_long_default_geometry_trace(preset):
                   rotation_period=1000, count_rotation_shifts=False,
                   cache_overrides=None, charge_rotation_writebacks=True)
     assert_only_the_cycle_count_moves(long_mixed_lines(40_000), config, 3)
+
+
+PAGE_BYTES = 4096
+
+
+def largest_span(config):
+    """S: the largest number of address bytes after which a level's set
+    index repeats."""
+    levels = level_configs(config["rotation_period"], config["cache_overrides"])
+    return max(level.sets * level.line_bytes * (PAGE_BYTES if role.endswith("TLB") else 1)
+               for role, level in levels.items())
+
+
+def offset_addresses(lines, offset):
+    out = []
+    for line in lines:
+        cycle, kind, *fields = line.split()
+        if kind == "M":
+            fields[1] = str(int(fields[1]) + offset)
+        out.append(" ".join((cycle, kind, *fields)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=trace_lines(), config=CONFIGS, data=st.data())
+def test_offsetting_addresses_by_the_largest_span_changes_nothing(lines, config, data):
+    if "cache" not in config["structures"]:
+        config = dict(config, structures=(*config["structures"], "cache"))
+    span = largest_span(config)
+    # offsets up to about 2**40 move address bits far above every index field
+    k = data.draw(st.integers(1, max(1, (1 << 40) // span)), label="k")
+    assert report_files(offset_addresses(lines, k * span), config) == \
+        report_files(lines, config)
+
+
+DEFAULT_CONFIG = dict(structures=("alu", "regfile", "cache"), alu_units=3,
+                      alu_policy="toggle-balance", regfile_preset="gpr16",
+                      rotation_period=1000, count_rotation_shifts=False,
+                      cache_overrides=None, charge_rotation_writebacks=True)
+
+
+def test_offsetting_addresses_holds_on_a_long_default_geometry_trace():
+    # longer than the whole-run oracle can afford, with every level at its
+    # default geometry, where L3 and the STLB both span 512 KiB
+    span = largest_span(DEFAULT_CONFIG)
+    assert span == 512 << 10
+    lines = long_mixed_lines(40_000)
+    before = report_files(lines, DEFAULT_CONFIG)
+    for k in (1, 3, (1 << 40) // span - 1):
+        assert report_files(offset_addresses(lines, k * span), DEFAULT_CONFIG) == before
+
+
+@pytest.mark.parametrize("offset", [64, PAGE_BYTES])
+def test_offsetting_addresses_by_less_than_a_span_changes_the_reports(offset):
+    # the relation has teeth: 64 B moves some lines into the next page, so
+    # the TLBs see other pages; 4 KiB moves the set index of L1I and L2,
+    # whose rotation write-backs then reach L3 in another order
+    lines = long_mixed_lines(40_000)
+    csv_after, doc_after = report_files(offset_addresses(lines, offset), DEFAULT_CONFIG)
+    csv_before, doc_before = report_files(lines, DEFAULT_CONFIG)
+    assert csv_after != csv_before and doc_after != doc_before

@@ -14,9 +14,9 @@ from emsim.wear_stats import (
     idle_report,
     improvement_from_maxima,
     improvement_report,
+    report_rows,
     reports_to_doc,
-    write_reports_csv,
-    write_reports_json,
+    write_outputs,
 )
 
 from reference_models import ref_avg_to_max, ref_histogram
@@ -241,9 +241,11 @@ def sample_reports():
 
 
 def test_csv_emission(tmp_path):
-    path = tmp_path / "report.csv"
-    write_reports_csv(sample_reports(), path)
-    text = path.read_bytes().decode("utf-8")
+    reports = sample_reports()
+    path, _ = write_outputs(tmp_path, "report", CSV_COLUMNS, report_rows(reports),
+                            reports_to_doc(reports))
+    assert path == str(tmp_path / "report.csv")
+    text = (tmp_path / "report.csv").read_bytes().decode("utf-8")
     assert "\r" not in text
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -268,7 +270,9 @@ def test_json_mirror(tmp_path):
     assert idle["mtf_improvement"] == "unbounded"
     assert reg["bins_aware"] == [0, 0, 0, 0, 4]
 
-    path = tmp_path / "report.json"
-    write_reports_json(reports, path, summary={"total_cycles": 9})
+    _, path = write_outputs(tmp_path / "new", "report", CSV_COLUMNS,
+                            report_rows(reports), doc)
+    assert path == str(tmp_path / "new" / "report.json")
     import json
-    assert json.loads(path.read_text(encoding="utf-8")) == doc
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == doc
