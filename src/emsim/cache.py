@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .records import Checked
 from .workload import ConfigError
 
-_PAGE_SHIFT = 14  # 4 KiB pages: a record's mem_code >> 14 is its page number
+_PAGE_SHIFT = 14  # 4 KiB pages: 12 page-offset bits plus mem_code's 2 flag bits
 MAX_SETS = 1 << 20  # a level builds one list per set
 MAX_ENTRIES = 1 << 24  # and a write counter per entry (sets * ways)
 
@@ -238,36 +238,27 @@ class Hierarchy:
     def __init__(self, caches: dict[str, RotatingCache]):
         self.caches = caches  # role -> level, for every role in LEVEL_ROLES
 
-    def access(self, batch: tuple) -> None:
-        """Replays a batch of memory records, as split_codes() splits it."""
+    def access(self, codes: list[int]) -> None:
+        """Replays a batch of memory records, each a mem_code: address << 2 |
+        is_write << 1 | is_instr. A record's L1 takes it as code >> 1
+        (address << 1 | is_write) and its TLB as a read of its page, code >>
+        _PAGE_SHIFT << 1. A batch of one space runs straight through that
+        space's L1 and TLB; a batch of both is split by space and the L1 and
+        TLB outputs are merged back into batch order."""
         c = self.caches
-        (d_stream, d_pages, d_indices), (i_stream, i_pages, i_indices) = batch
-        if d_indices:  # both spaces: merge their L1 and TLB outputs
-            l2_in = _merged((c["L1D"], d_stream, d_indices), (c["L1I"], i_stream, i_indices))
-            stlb_in = _merged((c["DTLB"], d_pages, d_indices), (c["ITLB"], i_pages, i_indices))
-        elif i_stream:
-            l2_in, stlb_in = c["L1I"].run(i_stream), c["ITLB"].run(i_pages)
+        instr = [i for i, code in enumerate(codes) if code & 1]
+        if 0 < len(instr) < len(codes):
+            data = [i for i, code in enumerate(codes) if not code & 1]
+            l2_in = _merged((c["L1D"], [codes[i] >> 1 for i in data], data),
+                            (c["L1I"], [codes[i] >> 1 for i in instr], instr))
+            stlb_in = _merged((c["DTLB"], [codes[i] >> _PAGE_SHIFT << 1 for i in data], data),
+                              (c["ITLB"], [codes[i] >> _PAGE_SHIFT << 1 for i in instr], instr))
         else:
-            l2_in, stlb_in = c["L1D"].run(d_stream), c["DTLB"].run(d_pages)
+            l1, tlb = (c["L1I"], c["ITLB"]) if instr else (c["L1D"], c["DTLB"])
+            l2_in = l1.run([code >> 1 for code in codes])
+            stlb_in = tlb.run([code >> _PAGE_SHIFT << 1 for code in codes])
         c["L3"].run(c["L2"].run(l2_in))
         c["STLB"].run(stlb_in)
-
-
-def split_codes(codes: list[int]) -> tuple:
-    """Splits a batch of memory records, each a mem_code (address << 2 |
-    is_write << 1 | is_instr), as Hierarchy.access() takes it: per space
-    (DATA, INSTR), its records' L1 stream (address << 1 | is_write), their
-    TLB stream (page << 1, reads) and, if the batch holds both spaces,
-    their indices in the batch."""
-    instr = [i for i, code in enumerate(codes) if code & 1]
-    if 0 < len(instr) < len(codes):
-        by_space = ([i for i, code in enumerate(codes) if not code & 1], instr)
-        spaces = [[codes[i] for i in indices] for indices in by_space]
-    else:
-        by_space = ([], [])
-        spaces = [[], codes] if instr else [codes, []]
-    return tuple(([code >> 1 for code in space], [code >> _PAGE_SHIFT << 1 for code in space],
-                  indices) for space, indices in zip(spaces, by_space))
 
 
 def _merged(*runs: tuple[RotatingCache, list[int], list[int]]) -> list[int]:
@@ -296,7 +287,8 @@ def rotation_period_from_json(value) -> int | None:
 
 def level_configs(rotation_period: int | None, overrides: dict | None) -> dict[str, CacheConfig]:
     """Each role's CacheConfig: the default geometry, then rotation_period
-    (None = no rotation anywhere), then the role's overrides.
+    (None = no rotation unless the level's override sets a period), then
+    the role's overrides.
 
     overrides is the "levels" object of a config file,
     {role: {sets|ways|line_bytes|rotation_period|write_allocate}}; it wins

@@ -11,8 +11,8 @@ rotation fires orders of magnitude less often than ordinary writes, so
 charging it would drown the workload signal. Pass count_rotation_shifts
 to charge every slot one write per rotation for pessimistic accounting.
 
-write() takes a batch of writes. A caller that owes rotations between
-writes cuts the batch at those points and calls rotate() in between.
+The caller owns the schedule: write() takes a batch of writes, and a caller
+that owes rotations between writes cuts the batch there and calls rotate().
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-DEFAULT_ROTATION_PERIOD = 10_000_000
 # the named ring compositions a config may select, in ring order
 RING_PRESETS = {
     "gpr16": tuple(("GPR", i) for i in range(16)),
@@ -30,20 +29,16 @@ RING_PRESETS = {
 
 
 class RotatingRegFile:
-    __slots__ = ("num_slots", "rotation_period", "count_rotation_shifts",
-                 "rotations_done", "values", "phys_writes", "ring_index")
+    __slots__ = ("num_slots", "count_rotation_shifts", "rotations_done", "values",
+                 "phys_writes", "ring_index")
 
-    def __init__(self, ring_members, rotation_period: int = DEFAULT_ROTATION_PERIOD,
-                 count_rotation_shifts: bool = False):
+    def __init__(self, ring_members, count_rotation_shifts: bool = False):
         members = tuple((str(c), int(i)) for c, i in ring_members)
         if not members:
             raise ValueError("ring needs at least one member")
         if len(set(members)) != len(members):
             raise ValueError("ring members must be distinct")
-        if rotation_period < 1:
-            raise ValueError("rotation_period must be >= 1")
         self.num_slots = len(members)
-        self.rotation_period = rotation_period
         self.count_rotation_shifts = count_rotation_shifts
         self.rotations_done = 0
         self.values = [0] * self.num_slots

@@ -29,7 +29,8 @@ class SplitMix64:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n). Rejection-free modulo is biased for
-        astronomically large n only; n here is bounded by table sizes."""
+        astronomically large n only. The package draws with random() alone;
+        this is kept for the benchmark's mixed-ifetch trace and the tests."""
         if n <= 0:
             raise ValueError("n must be > 0")
         return self.next_u64() % n

@@ -12,18 +12,18 @@ at a time, one structure after another, since they share no state:
   slice goes to each allocator in one allocate() call.
 * regfile: a slice of register keys becomes ring positions, and the writes
   to registers outside the ring are dropped. The rest land on both files,
-  in one write() call on the baseline, which never rotates; the aware file
-  takes them one rotation epoch (cycle // period) at a time, one rotate()
-  call for the rotations the epoch owes, then one write() call. A slice
-  without writes to ring members makes no call.
-* cache: the memory records run through one hierarchy at a time, a split
-  slice per access() call: first the baseline, which never rotates, then
-  the aware copy, which rotates each level every rotation_period
+  in one write() call on the baseline, which never rotates. The aware file
+  keeps no period: it takes them one rotation epoch (cycle //
+  rotation_period) at a time, one rotate() call for the rotations the epoch
+  owes, then one write(). A slice without ring writes makes no call.
+* cache: the memory records run through one hierarchy at a time, a slice
+  of mem codes per access() call: first the baseline, which never rotates,
+  then the aware copy, which rotates each level every rotation_period
   accesses. Only the histograms of each level's per-entry and per-set
   write counts outlive a replay, so at most one hierarchy, and no other
-  count vector, is alive at a time; each splits the slices for itself. A
-  trace without memory records builds no hierarchy: each level's rows are
-  idle rows of the size its geometry gives.
+  count vector, is alive at a time. A trace without memory records builds
+  no hierarchy: each level's rows are idle rows of the size its geometry
+  gives.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -38,9 +38,9 @@ from itertools import compress
 from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
-from .cache import LEVEL_ROLES, build_hierarchy, level_configs, split_codes
+from .cache import LEVEL_ROLES, build_hierarchy, level_configs
 from .records import Checked
-from .regfile import DEFAULT_ROTATION_PERIOD, RING_PRESETS, RotatingRegFile
+from .regfile import RING_PRESETS, RotatingRegFile
 from .wear_stats import (
     CSV_COLUMNS,
     StructureReport,
@@ -60,6 +60,7 @@ from .workload import ConfigError, Trace
 STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
 CHUNK_RECORDS = 1024  # records of one structure per replay slice
+DEFAULT_ROTATION_PERIOD = 10_000_000
 MAX_ALU_UNITS = 256  # toggle-balance's step memo grows as 2N(N+1)
 
 
@@ -158,9 +159,8 @@ def _replay_alu(counts: list[int], cfg: SimConfig) -> StructureReport:
 
 def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureReport:
     ring = RING_PRESETS[cfg.regfile_preset]
-    base = RotatingRegFile(ring, rotation_period=cfg.rotation_period)
-    aware = RotatingRegFile(ring, rotation_period=cfg.rotation_period,
-                            count_rotation_shifts=cfg.count_rotation_shifts)
+    base = RotatingRegFile(ring)
+    aware = RotatingRegFile(ring, count_rotation_shifts=cfg.count_rotation_shifts)
     position_of = base.ring_index.get
     for start in range(0, len(keys), CHUNK_RECORDS):
         stop = start + CHUNK_RECORDS
@@ -172,7 +172,7 @@ def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureRepor
             values = list(compress(values, members))
         if positions:
             base.write(positions, values)
-            _write_by_epoch(aware, positions, values)
+            _write_by_epoch(aware, cfg.rotation_period, positions, values)
     return improvement_report(base.phys_writes, aware.phys_writes,
                               f"regfile.{cfg.regfile_preset}")
 
@@ -204,22 +204,21 @@ def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
 def _replay_hierarchy(codes: list[int],
                       **settings) -> dict[str, tuple[WriteHistogram, WriteHistogram]]:
     """Replays every memory record through a hierarchy built with settings,
-    one split batch at a time, and keeps only the histograms of each level's
+    one batch at a time, and keeps only the histograms of each level's
     line_writes and set_writes: the rest of the hierarchy goes when this
     returns."""
     hierarchy = build_hierarchy(**settings)
     for start in range(0, len(codes), CHUNK_RECORDS):
-        hierarchy.access(split_codes(codes[start:start + CHUNK_RECORDS]))
+        hierarchy.access(codes[start:start + CHUNK_RECORDS])
     return {role: (histogram(level.line_writes), histogram(level.set_writes))
             for role, level in hierarchy.caches.items()}
 
 
-def _write_by_epoch(rf: RotatingRegFile, indices: list[int], cycles) -> None:
+def _write_by_epoch(rf: RotatingRegFile, period: int, indices: list[int], cycles) -> None:
     """Writes cycles[i] to ring position indices[i] at cycle cycles[i]
     (non-decreasing): the writes are cut where the rotation epoch
     (cycle // period) changes, and each epoch catches up on the rotations
     it owes in one rotate() call before one write() of its segment."""
-    period = rf.rotation_period
     i, n = 0, len(cycles)
     while i < n:
         epoch = cycles[i] // period

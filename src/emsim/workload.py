@@ -500,10 +500,3 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     if extra:
         raise ConfigError(f"unknown generator spec fields: {sorted(extra)}")
     return GenSpec(seed=seed, length=length, kind=cls(**kwargs))
-
-
-def genspec_to_json(spec: GenSpec) -> dict:
-    doc = {"kind": spec.kind.KIND, "seed": spec.seed, "length": spec.length}
-    for field, value in spec.kind._asdict().items():
-        doc[field] = list(value) if isinstance(value, tuple) else value
-    return doc

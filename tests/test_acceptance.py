@@ -149,7 +149,7 @@ def test_c5_regfile_transparency_and_leveling():
     t0 = time.perf_counter()
     for n in (2, 16, 18):
         members = tuple(("GPR", i) for i in range(n))
-        rf = RotatingRegFile(members, rotation_period=10 ** 9)
+        rf = RotatingRegFile(members)
         shadow = {}
         rng = SplitMix64(0xC5 + n)
         for _ in range(10_000):
@@ -166,8 +166,7 @@ def test_c5_regfile_transparency_and_leveling():
         for idx in range(n):
             assert rf.read(idx) == shadow.get(idx, 0)
 
-    hot = RotatingRegFile(tuple(("GPR", i) for i in range(4)),
-                          rotation_period=25)
+    hot = RotatingRegFile(tuple(("GPR", i) for i in range(4)))
     for i in range(1, 101):
         hot.write([0], [i])
         if i % 25 == 0:

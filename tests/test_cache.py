@@ -10,7 +10,6 @@ from emsim.cache import (
     Hierarchy,
     RotatingCache,
     build_hierarchy,
-    split_codes,
 )
 from emsim.rng import SplitMix64
 from emsim.simulate import CHUNK_RECORDS, SimConfig, run_simulation
@@ -209,7 +208,7 @@ def test_hammering_spreads_exactly():
 
 def replay(h, records):
     """Replays MemAccess records through a hierarchy as one batch."""
-    h.access(split_codes([mem_code(p) for p in records]))
+    h.access([mem_code(p) for p in records])
 
 
 def test_default_geometry():
@@ -331,25 +330,38 @@ def _peak_bytes(replay):
         tracemalloc.stop()
 
 
-def _peak_bytes_inside_access(n):
-    # 64 distinct lines per space, all L1-resident after the first pass
-    distinct = [MemAccess("WRITE" if i % 3 else "READ", i * 64, "DATA") for i in range(64)]
-    distinct += [MemAccess("READ", i * 64, "INSTR") for i in range(64)]
-    batch = split_codes([mem_code(distinct[i * 37 % 128]) for i in range(n)])
+def _split_reference(codes):
+    """How a batch was split by space before access() took mem codes: per
+    space its L1 stream, its TLB stream and, for a mixed batch, its indices,
+    all held at once."""
+    instr = [i for i, code in enumerate(codes) if code & 1]
+    if 0 < len(instr) < len(codes):
+        by_space = ([i for i, code in enumerate(codes) if not code & 1], instr)
+        spaces = [[codes[i] for i in indices] for indices in by_space]
+    else:
+        by_space = ([], [])
+        spaces = [[], codes] if instr else [codes, []]
+    return tuple(([code >> 1 for code in space], [code >> 14 << 1 for code in space],
+                  indices) for space, indices in zip(spaces, by_space))
+
+
+@pytest.mark.parametrize("spaces", [("DATA", "INSTR"), ("DATA",)], ids=["mixed", "data"])
+def test_access_memory_stays_within_one_split_of_the_batch(spaces):
+    # 64 distinct lines per space, all L1-resident after the first pass:
+    # access() holds its split streams and what each level sends below, so
+    # its peak must not pass that of splitting the batch once beforehand
+    distinct = [MemAccess("WRITE" if i % 3 else "READ", i * 64, space)
+                for space in spaces for i in range(64)]
+    codes = [mem_code(distinct[i * 37 % len(distinct)]) for i in range(200_000)]
     h = build_hierarchy()
-    return _peak_bytes(lambda: h.access(batch))
-
-
-def test_access_memory_stays_flat_in_the_batch_size():
-    # access() holds what each level sends below, not copies of the split
-    # batch, so ten times the records must not raise the peak inside it
-    assert _peak_bytes_inside_access(200_000) <= _peak_bytes_inside_access(20_000) + 64 * 1024
+    assert _peak_bytes(lambda: h.access(codes)) <= \
+        _peak_bytes(lambda: _split_reference(codes)) + 64 * 1024
 
 
 def test_run_simulation_calls_access_once_per_hierarchy_and_only_with_records(monkeypatch):
     calls = []
-    monkeypatch.setattr(Hierarchy, "access", lambda self, batch: calls.append(
-        (len(batch[0][0]), len(batch[1][0]))))
+    monkeypatch.setattr(Hierarchy, "access", lambda self, codes: calls.append(
+        (sum(not code & 1 for code in codes), sum(code & 1 for code in codes))))
     # keyword arguments only: the benchmark's tracer tells the two
     # hierarchies apart by the rotation_period keyword
     builds = []
@@ -387,7 +399,7 @@ def test_run_simulation_holds_one_hierarchy_at_a_time():
     def one_baseline():
         base = build_hierarchy(rotation_period=None)
         for start in range(0, len(codes), CHUNK_RECORDS):
-            base.access(split_codes(codes[start:start + CHUNK_RECORDS]))
+            base.access(codes[start:start + CHUNK_RECORDS])
 
     cfg = SimConfig(structures=("cache",), rotation_period=5000)
     assert _peak_bytes(lambda: run_simulation(trace, cfg)) <= \

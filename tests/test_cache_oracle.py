@@ -4,7 +4,7 @@ independent models in reference_models.py, over random geometries."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emsim.cache import LEVEL_ROLES, CacheConfig, RotatingCache, build_hierarchy, split_codes
+from emsim.cache import LEVEL_ROLES, CacheConfig, RotatingCache, build_hierarchy
 from emsim.workload import MemAccess, mem_code
 from reference_models import RefHierarchy, RefRotatingCache, access
 
@@ -185,7 +185,7 @@ def test_hierarchy_matches_reference(levels, charge, accesses):
     mine = build_hierarchy(overrides=levels, charge_rotation_writebacks=charge)
     ref = RefHierarchy(levels, charge_rotation_writebacks=charge)
     for address, kind, space in accesses:
-        mine.access(split_codes([mem_code(MemAccess(kind, address, space))]))
+        mine.access([mem_code(MemAccess(kind, address, space))])
         ref.access(address, kind, space)
         for role in LEVEL_ROLES:
             m, r = mine.caches[role], ref.levels[role]
@@ -205,8 +205,8 @@ def test_hierarchy_batches_in_random_splits_match_reference(levels, charge, acce
     mine = build_hierarchy(overrides=levels, charge_rotation_writebacks=charge)
     ref = RefHierarchy(levels, charge_rotation_writebacks=charge)
     for batch in batches(accesses, cuts):
-        mine.access(split_codes([mem_code(MemAccess(kind, address, space))
-                                 for address, kind, space in batch]))
+        mine.access([mem_code(MemAccess(kind, address, space))
+                     for address, kind, space in batch])
     for address, kind, space in accesses:
         ref.access(address, kind, space)
     for role in LEVEL_ROLES:

@@ -69,3 +69,54 @@ def test_unused_import_scan_sees_what_it_must():
     tree = ast.parse("from __future__ import annotations\nimport csv\nimport os.path\n"
                      "from json import dump as d, loads\nos.sep\nloads('1')\n")
     assert unused_imports(tree) == [(2, "csv"), (4, "d")]
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def unread_definitions(module, read):
+    """(line, name) of every module-level function, class and constant of
+    module whose name is not in read; dunders are the interpreter's."""
+    defined = []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, name.id) for target in targets
+                        for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return sorted((line, name) for line, name in defined
+                  if name not in read and not name.startswith("__"))
+
+
+def read_names(tree):
+    """Every name a tree reads: a loaded ast.Name, an attribute, or an
+    imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_module_level_name_is_read_somewhere():
+    # a function, class or constant of the package that neither the package,
+    # the tests nor the benchmark reads is dead code
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for top in ("src", "tests", "bench") for path in sorted((ROOT / top).rglob("*.py"))}
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    dead = [f"{path.name}:{line}: {name}"
+            for path in modules for line, name in unread_definitions(trees[path], read)]
+    assert dead == []
+
+
+def test_dead_name_scan_sees_what_it_must():
+    module = ast.parse("A = 1\nB: int = 2\n_c, D = 3, 4\ndef f():\n    return _c\n"
+                       "class K:\n    pass\ndef g():\n    pass\n__version__ = '1'\nK()\n")
+    user = ast.parse("from m import B\nimport m\nm.f\nA = 5\n")
+    read = set(read_names(module)) | set(read_names(user))
+    assert unread_definitions(module, read) == [(1, "A"), (3, "D"), (8, "g")]

@@ -145,12 +145,12 @@ def test_baseline_caches_never_rotate_even_with_level_overrides():
                     cache_overrides={"L1D": {"rotation_period": 4}})
     ev = events_of(text)
 
-    from emsim.cache import build_hierarchy, split_codes
+    from emsim.cache import build_hierarchy
     base = build_hierarchy(rotation_period=None)
     # drive through run_simulation and reproduce the baseline by hand: the
     # baseline hierarchy must behave exactly like a never-rotating one
     reports, _ = run_simulation(ev, cfg)
-    base.access(split_codes(ev.mem))
+    base.access(ev.mem)
     by_name = {r.structure: r for r in reports}
     assert by_name["cache.L1D.tags"].histogram_baseline.max_writes == max(
         base.caches["L1D"].set_writes)

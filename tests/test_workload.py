@@ -25,7 +25,6 @@ from emsim.workload import (
     ZipfRegWrites,
     generate,
     genspec_from_json,
-    genspec_to_json,
     load_trace,
     mem_code,
     parse_trace,
@@ -504,14 +503,27 @@ def test_alu_bursts_width_support():
     assert widths[0] > widths[3]
 
 
-def test_genspec_json_round_trip():
-    specs = [s for s, _ in PINNED]
-    for spec in specs:
-        doc = genspec_to_json(spec)
+# each PINNED spec as a parsed document and as JSON text; the skewed-addrs
+# dict leaves line_bytes to its default, and its text spells it out
+PINNED_DOCS = [
+    ({"kind": "zipf-reg-writes", "seed": 42, "length": 64, "num_regs": 16, "zipf_s": 1.5},
+     '{"kind": "zipf-reg-writes", "seed": 42, "length": 64, "num_regs": 16, "zipf_s": 1.5}'),
+    ({"kind": "skewed-addrs", "seed": 7, "length": 64, "working_set_lines": 512,
+      "hot_fraction": 0.1, "hot_weight": 20.0},
+     '{"kind": "skewed-addrs", "seed": 7, "length": 64, "working_set_lines": 512, '
+     '"hot_fraction": 0.1, "hot_weight": 20.0, "line_bytes": 64}'),
+    ({"kind": "alu-bursts", "seed": 123, "length": 64, "max_width": 3,
+      "width_distribution": [0.1, 0.4, 0.3, 0.2]},
+     '{"kind": "alu-bursts", "seed": 123, "length": 64, "max_width": 3, '
+     '"width_distribution": [0.1, 0.4, 0.3, 0.2]}'),
+]
+
+
+def test_genspec_from_json_reads_the_pinned_specs():
+    assert len(PINNED_DOCS) == len(PINNED)
+    for (spec, _), (doc, text) in zip(PINNED, PINNED_DOCS):
         assert genspec_from_json(doc) == spec
-        # and through actual JSON text
-        import json
-        assert genspec_from_json(json.dumps(doc)) == spec
+        assert genspec_from_json(text) == spec
 
 
 ZIPF_DOC = {"kind": "zipf-reg-writes", "seed": 1, "length": 1,
