@@ -52,29 +52,31 @@ class _CacheConfig(NamedTuple):
 
 
 class CacheConfig(Checked, _CacheConfig):
+    """One level's geometry and policy; a bad field raises ConfigError."""
+
     __slots__ = ()
 
     def _check(self):
         for field in ("sets", "ways", "line_bytes", "rotation_period"):
             value = getattr(self, field)
             if type(value) is not int and not (field == "rotation_period" and value is None):
-                raise ValueError(f"{self.name}: {field} must be an integer, got {value!r}")
+                raise ConfigError(f"{self.name}: {field} must be an integer, got {value!r}")
         if type(self.write_allocate) is not bool:
-            raise ValueError(f"{self.name}: write_allocate must be a boolean, "
-                             f"got {self.write_allocate!r}")
+            raise ConfigError(f"{self.name}: write_allocate must be a boolean, "
+                              f"got {self.write_allocate!r}")
         if not _power_of_two(self.sets):
-            raise ValueError(f"{self.name}: sets must be a power of two, got {self.sets}")
+            raise ConfigError(f"{self.name}: sets must be a power of two, got {self.sets}")
         if self.sets > MAX_SETS:
-            raise ValueError(f"{self.name}: sets must be <= {MAX_SETS}, got {self.sets}")
+            raise ConfigError(f"{self.name}: sets must be <= {MAX_SETS}, got {self.sets}")
         if not _power_of_two(self.line_bytes):
-            raise ValueError(f"{self.name}: line_bytes must be a power of two")
+            raise ConfigError(f"{self.name}: line_bytes must be a power of two")
         if self.ways < 1:
-            raise ValueError(f"{self.name}: ways must be >= 1")
+            raise ConfigError(f"{self.name}: ways must be >= 1")
         if self.sets * self.ways > MAX_ENTRIES:
-            raise ValueError(f"{self.name}: sets * ways must be <= {MAX_ENTRIES}, "
-                             f"got {self.sets * self.ways}")
+            raise ConfigError(f"{self.name}: sets * ways must be <= {MAX_ENTRIES}, "
+                              f"got {self.sets * self.ways}")
         if self.rotation_period is not None and self.rotation_period < 1:
-            raise ValueError(f"{self.name}: rotation_period must be >= 1 or None")
+            raise ConfigError(f"{self.name}: rotation_period must be >= 1 or None")
 
 
 class RotatingCache:
@@ -311,10 +313,7 @@ def level_configs(rotation_period: int | None, overrides: dict | None) -> dict[s
             if key not in fields:
                 raise ConfigError(f"unknown cache config field {key!r} for {role}")
             fields[key] = rotation_period_from_json(value) if key == "rotation_period" else value
-        try:
-            configs[role] = CacheConfig(name=role, **fields)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        configs[role] = CacheConfig(name=role, **fields)
     return configs
 
 

@@ -22,8 +22,8 @@ at a time, one structure after another, since they share no state:
   accesses. Only the histograms of each level's per-entry and per-set
   write counts outlive a replay, so at most one hierarchy, and no other
   count vector, is alive at a time. A trace without memory records builds
-  no hierarchy: each level's rows are idle rows of the size its geometry
-  gives.
+  no hierarchy: each level's histograms are idle ones of the sizes its
+  geometry gives, and become rows in the same loop as replayed ones.
 
 Report rows are emitted in a fixed order (alu, regfile, then per cache
 level a .lines row for per-entry counters and a .tags row for per-set
@@ -48,7 +48,7 @@ from .wear_stats import (
     geo_mean,
     histogram,
     histogram_report,
-    idle_report,
+    idle_histogram,
     improvement_report,
     improvement_to_json,
     report_rows,
@@ -178,36 +178,29 @@ def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureRepor
 
 
 def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
-    if not codes:  # every level stays idle: its rows follow from its geometry
-        levels = level_configs(cfg.rotation_period, cfg.cache_overrides)
-        return [idle_report(n, f"cache.{role}.{row}") for role in LEVEL_ROLES
-                for row, n in (("lines", levels[role].sets * levels[role].ways),
-                               ("tags", levels[role].sets))]
     # one hierarchy at a time: the never-rotating baseline, which takes the
     # overrides' geometry only, is replayed to its histograms and let go
     # before the aware copy is built
     geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}
                 for role, fields in (cfg.cache_overrides or {}).items()}
     charge = cfg.charge_rotation_writebacks
-    base = _replay_hierarchy(codes, rotation_period=None, overrides=geometry,
-                             charge_rotation_writebacks=charge)
-    aware = _replay_hierarchy(codes, rotation_period=cfg.rotation_period,
-                              overrides=cfg.cache_overrides, charge_rotation_writebacks=charge)
-    reports = []
-    for role in LEVEL_ROLES:
-        (b_lines, b_sets), (a_lines, a_sets) = base[role], aware[role]
-        reports.append(histogram_report(b_lines, a_lines, f"cache.{role}.lines"))
-        reports.append(histogram_report(b_sets, a_sets, f"cache.{role}.tags"))
-    return reports
+    base = _replay_hierarchy(codes, None, geometry, charge)
+    aware = _replay_hierarchy(codes, cfg.rotation_period, cfg.cache_overrides, charge)
+    return [histogram_report(b, a, f"cache.{role}.{row}") for role in LEVEL_ROLES
+            for row, b, a in zip(("lines", "tags"), base[role], aware[role])]
 
 
-def _replay_hierarchy(codes: list[int],
-                      **settings) -> dict[str, tuple[WriteHistogram, WriteHistogram]]:
-    """Replays every memory record through a hierarchy built with settings,
-    one batch at a time, and keeps only the histograms of each level's
-    line_writes and set_writes: the rest of the hierarchy goes when this
-    returns."""
-    hierarchy = build_hierarchy(**settings)
+def _replay_hierarchy(codes: list[int], rotation_period: int | None, overrides: dict | None,
+                      charge: bool) -> dict[str, tuple[WriteHistogram, WriteHistogram]]:
+    """Each level's (line_writes, set_writes) histograms after every record
+    ran, a batch at a time, through a hierarchy of these settings, of which
+    nothing else outlives this call. Without records none is built: each
+    level's histograms are idle ones of the sizes level_configs gives."""
+    if not codes:
+        return {role: (idle_histogram(level.sets * level.ways), idle_histogram(level.sets))
+                for role, level in level_configs(rotation_period, overrides).items()}
+    hierarchy = build_hierarchy(rotation_period=rotation_period, overrides=overrides,
+                                charge_rotation_writebacks=charge)
     for start in range(0, len(codes), CHUNK_RECORDS):
         hierarchy.access(codes[start:start + CHUNK_RECORDS])
     return {role: (histogram(level.line_writes), histogram(level.set_writes))

@@ -76,6 +76,13 @@ def histogram(counts: Sequence[int]) -> WriteHistogram:
                           num_entries=len(counts))
 
 
+def idle_histogram(num_entries: int) -> WriteHistogram:
+    """What histogram returns for an all-zero count vector of num_entries
+    (>= 1) entries, built without it."""
+    return WriteHistogram(bins=(num_entries, 0, 0, 0, 0), max_writes=0,
+                          avg_writes=0.0, num_entries=num_entries)
+
+
 def _ratio_or_zero(hist: WriteHistogram) -> float:
     if hist.max_writes == 0:
         return 0.0
@@ -127,14 +134,6 @@ def histogram_report(hist_baseline: WriteHistogram,
         counts_baseline=counts_baseline,
         counts_aware=counts_aware,
     )
-
-
-def idle_report(num_entries: int, structure: str) -> StructureReport:
-    """What histogram_report returns for the histograms of two all-zero
-    count vectors of num_entries (>= 1) entries, built without them."""
-    hist = WriteHistogram(bins=(num_entries, 0, 0, 0, 0), max_writes=0,
-                          avg_writes=0.0, num_entries=num_entries)
-    return histogram_report(hist, hist, structure)
 
 
 def geo_mean(improvements: Iterable[Improvement]) -> Improvement:

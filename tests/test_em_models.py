@@ -171,6 +171,7 @@ class TestRmsEmMtf:
 
     def test_zero_toggle_is_unbounded(self):
         assert rms_em_mtf(self.TECH, self.GEOM, self.sig(0.0)) is UNBOUNDED
+        assert repr(UNBOUNDED) == "UNBOUNDED"
 
     def test_monotone_decreasing_in_p(self):
         values = [rms_em_mtf(self.TECH, self.GEOM, self.sig(p))

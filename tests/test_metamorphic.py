@@ -15,7 +15,14 @@ leaves both reports as they are. A cache level's span is sets * line_bytes
 bytes and a TLB's is sets * line_bytes pages of 4 KiB: the bytes after which
 its set index repeats. Every span is a power of two, so S is a multiple of
 each, and the offset moves only address bits above every level's index
-field: each access keeps its set at every level, so every count stays."""
+field: each access keeps its set at every level, so every count stays.
+
+Moving every write to ring member i onto member (i + 1) mod N moves each
+of them one slot up in both register files, since a file places ring
+position a at slot (a + rotations) mod N; the ring writes keep their
+cycles, so the aware file rotates as before. Both regfile count vectors
+turn by one slot, which leaves every row's maxima, bins, average-to-max
+ratio and improvement, and so the summary, unchanged."""
 
 import json
 import tempfile
@@ -147,3 +154,50 @@ def test_offsetting_addresses_by_less_than_a_span_changes_the_reports(offset):
     csv_after, doc_after = report_files(offset_addresses(lines, offset), DEFAULT_CONFIG)
     csv_before, doc_before = report_files(lines, DEFAULT_CONFIG)
     assert csv_after != csv_before and doc_after != doc_before
+
+
+def relabel_ring(lines, ring):
+    """lines with every write to ring member i moved onto member (i + 1) mod N."""
+    successor = {member: ring[(i + 1) % len(ring)] for i, member in enumerate(ring)}
+    out = []
+    for line in lines:
+        cycle, kind, *fields = line.split()
+        if kind == "R":
+            member = (fields[0], int(fields[1]))
+            reg_class, arch_id = successor.get(member, member)
+            fields = [reg_class, str(arch_id)]
+        out.append(" ".join((cycle, kind, *fields)))
+    return out
+
+
+def assert_relabeling_turns_the_regfile_counts(lines, config):
+    """Returns the baseline regfile counts before the relabeling."""
+    csv_before, doc_before = report_files(lines, config)
+    csv_after, doc_after = report_files(
+        relabel_ring(lines, RING_PRESETS[config["regfile_preset"]]), config)
+    assert csv_after == csv_before
+    for before, after in zip(doc_before["reports"], doc_after["reports"]):
+        if before["structure"].startswith("regfile."):
+            counts_baseline = before["counts_baseline"]
+            for key in ("counts_baseline", "counts_aware"):
+                counts = before.pop(key)
+                assert after.pop(key) == counts[-1:] + counts[:-1]
+    assert doc_after == doc_before
+    return counts_baseline
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=trace_lines(), config=CONFIGS)
+def test_relabeling_ring_members_turns_the_regfile_counts_by_one_slot(lines, config):
+    if "regfile" not in config["structures"]:
+        config = dict(config, structures=(*config["structures"], "regfile"))
+    assert_relabeling_turns_the_regfile_counts(lines, config)
+
+
+@pytest.mark.parametrize("shifts", [False, True])
+@pytest.mark.parametrize("preset", sorted(RING_PRESETS))
+def test_relabeling_holds_on_a_long_default_geometry_trace(preset, shifts):
+    # the relation has teeth: the baseline counts differ from their own turn
+    config = dict(DEFAULT_CONFIG, regfile_preset=preset, count_rotation_shifts=shifts)
+    counts = assert_relabeling_turns_the_regfile_counts(long_mixed_lines(40_000), config)
+    assert counts[-1:] + counts[:-1] != counts

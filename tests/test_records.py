@@ -197,18 +197,18 @@ CHECKS = [
     (_kind(AluBursts(1, (1.0, -1.0))), ConfigError, "width weights must be non-negative"),
     (_kind(AluBursts(1, (0.0, 0.0))), ConfigError, "width weights must not all be zero"),
     (_kind("zipf"), ConfigError, "unknown generator kind 'zipf'"),
-    (_cache(sets="4"), ValueError, "L1: sets must be an integer, got '4'"),
-    (_cache(ways=2.0), ValueError, "L1: ways must be an integer, got 2.0"),
-    (_cache(line_bytes=None), ValueError, "L1: line_bytes must be an integer, got None"),
-    (_cache(rotation_period=1.5), ValueError, "L1: rotation_period must be an integer, got 1.5"),
-    (_cache(write_allocate=1), ValueError, "L1: write_allocate must be a boolean, got 1"),
-    (_cache(sets=3), ValueError, "L1: sets must be a power of two, got 3"),
-    (_cache(sets=1 << 21), ValueError, "L1: sets must be <= 1048576, got 2097152"),
-    (_cache(line_bytes=48), ValueError, "L1: line_bytes must be a power of two"),
-    (_cache(ways=0), ValueError, "L1: ways must be >= 1"),
-    (_cache(sets=1 << 20, ways=17), ValueError,
+    (_cache(sets="4"), ConfigError, "L1: sets must be an integer, got '4'"),
+    (_cache(ways=2.0), ConfigError, "L1: ways must be an integer, got 2.0"),
+    (_cache(line_bytes=None), ConfigError, "L1: line_bytes must be an integer, got None"),
+    (_cache(rotation_period=1.5), ConfigError, "L1: rotation_period must be an integer, got 1.5"),
+    (_cache(write_allocate=1), ConfigError, "L1: write_allocate must be a boolean, got 1"),
+    (_cache(sets=3), ConfigError, "L1: sets must be a power of two, got 3"),
+    (_cache(sets=1 << 21), ConfigError, "L1: sets must be <= 1048576, got 2097152"),
+    (_cache(line_bytes=48), ConfigError, "L1: line_bytes must be a power of two"),
+    (_cache(ways=0), ConfigError, "L1: ways must be >= 1"),
+    (_cache(sets=1 << 20, ways=17), ConfigError,
      "L1: sets * ways must be <= 16777216, got 17825792"),
-    (_cache(rotation_period=0), ValueError, "L1: rotation_period must be >= 1 or None"),
+    (_cache(rotation_period=0), ConfigError, "L1: rotation_period must be >= 1 or None"),
     (_sim(structures=("alu", "tlb")), ConfigError, "unknown structures: ['tlb']"),
     (_sim(structures=()), ConfigError, "at least one structure must be selected"),
     (_sim(structures=("alu", "alu")), ConfigError,
@@ -268,7 +268,7 @@ def test_the_size_bounds_themselves_are_legal():
 # a valid checked record, one field made bad, the exception type, its message
 REPLACED = [
     (GenSpec(1, 10, ZIPF), {"length": -1}, ConfigError, "length must be >= 0"),
-    (CacheConfig("L1", 64, 8, 64), {"sets": 3}, ValueError,
+    (CacheConfig("L1", 64, 8, 64), {"sets": 3}, ConfigError,
      "L1: sets must be a power of two, got 3"),
     (SimConfig(), {"alu_units": 0}, ConfigError, "alu_units must be >= 1"),
     (TechParams(), {"temperature_t": 0.0}, ValueError, "temperature_t must be > 0 (kelvin)"),

@@ -430,7 +430,8 @@ def mixed_trace(seed, cycles):
 # write-backs; the second shrinks the hierarchy so that evictions and
 # rotation write-backs reach L2 and L3, pins L2 and the STLB with "never",
 # and makes L1D write-no-allocate; the third rotates every level of a small
-# hierarchy without charging rotation write-backs below.
+# hierarchy without charging rotation write-backs below; the fourth repeats
+# the first and charges every register slot one write per rotation shift.
 PINNED_REPORTS = [
     (["--structure", "all", "--rotation-period", "150"], None,
      "19ce33625dcfd9bef5cb1040f87c8b4ad25f5791922cc4d6cf0f4969f4db13f8",
@@ -451,6 +452,9 @@ PINNED_REPORTS = [
          "L3": {"sets": 8, "ways": 8}}}},
      "b305e6aa4f798ecac0c712fd98ea4f27f4b2c39f12daa75f32534cb4d8661c84",
      "5d1f6d0d3fcbf1937bf09ff1485ff799f0dde29fbeff3caaabf4a9bf97861d83"),
+    (["--structure", "all", "--rotation-period", "150", "--count-rotation-shifts"], None,
+     "b9e5f24c27cb87d69d96e882c9f429aeb4f05419384bfc4bc4ca79d7bf83db67",
+     "9b1162e87ec06600d3f6a1588078377e6a45108a4dd7fe16df10faca29e79a95"),
 ]
 
 

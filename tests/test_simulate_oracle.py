@@ -18,12 +18,15 @@ from emsim.simulate import STRUCTURES, SimConfig, run_simulation, write_report_f
 from emsim.workload import parse_trace
 from reference_models import ref_parse_trace, ref_run_simulation
 
+# a low address, or one with a high part of 1-7 at bit 21, above the index
+# field of every level the draws configure
+ADDRESSES = st.integers(0, 1 << 14) | st.builds(
+    lambda low, high: low | high << 21, st.integers(0, 1 << 14), st.integers(1, 7))
 RECORDS = st.one_of(
     st.tuples(st.just("A"), st.integers(0, 7)),
     st.tuples(st.just("R"), st.sampled_from(["GPR", "FP", "FLAGS", "SP"]),
               st.integers(0, 33)),
-    st.tuples(st.just("M"), st.sampled_from("RW"), st.integers(0, 1 << 14),
-              st.sampled_from("DI")))
+    st.tuples(st.just("M"), st.sampled_from("RW"), ADDRESSES, st.sampled_from("DI")))
 GAPS = st.integers(0, 2) | st.integers(3, 400)
 
 

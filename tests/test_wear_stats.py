@@ -11,7 +11,7 @@ from emsim.wear_stats import (
     geo_mean,
     histogram,
     histogram_report,
-    idle_report,
+    idle_histogram,
     improvement_from_maxima,
     improvement_report,
     report_rows,
@@ -195,12 +195,11 @@ def test_improvement_report_keeps_copies_of_its_counts():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 512, 131072])
-def test_idle_report_equals_the_report_of_zero_counts(n):
-    zeros = [0] * n
-    built = histogram_report(histogram(zeros), histogram(zeros), "cache.L3.tags")
-    idle = idle_report(n, "cache.L3.tags")
+def test_idle_histogram_equals_the_histogram_of_zero_counts(n):
+    built = histogram([0] * n)
+    idle = idle_histogram(n)
     assert idle == built
-    assert repr(idle) == repr(built)  # 0.0, not 0, where the report holds a float
+    assert repr(idle) == repr(built)  # 0.0, not 0, where the histogram holds a float
 
 
 def test_improvement_report_length_mismatch():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsim.rng import SplitMix64
 from emsim.workload import (
     PARSE_MEMO_TEXTS,
     AluBursts,
@@ -456,6 +457,11 @@ def test_generate_repeatable():
 def test_generate_zero_length():
     spec = GenSpec(seed=1, length=0, kind=ZipfRegWrites(num_regs=4, zipf_s=1.0))
     assert generate(spec) == []
+
+
+def test_randbelow_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="n must be > 0"):
+        SplitMix64(1).randbelow(0)
 
 
 def test_zipf_rank_zero_share():
