@@ -22,8 +22,9 @@ Write accounting: a write hit and a line fill each count as one write to
 the touched entry (a fill rewrites the whole line). Invalidation clears
 bits only and is not counted; the refill traffic it causes is.
 
-TLBs reuse the same model with line_bytes=1 over page numbers (4 KiB
-pages), so a "block address" there is just the page number.
+Every level reads and emits mem codes (workload.mem_code), so its block is
+code >> (log2(line_bytes) + 2). TLBs reuse the same model with line_bytes=1
+over page mem codes (4 KiB pages), so a "block" there is the page number.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from .records import Checked
 from .workload import ConfigError
 
-_PAGE_SHIFT = 14  # 4 KiB pages: 12 page-offset bits plus mem_code's 2 flag bits
+_PAGE_SHIFT = 14  # mem code >> _PAGE_SHIFT = 4 KiB page (12 offset + 2 flag bits)
 MAX_SETS = 1 << 20  # a level builds one list per set
 MAX_ENTRIES = 1 << 24  # and a write counter per entry (sets * ways)
 
@@ -80,13 +81,14 @@ class CacheConfig(Checked, _CacheConfig):
 
 
 class RotatingCache:
-    __slots__ = ("config", "rot_counter", "_where", "_lru", "_dirty",
+    __slots__ = ("config", "rot_counter", "_shift", "_where", "_lru", "_dirty",
                  "line_writes", "accesses", "fills", "rotation_writebacks",
                  "charge_rotation_writebacks")
 
     def __init__(self, config: CacheConfig, charge_rotation_writebacks: bool = True):
         self.config = config
         self.rot_counter = 0
+        self._shift = config.line_bytes.bit_length() + 1  # mem code >> _shift = block
         n = config.sets * config.ways
         self._where: dict[int, int] = {}  # resident block -> way
         self._lru = [[] for _ in range(config.sets)]  # resident blocks, MRU first
@@ -105,12 +107,12 @@ class RotatingCache:
         return list(map(sum, rows))
 
     def run(self, stream: list[int], tags: list[int] | None = None) -> list[int]:
-        """The level loop: replays accesses encoded as (byte address << 1 |
-        is_write) in order. Returns, in the same encoding, what they send to
-        the level below: per access its rotation write-backs (set-major), then
-        its evicted dirty line, then its fill fetch (a read) or its passed-on
-        no-allocate write. With tags, also appends to tags the stream index
-        of the access that sent each output.
+        """The level loop: replays mem codes in order. Returns, as mem codes,
+        what they send to the level below: per access its rotation write-backs
+        (set-major), then its evicted dirty line, both writes of their block's
+        address, then its fill fetch (its code with the flag bits cleared) or
+        its passed-on no-allocate write (its code as is). With tags, also
+        appends to tags the stream index of the access that sent each output.
 
         The rotation countdown carries over between calls through accesses.
         """
@@ -132,8 +134,7 @@ class RotatingCache:
 
     def _replay(self, stream, start, stop, out, tags) -> None:
         """Accesses stream[start:stop], among which the cache does not rotate."""
-        cfg = self.config
-        shift = cfg.line_bytes.bit_length()  # encoded access >> shift = block
+        cfg, shift = self.config, self._shift
         sets_mask, ways, allocate_writes = cfg.sets - 1, cfg.ways, cfg.write_allocate
         rot = self.rot_counter
         where, lrus, dirty = self._where, self._lru, self._dirty
@@ -151,12 +152,12 @@ class RotatingCache:
                 if lru[0] != block:
                     lru.remove(block)
                     lru.insert(0, block)
-                if x & 1:
+                if x & 2:
                     e = s * ways + way
                     dirty[e] = 1
                     line_writes[e] += 1
                 continue
-            if x & 1 and not allocate_writes:
+            if x & 2 and not allocate_writes:
                 emit(x)  # a write miss that does not allocate passes below
             else:
                 lru = lrus[s]
@@ -168,15 +169,15 @@ class RotatingCache:
                     way = where.pop(victim)
                     e = s * ways + way
                     if dirty[e]:
-                        emit(victim << shift | 1)
+                        emit(victim << shift | 2)
                         if sent_by:
                             sent_by(k)
                 lru.insert(0, block)
                 where[block] = way
-                dirty[e] = x & 1
+                dirty[e] = x & 2
                 line_writes[e] += 1
                 fills += 1
-                emit(x & -2)  # fetch the block
+                emit(x & -4)  # fetch the block
             if sent_by:
                 sent_by(k)
         self.accesses += stop - start
@@ -184,18 +185,17 @@ class RotatingCache:
 
     def rotate(self) -> list[int]:
         """Invalidates every line and shifts the set mapping by one. Returns
-        the dirty lines' write-backs for the level below, encoded as in run(),
-        or none if rotation write-backs are not charged (they are counted
-        either way)."""
-        cfg = self.config
-        shift = cfg.line_bytes.bit_length()
+        the dirty lines' write-backs for the level below (mem codes, as in
+        run()), or none if rotation write-backs are not charged (they are
+        counted either way)."""
+        cfg, shift = self.config, self._shift
         rot, sets_mask, ways = self.rot_counter, cfg.sets - 1, cfg.ways
         where, lrus = self._where, self._lru
         # resident lines only, by entry index (set-major, way-ascending): the
         # order the write-backs reach the level below decides its LRU state
         block_at = {((block + rot) & sets_mask) * ways + way: block
                     for block, way in where.items()}
-        writebacks = [block_at[e] << shift | 1
+        writebacks = [block_at[e] << shift | 2
                       for e in sorted(filter(self._dirty.__getitem__, block_at))]
         self.rotation_writebacks += len(writebacks)
         for s in {(block + rot) & sets_mask for block in where}:
@@ -242,23 +242,23 @@ class Hierarchy:
 
     def access(self, codes: list[int]) -> None:
         """Replays a batch of memory records, each a mem_code: address << 2 |
-        is_write << 1 | is_instr. A record's L1 takes it as code >> 1
-        (address << 1 | is_write) and its TLB as a read of its page, code >>
-        _PAGE_SHIFT << 1. A batch of one space runs straight through that
-        space's L1 and TLB; a batch of both is split by space and the L1 and
-        TLB outputs are merged back into batch order."""
+        is_write << 1 | is_instr. A record's L1 takes its code as is and its
+        TLB a read of its page, the page mem code code >> _PAGE_SHIFT << 2.
+        A batch of one space runs straight through that space's L1 and TLB;
+        a batch of both is split by space and the L1 and TLB outputs are
+        merged back into batch order."""
         c = self.caches
         instr = [i for i, code in enumerate(codes) if code & 1]
         if 0 < len(instr) < len(codes):
             data = [i for i, code in enumerate(codes) if not code & 1]
-            l2_in = _merged((c["L1D"], [codes[i] >> 1 for i in data], data),
-                            (c["L1I"], [codes[i] >> 1 for i in instr], instr))
-            stlb_in = _merged((c["DTLB"], [codes[i] >> _PAGE_SHIFT << 1 for i in data], data),
-                              (c["ITLB"], [codes[i] >> _PAGE_SHIFT << 1 for i in instr], instr))
+            l2_in = _merged((c["L1D"], [codes[i] for i in data], data),
+                            (c["L1I"], [codes[i] for i in instr], instr))
+            stlb_in = _merged((c["DTLB"], [codes[i] >> _PAGE_SHIFT << 2 for i in data], data),
+                              (c["ITLB"], [codes[i] >> _PAGE_SHIFT << 2 for i in instr], instr))
         else:
             l1, tlb = (c["L1I"], c["ITLB"]) if instr else (c["L1D"], c["DTLB"])
-            l2_in = l1.run([code >> 1 for code in codes])
-            stlb_in = tlb.run([code >> _PAGE_SHIFT << 1 for code in codes])
+            l2_in = l1.run(codes)
+            stlb_in = tlb.run([code >> _PAGE_SHIFT << 2 for code in codes])
         c["L3"].run(c["L2"].run(l2_in))
         c["STLB"].run(stlb_in)
 

@@ -68,8 +68,8 @@ class Event(NamedTuple):
 
 
 def mem_code(p: MemAccess) -> int:
-    """A memory record as a Trace holds it: one int, address << 2 |
-    is_write << 1 | is_instr."""
+    """A memory record as a Trace holds it and the cache levels consume it
+    as is: one int, address << 2 | is_write << 1 | is_instr."""
     if p.kind not in MEM_KINDS:
         raise ValueError("memory kind must be READ or WRITE")
     if p.space not in MEM_SPACES:

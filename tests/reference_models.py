@@ -235,11 +235,11 @@ def access(cache, address, kind):
     """One access to a RotatingCache, as a one-element run(). Returns (hit,
     fill, byte address of the evicted dirty block or None)."""
     fills, rotation_writebacks = cache.fills, cache.rotation_writebacks
-    out = cache.run([address << 1 | (kind == "WRITE")])
+    out = cache.run([address << 2 | (kind == "WRITE") << 1])
     if cache.charge_rotation_writebacks:  # they come first; drop them
         del out[:cache.rotation_writebacks - rotation_writebacks]
     fill = cache.fills > fills
-    return (not fill and not out, fill, out[0] >> 1 if len(out) == 2 else None)
+    return (not fill and not out, fill, out[0] >> 2 if len(out) == 2 else None)
 
 
 def physical_set(cache, address):

@@ -106,11 +106,41 @@ def test_rotation_writebacks_leave_set_major_and_way_ascending():
     # fill or recency; the level below sees them in that order
     c = make(sets=4, ways=2, line_bytes=1, rotation_period=6)
     blocks = [6, 1, 3, 2, 5, 7]  # sets 2, 1, 3, 2, 1, 3
-    out = c.run([b << 1 | 1 for b in blocks])
+    out = c.run([b << 2 | 2 for b in blocks])
     writebacks = [1, 5, 6, 2, 3, 7]  # set 1 ways 0-1, set 2 ways 0-1, set 3 ways 0-1
-    fetches = [b << 1 for b in blocks]
-    assert out == fetches[:5] + [b << 1 | 1 for b in writebacks] + fetches[5:]
+    fetches = [b << 2 for b in blocks]
+    assert out == fetches[:5] + [b << 2 | 2 for b in writebacks] + fetches[5:]
     assert c.rotation_writebacks == 6 and c.rot_counter == 1
+
+
+def _decoded(code):
+    """A mem code read back in mem_code's layout."""
+    return MemAccess(("READ", "WRITE")[code >> 1 & 1], code >> 2, ("DATA", "INSTR")[code & 1])
+
+
+def test_a_level_reads_and_emits_mem_codes():
+    # one set per block parity, one way each, rotating after the fifth access
+    c = make(sets=2, ways=1, rotation_period=5)
+    accesses = [MemAccess("WRITE", 0x1004, "DATA"),  # miss in set 0, dirty
+                MemAccess("READ", 0x2048, "INSTR"),  # miss in set 1
+                MemAccess("READ", 0x3000, "DATA"),  # evicts the dirty 0x1000 line
+                MemAccess("WRITE", 0x3010, "DATA"),  # hit: the 0x3000 line is dirty
+                MemAccess("READ", 0x0040, "DATA")]  # evicts a clean line, then rotates
+    tags = []
+    out = c.run([mem_code(a) for a in accesses], tags)
+    # a fetch reads the access's address; a write-back, an eviction's or a
+    # rotation's, writes the victim's block-aligned address
+    assert list(zip(tags, map(_decoded, out))) == [
+        (0, MemAccess("READ", 0x1004, "DATA")),
+        (1, MemAccess("READ", 0x2048, "DATA")),
+        (2, MemAccess("WRITE", 0x1000, "DATA")),
+        (2, MemAccess("READ", 0x3000, "DATA")),
+        (4, MemAccess("WRITE", 0x3000, "DATA")),
+        (4, MemAccess("READ", 0x0040, "DATA"))]
+    assert c.rotation_writebacks == 1 and c.rot_counter == 1
+    # a write that does not allocate leaves as it came, space bit included
+    passing = [mem_code(MemAccess("WRITE", 0x1234, space)) for space in ("DATA", "INSTR")]
+    assert make(write_allocate=False).run(passing) == passing
 
 
 def test_rotation_invalidates_everything():

@@ -43,7 +43,7 @@ def assert_lru_state(mine, ref):
 
 
 def encode(address, kind):
-    return address << 1 | (kind == "WRITE")
+    return address << 2 | (kind == "WRITE") << 1
 
 
 def ref_outputs(ref, address, kind):
@@ -53,9 +53,9 @@ def ref_outputs(ref, address, kind):
     rotated = []
     ref.on_writeback = rotated.append
     hit, fill, writeback = ref.access(address, kind)
-    out = [a << 1 | 1 for a in rotated]
+    out = [a << 2 | 2 for a in rotated]
     if writeback is not None:
-        out.append(writeback << 1 | 1)
+        out.append(writeback << 2 | 2)
     if not hit:
         out.append(encode(address, "READ" if fill else kind))
     return out
