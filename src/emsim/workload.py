@@ -16,11 +16,12 @@ courtesy of the fixed SplitMix64 generator.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from array import array
-from typing import Iterable, Iterator, NamedTuple, Union
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .records import Checked
 from .rng import SplitMix64
@@ -321,6 +322,12 @@ class ZipfRegWrites(NamedTuple):
     zipf_s: float
     KIND = "zipf-reg-writes"
 
+    def weights(self) -> Iterable[float]:
+        return ((r + 1) ** -self.zipf_s for r in range(self.num_regs))
+
+    def payloads(self, rng: SplitMix64) -> Callable[[int], Payload]:
+        return [RegWrite("GPR", reg) for reg in range(self.num_regs)].__getitem__
+
 
 class SkewedAddrs(NamedTuple):
     """Data accesses over working_set_lines cache lines, a hot_fraction of
@@ -332,6 +339,15 @@ class SkewedAddrs(NamedTuple):
     line_bytes: int = 64
     KIND = "skewed-addrs"
 
+    def weights(self) -> Iterable[float]:
+        hot_lines = max(1, int(self.working_set_lines * self.hot_fraction + 0.5))
+        return (self.hot_weight if i < hot_lines else 1.0
+                for i in range(self.working_set_lines))
+
+    def payloads(self, rng: SplitMix64) -> Callable[[int], Payload]:
+        # a fresh access, whose kind is drawn after its line
+        return lambda line: MemAccess(MEM_KINDS[rng.random() < 0.5], line * self.line_bytes, "DATA")
+
 
 class AluBursts(NamedTuple):
     """One ALU issue per cycle, width drawn from width_distribution, which
@@ -340,6 +356,12 @@ class AluBursts(NamedTuple):
     max_width: int
     width_distribution: tuple[float, ...]
     KIND = "alu-bursts"
+
+    def weights(self) -> Iterable[float]:
+        return self.width_distribution
+
+    def payloads(self, rng: SplitMix64) -> Callable[[int], Payload]:
+        return [AluIssue(width) for width in range(self.max_width + 1)].__getitem__
 
 
 Kind = Union[ZipfRegWrites, SkewedAddrs, AluBursts]
@@ -386,24 +408,14 @@ class GenSpec(Checked, _GenSpec):
                 raise ConfigError("width_distribution needs max_width + 1 weights")
             if any(w < 0 for w in k.width_distribution):
                 raise ConfigError("width weights must be non-negative")
-            if sum(k.width_distribution) <= 0:
+            if not any(k.width_distribution):
                 raise ConfigError("width weights must not all be zero")
         else:
             raise ConfigError(f"unknown generator kind {k!r}")
-
-
-def _cumulative(weights) -> list[float]:
-    cum = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cum.append(total)
-    return cum
-
-
-def _pick(cum: list[float], rng: SplitMix64) -> int:
-    # Inverse CDF over the cumulative weights; exact and O(log n).
-    return bisect.bisect_right(cum, rng.random() * cum[-1])
+        for total in accumulate(k.weights(), initial=0.0):
+            pass  # iter_events' running sum, not sum(): see wear_stats.geo_mean
+        if not 2.0 ** -1022 < total < math.inf:  # else rng.random() * total can round to total
+            raise ConfigError(f"{k.KIND} weights must have a finite total above 2**-1022, got {total}")
 
 
 def generate(spec: GenSpec) -> list[Event]:
@@ -412,28 +424,15 @@ def generate(spec: GenSpec) -> list[Event]:
 
 
 def iter_events(spec: GenSpec) -> Iterator[Event]:
-    """generate()'s events, one at a time. Register writes to one register
-    share one payload, and so do ALU issues of one width."""
+    """generate()'s events, one at a time: each cycle draws an index of
+    spec.kind.weights() by inverse transform over their running sums (exact,
+    O(log n)) and yields spec.kind.payloads(rng) of it. Register writes to
+    one register share one payload, and so do ALU issues of one width."""
     rng = SplitMix64(spec.seed)
-    k = spec.kind
-    if isinstance(k, ZipfRegWrites):
-        cum = _cumulative((r + 1) ** -k.zipf_s for r in range(k.num_regs))
-        regs = [RegWrite("GPR", reg) for reg in range(k.num_regs)]
-        for cycle in range(spec.length):
-            yield Event(cycle, regs[_pick(cum, rng)])
-    elif isinstance(k, SkewedAddrs):
-        hot_lines = max(1, int(k.working_set_lines * k.hot_fraction + 0.5))
-        cum = _cumulative(k.hot_weight if i < hot_lines else 1.0
-                          for i in range(k.working_set_lines))
-        for cycle in range(spec.length):
-            line = _pick(cum, rng)
-            kind = "WRITE" if rng.random() < 0.5 else "READ"
-            yield Event(cycle, MemAccess(kind, line * k.line_bytes, "DATA"))
-    else:  # AluBursts
-        cum = _cumulative(k.width_distribution)
-        widths = [AluIssue(width) for width in range(len(cum))]
-        for cycle in range(spec.length):
-            yield Event(cycle, widths[_pick(cum, rng)])
+    cum = list(accumulate(spec.kind.weights(), initial=0.0))
+    payload = spec.kind.payloads(rng)
+    for cycle in range(spec.length):
+        yield Event(cycle, payload(bisect_right(cum, rng.random() * cum[-1]) - 1))
 
 
 # --- GenSpec JSON form --------------------------------------------------------

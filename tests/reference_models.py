@@ -14,7 +14,9 @@ RefAluAllocator runs the three ALU policies step by step on plain lists,
 straight from their definitions. ref_parse_trace is the straightforward
 line-by-line trace parser: one int conversion per integer field and one new
 payload per record. It shares only the event types and the error class with
-the package, so that its results can be compared directly. ref_histogram
+the package, so that its results can be compared directly. ref_iter_events
+draws each generator kind in a loop of its own, over a running-sum table
+without a leading zero and the package's SplitMix64 stream. ref_histogram
 places one entry at a time in the five wear bins, and ref_avg_to_max takes
 a vector's average-to-max ratio.
 
@@ -30,11 +32,23 @@ one request of it and returns the units granted, and ex_bits and
 global_bit read its toggle-balance state.
 """
 
+import bisect
 import copy
 import math
 import re
+from typing import Iterator
 
-from emsim.workload import AluIssue, Event, MemAccess, RegWrite, TraceParseError
+from emsim.rng import SplitMix64
+from emsim.workload import (
+    AluIssue,
+    Event,
+    GenSpec,
+    MemAccess,
+    RegWrite,
+    SkewedAddrs,
+    TraceParseError,
+    ZipfRegWrites,
+)
 
 
 class RefSetAssocLRU:
@@ -351,6 +365,45 @@ def ref_parse_trace(lines):
         last_cycle = cycle
         events.append(Event(cycle, payload))
     return events
+
+
+def _cumulative(weights) -> list[float]:
+    cum = []
+    total = 0.0
+    for w in weights:
+        total += w
+        cum.append(total)
+    return cum
+
+
+def _pick(cum: list[float], rng: SplitMix64) -> int:
+    # Inverse CDF over the cumulative weights; exact and O(log n).
+    return bisect.bisect_right(cum, rng.random() * cum[-1])
+
+
+def ref_iter_events(spec: GenSpec) -> Iterator[Event]:
+    """generate()'s events, one at a time. Register writes to one register
+    share one payload, and so do ALU issues of one width."""
+    rng = SplitMix64(spec.seed)
+    k = spec.kind
+    if isinstance(k, ZipfRegWrites):
+        cum = _cumulative((r + 1) ** -k.zipf_s for r in range(k.num_regs))
+        regs = [RegWrite("GPR", reg) for reg in range(k.num_regs)]
+        for cycle in range(spec.length):
+            yield Event(cycle, regs[_pick(cum, rng)])
+    elif isinstance(k, SkewedAddrs):
+        hot_lines = max(1, int(k.working_set_lines * k.hot_fraction + 0.5))
+        cum = _cumulative(k.hot_weight if i < hot_lines else 1.0
+                          for i in range(k.working_set_lines))
+        for cycle in range(spec.length):
+            line = _pick(cum, rng)
+            kind = "WRITE" if rng.random() < 0.5 else "READ"
+            yield Event(cycle, MemAccess(kind, line * k.line_bytes, "DATA"))
+    else:  # AluBursts
+        cum = _cumulative(k.width_distribution)
+        widths = [AluIssue(width) for width in range(len(cum))]
+        for cycle in range(spec.length):
+            yield Event(cycle, widths[_pick(cum, rng)])
 
 
 def ref_histogram(counts):

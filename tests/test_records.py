@@ -196,6 +196,14 @@ CHECKS = [
      "width_distribution needs max_width + 1 weights"),
     (_kind(AluBursts(1, (1.0, -1.0))), ConfigError, "width weights must be non-negative"),
     (_kind(AluBursts(1, (0.0, 0.0))), ConfigError, "width weights must not all be zero"),
+    (_kind(AluBursts(2, (1e308, 1e308, 1e308))), ConfigError,
+     "alu-bursts weights must have a finite total above 2**-1022, got inf"),
+    (_kind(SkewedAddrs(4, 1.0, 1e308)), ConfigError,
+     "skewed-addrs weights must have a finite total above 2**-1022, got inf"),
+    (_kind(AluBursts(1, (0.0, 5e-324))), ConfigError,
+     "alu-bursts weights must have a finite total above 2**-1022, got 5e-324"),
+    (_kind(AluBursts(1, (2.0 ** -1023, 2.0 ** -1023))), ConfigError,
+     "alu-bursts weights must have a finite total above 2**-1022, got 2.2250738585072014e-308"),
     (_kind("zipf"), ConfigError, "unknown generator kind 'zipf'"),
     (_cache(sets="4"), ConfigError, "L1: sets must be an integer, got '4'"),
     (_cache(ways=2.0), ConfigError, "L1: ways must be an integer, got 2.0"),

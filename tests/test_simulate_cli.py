@@ -686,7 +686,7 @@ def test_cli_em_calc_bad_numbers_exit_without_traceback(capsys, argv, code):
 # of every JSON type (so any geometry or trace length stays tiny), nested
 # where the loaders expect nesting.
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 16) | st.floats(-2, 16)
-           | st.sampled_from([float("nan"), float("inf"), "never", "16", "gpr16",
+           | st.sampled_from([float("nan"), float("inf"), 1e308, "never", "16", "gpr16",
                               "toggle-balance", "zipf-reg-writes", "skewed-addrs",
                               "alu-bursts"]))
 ANY_JSON = st.recursive(
@@ -828,6 +828,30 @@ def test_cli_gen_trace_bad_spec_exits_2(tmp_path):
     assert main(["gen-trace", "--gen", '{"kind": "mystery", "seed": 1, '
                                        '"length": 4}',
                  "--out", str(tmp_path / "t.trace")]) == 2
+
+
+# finite weights whose running sum is not, and a subnormal sum: unchecked, a
+# draw lands past the table, in an IndexError after the trace header or, for
+# every access, at address 256, outside the 4-line working set
+BAD_TOTALS = [
+    '{"kind": "alu-bursts", "seed": 1, "length": 10, "max_width": 2, '
+    '"width_distribution": [1e308, 1e308, 1e308]}',
+    '{"kind": "skewed-addrs", "seed": 1, "length": 10, "working_set_lines": 4, '
+    '"hot_fraction": 1.0, "hot_weight": 1e308}',
+    '{"kind": "alu-bursts", "seed": 1, "length": 10, "max_width": 1, '
+    '"width_distribution": [0, 5e-324]}',
+]
+
+
+@pytest.mark.parametrize("spec", BAD_TOTALS)
+def test_cli_bad_weight_total_exits_2_and_leaves_no_file(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    for argv in (["simulate", "--gen", spec, "--out", str(out)],
+                 ["gen-trace", "--gen", spec, "--out", str(out / "g.trace")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must have a finite total above 2**-1022" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # --- CLI: em-calc -----------------------------------------------------------

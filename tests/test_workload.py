@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import math
 import re
 import tracemalloc
 from array import array
@@ -26,13 +27,14 @@ from emsim.workload import (
     ZipfRegWrites,
     generate,
     genspec_from_json,
+    iter_events,
     load_trace,
     mem_code,
     parse_trace,
     save_trace,
     serialize_trace,
 )
-from reference_models import ref_parse_trace
+from reference_models import ref_iter_events, ref_parse_trace
 
 MIXED = """\
 # sample trace
@@ -509,6 +511,47 @@ def test_alu_bursts_width_support():
     assert widths[0] > widths[3]
 
 
+def legal_total(weights):
+    """Whether weights add up, left to right, to a total GenSpec accepts."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return 2.0 ** -1022 < total < math.inf
+
+
+# specs of every kind, with zero and subnormal weights, lines of other sizes
+# than 64 bytes and hot weights up to 1e300, whose totals stay finite at
+# these table sizes
+WEIGHTS = st.just(0.0) | st.floats(0.0, 1e300)
+KINDS = st.one_of(
+    st.builds(ZipfRegWrites, st.integers(1, 40), st.floats(0.0, 1e300, exclude_min=True)),
+    st.builds(SkewedAddrs, st.integers(1, 300), st.floats(0.0, 1.0, exclude_min=True),
+              st.sampled_from([1.0, 1e300]) | st.floats(1.0, 1e300), st.integers(1, 4096)),
+    st.integers(1, 8).flatmap(lambda w: st.builds(
+        AluBursts, st.just(w),
+        st.lists(WEIGHTS, min_size=w + 1, max_size=w + 1).map(tuple).filter(legal_total))))
+SPECS = st.builds(GenSpec, st.integers(0, 2 ** 64 - 1), st.integers(0, 300), KINDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=SPECS)
+def test_generator_matches_reference(spec):
+    events = list(iter_events(spec))
+    assert events == list(ref_iter_events(spec))
+    payloads = [e.payload for e in events]
+    if isinstance(spec.kind, SkewedAddrs):  # a fresh access per event
+        assert len(set(map(id, payloads))) == len(payloads)
+    else:  # one shared payload per register or width
+        shared = {}
+        assert all(shared.setdefault(p, p) is p for p in payloads)
+
+
+def test_smallest_legal_total_draws_inside_the_table():
+    # above 2**-1022, rng.random() * total rounds below total, never to it
+    k = AluBursts(1, (0.0, math.nextafter(2.0 ** -1022, 1.0)))
+    assert {e.payload.ready_count for e in generate(GenSpec(1, 2000, k))} == {1}
+
+
 # each PINNED spec as a parsed document and as JSON text; the skewed-addrs
 # dict leaves line_bytes to its default, and its text spells it out
 PINNED_DOCS = [
@@ -564,6 +607,13 @@ ALU_DOC = {"kind": "alu-bursts", "seed": 1, "length": 1, "max_width": 2,
      "width_distribution must be a list"),
     ({**ALU_DOC, "width_distribution": [1, False, 1]},
      "width_distribution must be a list"),
+    # finite weights whose running sum is not, and a sum too small to draw from
+    ({**ALU_DOC, "width_distribution": [1e308, 1e308, 1e308]},
+     r"alu-bursts weights must have a finite total above 2\*\*-1022, got inf"),
+    ({**SKEWED_DOC, "working_set_lines": 4, "hot_fraction": 1.0, "hot_weight": 1e308},
+     r"skewed-addrs weights must have a finite total above 2\*\*-1022, got inf"),
+    ({**ALU_DOC, "max_width": 1, "width_distribution": [0, 5e-324]},
+     r"alu-bursts weights must have a finite total above 2\*\*-1022, got 5e-324"),
 ])
 def test_genspec_json_errors(doc, needle):
     with pytest.raises(ConfigError, match=needle):
