@@ -6,19 +6,37 @@ Three policies over N identical units:
   conventional scheduler and the wear baseline; unit 0 ages fastest.
 * counter-rotate: a per-cycle counter picks the leading unit, so the
   selection window walks around the units. The counter is kept modulo N
-  (wrap bias from a fixed-width counter would unbalance units whenever
-  N does not divide the counter period).
+  (a fixed-width counter's wrap would unbalance units whenever N does not
+  divide its period).
 * toggle-balance: each unit holds a single excitation bit and the
   allocator holds a single global bit. Units whose bit matches the
   global bit form the eligible set M; requests are served from M
   lowest-index-first, toggling served bits, and when a request drains M
   the global bit flips and the shortfall comes from the remaining units.
-  This equalizes usage without any wide counters.
+
+Toggle-balance grants units in strict round-robin order. Claim: after T
+grants in all, with r = T % N, the global bit is g = (T // N) & 1 and unit
+u's bit is g ^ (u < r), so M is units r..N-1. It holds at reset (T = 0,
+every bit 0). A request for k <= N units then takes units r, r+1, ... mod
+N: if k < N - r, units r..r+k-1 flip from g to g ^ 1 and g stays, as T + k
+stays in its lap; otherwise all of M flips to g ^ 1, T + k enters the next
+lap as g flips to g' = g ^ 1, and the shortfall s = k - (N - r) <= r comes
+from units 0..s-1, which flip from g' to g' ^ 1, with s = (T + k) % N.
+Either way the claim holds at T + k. So units 0..r-1 hold T // N + 1
+grants and the rest T // N: no two counts differ by more than one.
+
+An allocator therefore keeps a position in place of the bits: for
+toggle-balance T % N and the global bit, for counter-rotate the lead, the
+requests so far mod N. allocate() counts a batch's requests by size (for
+counter-rotate, once per lead) and turns the counts into per-unit grants
+in O(N + distinct sizes) steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 FIXED_PRIORITY = "fixed-priority"
@@ -28,35 +46,12 @@ TOGGLE_BALANCE = "toggle-balance"
 POLICIES = (FIXED_PRIORITY, COUNTER_ROTATE, TOGGLE_BALANCE)
 
 
-class _Step:
-    """One memoised transition: the units it grants, the state it leads to,
-    and that state's row of outgoing steps by request size (None until a
-    request of that size is first made from it)."""
-
-    __slots__ = ("units", "state", "row")
-
-    def __init__(self, units: tuple[int, ...], state: int, row: list):
-        self.units = units
-        self.state = state
-        self.row = row
-
-
 class AluAllocator:
-    """N units under one policy, with per-unit grant counts in `usage`.
+    """N units under one policy, with per-unit grant counts in `usage`, all
+    that allocate() leaves to read. `position` and `bit` are all a policy
+    remembers between cycles, as above; fixed-priority keeps both at 0."""
 
-    Everything a policy remembers between cycles is packed into one int,
-    the state: bit 0 is toggle-balance's global bit, bit i+1 is unit i's
-    excitation bit, and the bits above N+1 hold counter-rotate's lead
-    counter. A policy's grant and next state depend only on (state, k), so
-    each (state, k) pair runs the policy code once and is memoised as a
-    _Step in `_table` (state -> its steps by k). allocate() then walks a
-    batch of requests from step to step and adds the usage of the whole
-    batch at once; it returns nothing, and `usage` is all it leaves to
-    read. Toggle-balance reaches just 2N states, counter-rotate N and
-    fixed-priority one, so the table stays small.
-    """
-
-    __slots__ = ("num_units", "policy", "usage", "_last", "_table")
+    __slots__ = ("num_units", "policy", "usage", "position", "bit")
 
     def __init__(self, num_units: int, policy: str = FIXED_PRIORITY):
         if num_units < 1:
@@ -66,59 +61,50 @@ class AluAllocator:
         self.num_units = num_units
         self.policy = policy
         self.usage = [0] * num_units
-        # steps are never changed once made, so copies may share the table
-        self._table: dict[int, list[_Step | None]] = {}
-        self._last = _Step((), 0, self._row(0))  # the step into the current state
+        self.position = self.bit = 0
 
     def allocate(self, ks: Sequence[int]) -> None:
-        """Grant ks[i] of the N units in cycle i, cycle after cycle, and bump
-        the granted units' usage. A request outside [0, N] raises ValueError
-        before any cycle is granted."""
-        if ks and not (0 <= min(ks) and max(ks) <= self.num_units):
-            bad = min(ks) if min(ks) < 0 else max(ks)
-            raise ValueError(f"k must be in [0, {self.num_units}], got {bad}")
-        take = self._take
-        step = self._last
-        # a step's row holds the steps out of the state it leads to
-        steps = [(step := step.row[k] or take(step, k)) for k in ks]
-        self._last = step
-        usage = self.usage
-        for taken, cycles in Counter(steps).items():
-            for i in taken.units:
-                usage[i] += cycles
-
-    def _take(self, step: _Step, k: int) -> _Step:
-        """Run the policy for k from step's state and memoise the result."""
-        state = step.state
-        n = self.num_units
-        if self.policy == FIXED_PRIORITY:
-            units = tuple(range(k))
-            nxt = state
-        elif self.policy == COUNTER_ROTATE:
-            lead = state >> (n + 1)
-            units = tuple((lead + j) % n for j in range(k))
-            nxt = ((lead + 1) % n) << (n + 1)
+        """Grant min(ks[i], N) of the N units in cycle i, cycle after cycle
+        (a trace may request more units than exist; the grant saturates),
+        and bump the granted units' usage. A request that is not an int
+        raises TypeError, and a negative one ValueError, before any cycle
+        is granted."""
+        n, start = self.num_units, self.position
+        if self.policy == COUNTER_ROTATE:  # request i leads at unit (start + i) % N
+            tallies = [((start + r) % n, Counter(ks[r::n])) for r in range(min(n, len(ks)))]
         else:
-            units, nxt = self._toggle_balance(state, k)
-        new = step.row[k] = _Step(units, nxt, self._row(nxt))
-        return new
-
-    def _row(self, state: int) -> list[_Step | None]:
-        row = self._table.get(state)
-        if row is None:
-            row = self._table[state] = [None] * (self.num_units + 1)
-        return row
-
-    def _toggle_balance(self, state: int, k: int) -> tuple[tuple[int, ...], int]:
-        g = state & 1
-        ex = [(state >> (i + 1)) & 1 for i in range(self.num_units)]
-        members = [i for i in range(self.num_units) if ex[i] == g]
-        if k < len(members):
-            selected = members[:k]
+            tallies = [(0, Counter(ks))]
+        _check(ks, tallies)
+        if self.policy == TOGGLE_BALANCE:
+            # the grants take units start, start + 1, ... mod N: unit u gets
+            # one per visit to it in [0, start + total), less one if u < start
+            total = sum(min(k, n) * c for k, c in tallies[0][1].items())
+            laps, self.position = divmod(start + total, n)
+            self.bit ^= laps & 1
+            grants = [laps + (u < self.position) - (u < start) for u in range(n)]
         else:
-            rest = [i for i in range(self.num_units) if ex[i] != g]
-            selected = members + rest[: k - len(members)]
-            state ^= 1
-        for i in selected:
-            state ^= 1 << (i + 1)
-        return tuple(selected), state
+            # units s..s+k-1 mod N are +1 at s and -1 at s + k, over two laps
+            marks = [0] * (2 * n)
+            for lead, tally in tallies:
+                for k, c in tally.items():
+                    marks[lead] += c
+                    marks[lead + min(k, n)] -= c
+            cover = list(accumulate(marks))
+            grants = map(add, cover[:n], cover[n:])
+            if self.policy == COUNTER_ROTATE:
+                self.position = (start + len(ks)) % n
+        self.usage[:] = map(add, self.usage, grants)
+
+
+def _check(ks: Sequence[int], tallies: list[tuple[int, Counter]]) -> None:
+    """Raise on a request that is not an int >= 0. A float equal to an int of
+    the batch is counted under the int's key, but it makes the sum a float."""
+    for _, tally in tallies:
+        for k in tally:
+            if not isinstance(k, int):
+                raise TypeError(f"k must be an integer, got {k!r}")
+            if k < 0:
+                raise ValueError(f"k must be >= 0, got {k}")
+    if type(sum(ks)) is not int:
+        bad = next(k for k in ks if not isinstance(k, int))
+        raise TypeError(f"k must be an integer, got {bad!r}")

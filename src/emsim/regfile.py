@@ -11,14 +11,14 @@ rotation fires orders of magnitude less often than ordinary writes, so
 charging it would drown the workload signal. Pass count_rotation_shifts
 to charge every slot one write per rotation for pessimistic accounting.
 
-The caller owns the schedule: write() takes a batch of writes, and a caller
-that owes rotations between writes cuts the batch there and calls rotate().
+The caller owns the schedule: write() takes a batch of writes as each
+register's write count and last value, and a caller that owes rotations
+between writes cuts the batch there and calls rotate().
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Sequence
+from typing import Mapping
 
 # the named ring compositions a config may select, in ring order
 RING_PRESETS = {
@@ -50,18 +50,16 @@ class RotatingRegFile:
             raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")
         return (arch_index + self.rotations_done) % self.num_slots
 
-    def write(self, indices: Sequence[int], values: Sequence[int]) -> None:
-        """Write values[i] to architectural register indices[i], in order.
-        All writes of one call land under the current mapping, so each slot
-        takes its write count at once and keeps its last value. An index
-        outside the ring, or a length mismatch, raises before anything is
-        written."""
-        if len(indices) != len(values):
-            raise ValueError("write needs one value per index")
-        if not indices:
+    def write(self, counts: Mapping[int, int], values: Mapping[int, int]) -> None:
+        """Apply a batch of writes under the current mapping: counts maps an
+        architectural index to its writes in the batch, values to the value
+        of its last write. An index outside the ring, or other keys in values
+        than in counts, raises before any write."""
+        if counts.keys() != values.keys():
+            raise ValueError("write needs one last value per written index")
+        if not counts:
             return
         n = self.num_slots
-        counts = Counter(indices)
         lo, hi = min(counts), max(counts)
         if lo < 0 or hi >= n:
             bad = lo if lo < 0 else hi
@@ -69,7 +67,7 @@ class RotatingRegFile:
         shift, phys_writes, slot_values = self.rotations_done, self.phys_writes, self.values
         for a, count in counts.items():
             phys_writes[(a + shift) % n] += count
-        for a, value in dict(zip(indices, values)).items():
+        for a, value in values.items():
             slot_values[(a + shift) % n] = value
 
     def read(self, arch_index: int) -> int:

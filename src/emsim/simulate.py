@@ -7,15 +7,15 @@ register keys beside their cycles, and the memory record codes. Each
 selected structure is replayed from its own column, CHUNK_RECORDS records
 at a time, one structure after another, since they share no state:
 
-* alu: each ready count asks both allocators for min(ready_count, units)
-  units (a trace may request more than exist; the grant saturates); a
-  slice goes to each allocator in one allocate() call.
-* regfile: a slice of register keys becomes ring positions, and the writes
-  to registers outside the ring are dropped. The rest land on both files,
-  in one write() call on the baseline, which never rotates. The aware file
-  keeps no period: it takes them one rotation epoch (cycle //
-  rotation_period) at a time, one rotate() call for the rotations the epoch
-  owes, then one write(). A slice without ring writes makes no call.
+* alu: a slice of ready counts goes to each allocator in one allocate()
+  call, which grants min(ready_count, units) units per count (a trace may
+  request more than exist; the grant saturates).
+* regfile: a slice of register keys is cut where the rotation epoch
+  (cycle // rotation_period) changes. Each segment's write count and last
+  cycle per ring member land on both files in one write() call each: on
+  the baseline, which never rotates, and on the aware file after one
+  rotate() for the rotations the epoch owes. A segment without ring
+  writes makes no call.
 * cache: the memory records run through one hierarchy at a time, a slice
   of mem codes per access() call: first the baseline, which never rotates,
   then the aware copy, which rotates each level every rotation_period
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress
+from collections import Counter
 from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
@@ -61,7 +61,7 @@ STRUCTURES = ("alu", "regfile", "cache")
 AWARE_ALU_POLICIES = (COUNTER_ROTATE, TOGGLE_BALANCE)
 CHUNK_RECORDS = 1024  # records of one structure per replay slice
 DEFAULT_ROTATION_PERIOD = 10_000_000
-MAX_ALU_UNITS = 256  # toggle-balance's step memo grows as 2N(N+1)
+MAX_ALU_UNITS = 256  # counter-rotate counts a batch's requests at each of N leads
 
 
 class _SimConfig(NamedTuple):
@@ -147,11 +147,8 @@ def run_simulation(trace: Trace, cfg: SimConfig):
 def _replay_alu(counts: list[int], cfg: SimConfig) -> StructureReport:
     base = AluAllocator(cfg.alu_units, FIXED_PRIORITY)
     aware = AluAllocator(cfg.alu_units, cfg.alu_policy)
-    units = cfg.alu_units
     for start in range(0, len(counts), CHUNK_RECORDS):
         ks = counts[start:start + CHUNK_RECORDS]
-        if max(ks) > units:
-            ks = [k if k <= units else units for k in ks]
         base.allocate(ks)
         aware.allocate(ks)
     return improvement_report(base.usage, aware.usage, "alu")
@@ -161,18 +158,9 @@ def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureRepor
     ring = RING_PRESETS[cfg.regfile_preset]
     base = RotatingRegFile(ring)
     aware = RotatingRegFile(ring, count_rotation_shifts=cfg.count_rotation_shifts)
-    position_of = base.ring_index.get
     for start in range(0, len(keys), CHUNK_RECORDS):
         stop = start + CHUNK_RECORDS
-        positions = list(map(position_of, keys[start:stop]))
-        values = cycles[start:stop]
-        if None in positions:  # drop the writes to registers outside the ring
-            members = [position is not None for position in positions]
-            positions = list(compress(positions, members))
-            values = list(compress(values, members))
-        if positions:
-            base.write(positions, values)
-            _write_by_epoch(aware, cfg.rotation_period, positions, values)
+        _write_by_epoch(base, aware, cfg.rotation_period, keys[start:stop], cycles[start:stop])
     return improvement_report(base.phys_writes, aware.phys_writes,
                               f"regfile.{cfg.regfile_preset}")
 
@@ -207,19 +195,28 @@ def _replay_hierarchy(codes: list[int], rotation_period: int | None, overrides: 
             for role, level in hierarchy.caches.items()}
 
 
-def _write_by_epoch(rf: RotatingRegFile, period: int, indices: list[int], cycles) -> None:
-    """Writes cycles[i] to ring position indices[i] at cycle cycles[i]
-    (non-decreasing): the writes are cut where the rotation epoch
-    (cycle // period) changes, and each epoch catches up on the rotations
-    it owes in one rotate() call before one write() of its segment."""
+def _write_by_epoch(base: RotatingRegFile, aware: RotatingRegFile, period: int,
+                    keys: list, cycles) -> None:
+    """Writes the register keys[i] at cycle cycles[i] (non-decreasing) to
+    both files, cut where the rotation epoch (cycle // period) changes: per
+    segment, its write count and last cycle per ring member, the others
+    dropped, go in one write() to base, which never rotates, and to aware
+    after one rotate() for the rotations the epoch owes."""
+    position_of = base.ring_index.get
     i, n = 0, len(cycles)
     while i < n:
         epoch = cycles[i] // period
-        owed = epoch - rf.rotations_done
-        if owed > 0:
-            rf.rotate(owed)
         j = bisect_left(cycles, (epoch + 1) * period, i)
-        rf.write(indices[i:j], cycles[i:j])
+        tally, last = Counter(keys[i:j]), dict(zip(keys[i:j], cycles[i:j]))
+        positions = {key: p for key in tally if (p := position_of(key)) is not None}
+        if positions:
+            counts = {p: tally[key] for key, p in positions.items()}
+            values = {p: last[key] for key, p in positions.items()}
+            base.write(counts, values)
+            owed = epoch - aware.rotations_done
+            if owed > 0:
+                aware.rotate(owed)
+            aware.write(counts, values)
         i = j
 
 

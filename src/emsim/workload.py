@@ -328,6 +328,15 @@ class ZipfRegWrites(NamedTuple):
     def payloads(self, rng: SplitMix64) -> Callable[[int], Payload]:
         return [RegWrite("GPR", reg) for reg in range(self.num_regs)].__getitem__
 
+    def _check(self):
+        _integers(self, "num_regs")
+        if self.num_regs < 1:
+            raise ConfigError("num_regs must be >= 1")
+        if self.num_regs > MAX_TABLE:
+            raise ConfigError(f"num_regs must be <= {MAX_TABLE}")
+        if self.zipf_s <= 0:
+            raise ConfigError("zipf_s must be > 0")
+
 
 class SkewedAddrs(NamedTuple):
     """Data accesses over working_set_lines cache lines, a hot_fraction of
@@ -348,6 +357,19 @@ class SkewedAddrs(NamedTuple):
         # a fresh access, whose kind is drawn after its line
         return lambda line: MemAccess(MEM_KINDS[rng.random() < 0.5], line * self.line_bytes, "DATA")
 
+    def _check(self):
+        _integers(self, "working_set_lines", "line_bytes")
+        if self.working_set_lines < 1:
+            raise ConfigError("working_set_lines must be >= 1")
+        if self.working_set_lines > MAX_TABLE:
+            raise ConfigError(f"working_set_lines must be <= {MAX_TABLE}")
+        if not 0.0 < self.hot_fraction <= 1.0:
+            raise ConfigError("hot_fraction must be in (0, 1]")
+        if self.hot_weight < 1.0:
+            raise ConfigError("hot_weight must be >= 1")
+        if self.line_bytes < 1:
+            raise ConfigError("line_bytes must be >= 1")
+
 
 class AluBursts(NamedTuple):
     """One ALU issue per cycle, width drawn from width_distribution, which
@@ -363,9 +385,28 @@ class AluBursts(NamedTuple):
     def payloads(self, rng: SplitMix64) -> Callable[[int], Payload]:
         return [AluIssue(width) for width in range(self.max_width + 1)].__getitem__
 
+    def _check(self):
+        _integers(self, "max_width")
+        if self.max_width < 1:
+            raise ConfigError("max_width must be >= 1")
+        if len(self.width_distribution) != self.max_width + 1:
+            raise ConfigError("width_distribution needs max_width + 1 weights")
+        if any(w < 0 for w in self.width_distribution):
+            raise ConfigError("width weights must be non-negative")
+        if not any(self.width_distribution):
+            raise ConfigError("width weights must not all be zero")
+
 
 Kind = Union[ZipfRegWrites, SkewedAddrs, AluBursts]
 MAX_TABLE = 1 << 20  # num_regs and working_set_lines: one float each in a table
+
+
+def _integers(record: tuple, *fields: str) -> None:
+    """Raise ConfigError unless each field of record is an int, not a bool."""
+    for field in fields:
+        value = getattr(record, field)
+        if type(value) is not int:
+            raise ConfigError(f"{field} must be an integer, got {value!r}")
 
 
 class _GenSpec(NamedTuple):
@@ -375,43 +416,20 @@ class _GenSpec(NamedTuple):
 
 
 class GenSpec(Checked, _GenSpec):
+    """A generator run; its kind's fields are checked by the kind's _check."""
+
     __slots__ = ()
 
     def _check(self):
+        _integers(self, "seed", "length")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
         if self.length < 0:
             raise ConfigError("length must be >= 0")
         k = self.kind
-        if isinstance(k, ZipfRegWrites):
-            if k.num_regs < 1:
-                raise ConfigError("num_regs must be >= 1")
-            if k.num_regs > MAX_TABLE:
-                raise ConfigError(f"num_regs must be <= {MAX_TABLE}")
-            if k.zipf_s <= 0:
-                raise ConfigError("zipf_s must be > 0")
-        elif isinstance(k, SkewedAddrs):
-            if k.working_set_lines < 1:
-                raise ConfigError("working_set_lines must be >= 1")
-            if k.working_set_lines > MAX_TABLE:
-                raise ConfigError(f"working_set_lines must be <= {MAX_TABLE}")
-            if not 0.0 < k.hot_fraction <= 1.0:
-                raise ConfigError("hot_fraction must be in (0, 1]")
-            if k.hot_weight < 1.0:
-                raise ConfigError("hot_weight must be >= 1")
-            if k.line_bytes < 1:
-                raise ConfigError("line_bytes must be >= 1")
-        elif isinstance(k, AluBursts):
-            if k.max_width < 1:
-                raise ConfigError("max_width must be >= 1")
-            if len(k.width_distribution) != k.max_width + 1:
-                raise ConfigError("width_distribution needs max_width + 1 weights")
-            if any(w < 0 for w in k.width_distribution):
-                raise ConfigError("width weights must be non-negative")
-            if not any(k.width_distribution):
-                raise ConfigError("width weights must not all be zero")
-        else:
+        if not isinstance(k, (ZipfRegWrites, SkewedAddrs, AluBursts)):
             raise ConfigError(f"unknown generator kind {k!r}")
+        k._check()
         for total in accumulate(k.weights(), initial=0.0):
             pass  # iter_events' running sum, not sum(): see wear_stats.geo_mean
         if not 2.0 ** -1022 < total < math.inf:  # else rng.random() * total can round to total

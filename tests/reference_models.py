@@ -29,13 +29,15 @@ the reference caches do. physical_set and member_index read where a package
 cache or register file puts an address or a register, for tests that check
 its counters by hand. clone copies a package ALU allocator, grant makes
 one request of it and returns the units granted, and ex_bits and
-global_bit read its toggle-balance state.
+global_bit read its toggle-balance state off its position. write_each
+hands a list of register writes to a package register file as one batch.
 """
 
 import bisect
 import copy
 import math
 import re
+from collections import Counter
 from typing import Iterator
 
 from emsim.rng import SplitMix64
@@ -270,30 +272,41 @@ def member_index(rf, reg_class, arch_id):
 
 
 def clone(alloc):
-    """An AluAllocator that goes on from alloc's state with its own usage
-    counters; the two share the memo table, which steps only ever extend."""
+    """An AluAllocator that goes on from alloc's position with its own
+    usage counters."""
     other = copy.copy(alloc)
     other.usage = list(alloc.usage)
     return other
 
 
 def grant(alloc, k):
-    """One cycle's request of k units from an AluAllocator: the units it
-    grants, in grant order, read from the step it ends on."""
+    """One cycle's request of k units from an AluAllocator: the units whose
+    usage it bumps, in grant order, which starts at the position the
+    allocator held before the request (fixed-priority's stays at unit 0)."""
+    before, start = list(alloc.usage), alloc.position
     alloc.allocate([k])
-    return alloc._last.units
+    units = [u for u, (a, b) in enumerate(zip(before, alloc.usage)) if a != b]
+    assert all(alloc.usage[u] - before[u] == 1 for u in units)
+    return tuple(sorted(units, key=lambda u: (u - start) % alloc.num_units))
 
 
 def ex_bits(alloc):
-    """An AluAllocator's toggle-balance excitation bits, unit 0 first: bits
-    1..N of its state."""
-    state = alloc._last.state
-    return tuple((state >> (i + 1)) & 1 for i in range(alloc.num_units))
+    """An AluAllocator's toggle-balance excitation bits, unit 0 first: unit
+    u's bit is the global bit, flipped if u is before the position."""
+    return tuple(alloc.bit ^ (u < alloc.position) for u in range(alloc.num_units))
 
 
 def global_bit(alloc):
-    """An AluAllocator's toggle-balance global bit: bit 0 of its state."""
-    return alloc._last.state & 1
+    """An AluAllocator's toggle-balance global bit."""
+    return alloc.bit
+
+
+def write_each(rf, indices, values):
+    """Write values[i] to architectural register indices[i] of a
+    RotatingRegFile, in order, as one batch: each register's write count
+    and last value."""
+    assert len(indices) == len(values)
+    rf.write(Counter(indices), dict(zip(indices, values)))
 
 
 def _ref_int(text):

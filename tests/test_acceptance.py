@@ -24,7 +24,7 @@ from emsim.wear_stats import histogram, improvement_report
 from emsim.workload import generate, genspec_from_json, save_trace
 
 from reference_models import (RefSetAssocLRU, access, clone, ex_bits, global_bit, grant,
-                              physical_set)
+                              physical_set, write_each)
 
 
 def criterion(tag):
@@ -157,7 +157,7 @@ def test_c5_regfile_transparency_and_leveling():
             idx = rng.randbelow(n)
             if op < 9:
                 value = rng.next_u64() & 0xFFFF
-                rf.write([idx], [value])
+                write_each(rf, [idx], [value])
                 shadow[idx] = value
             elif op < 18:
                 assert rf.read(idx) == shadow.get(idx, 0)
@@ -168,7 +168,7 @@ def test_c5_regfile_transparency_and_leveling():
 
     hot = RotatingRegFile(tuple(("GPR", i) for i in range(4)))
     for i in range(1, 101):
-        hot.write([0], [i])
+        write_each(hot, [0], [i])
         if i % 25 == 0:
             hot.rotate()
     counts = tuple(hot.phys_writes)

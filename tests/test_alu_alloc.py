@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from emsim.alu_alloc import (
     AluAllocator,
 )
 from emsim.rng import SplitMix64
+from emsim.simulate import MAX_ALU_UNITS
 from reference_models import RefAluAllocator, clone, ex_bits, global_bit, grant
 
 
@@ -105,11 +107,17 @@ def test_k_zero_changes_nothing(policy):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_k_out_of_range(policy):
+    # a negative or non-int request raises; one above N saturates at N
     alloc = AluAllocator(3, policy)
     with pytest.raises(ValueError):
         alloc.allocate([-1])
-    with pytest.raises(ValueError):
-        alloc.allocate([4])
+    with pytest.raises(TypeError):
+        alloc.allocate([1.5])
+    saturated, full = AluAllocator(3, policy), AluAllocator(3, policy)
+    saturated.allocate([4, 9, 1])
+    full.allocate([3, 3, 1])
+    assert saturated.usage == full.usage
+    assert (saturated.position, saturated.bit) == (full.position, full.bit)
 
 
 def test_bad_construction():
@@ -135,16 +143,18 @@ def test_result_shape_exhaustive(policy):
 
 
 def test_toggle_balance_stays_balanced():
-    # exhaustively: all request sequences of length 5 over 3 units keep
-    # the usage spread at 2 or less at every step (the wide sweep over
-    # more unit counts and longer sequences lives in the acceptance suite)
+    # exhaustively: all request sequences of length 5 over 3 units leave
+    # each unit T // N or T // N + 1 of the T grants so far at every step,
+    # units below T mod N holding the extra one (the wide sweep of the
+    # spread over more unit counts and longer sequences lives in the
+    # acceptance suite)
     n = 3
     for seq in itertools.product(range(n + 1), repeat=5):
         alloc = AluAllocator(n, TOGGLE_BALANCE)
         for k in seq:
             alloc.allocate([k])
-            u = alloc.usage
-            assert max(u) - min(u) <= 2, (seq, u)
+            laps, rest = divmod(sum(alloc.usage), n)
+            assert alloc.usage == [laps + (u < rest) for u in range(n)], (seq, alloc.usage)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -176,12 +186,14 @@ def _same_state(mine, ref):
     if ref.policy == TOGGLE_BALANCE:
         assert ex_bits(mine) == tuple(ref.bits)
         assert global_bit(mine) == ref.global_bit
+    elif ref.policy == COUNTER_ROTATE:
+        assert mine.position == ref.lead
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 8), policy=st.sampled_from(POLICIES))
 def test_matches_reference_allocator(data, n, policy):
-    # the memoised transition table against a step-by-step reference; a
+    # the closed-form batches against a step-by-step reference; a
     # clone taken part way must run on independently of the original
     ks = data.draw(st.lists(st.integers(0, n), max_size=60))
     split = data.draw(st.integers(0, len(ks)))
@@ -207,26 +219,17 @@ def test_matches_reference_allocator(data, n, policy):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_toggle_balance_table_stays_small(n):
-    # toggle-balance reaches only 2N states, so the memo holds at most
-    # 2N * (N + 1) transitions however long the request stream runs
-    seen, frontier = set(), [AluAllocator(n, TOGGLE_BALANCE)]
-    while frontier:
-        a = frontier.pop()
-        for k in range(n + 1):
-            b = clone(a)
-            b.allocate([k])
-            state = (ex_bits(b), global_bit(b))
-            if state not in seen:
-                seen.add(state)
-                frontier.append(b)
-    assert len(seen) == 2 * n
-    alloc = AluAllocator(n, TOGGLE_BALANCE)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_position_stays_small(n, policy):
+    # all an allocator keeps between batches is a position in [0, N) and
+    # one bit, however long the request stream runs
+    alloc = AluAllocator(n, policy)
     rng = SplitMix64(n)
-    for _ in range(5000):
-        alloc.allocate([rng.randbelow(n + 1)])
-        steps = sum(step is not None for row in alloc._table.values() for step in row)
-        assert steps <= 2 * n * (n + 1)
+    for _ in range(2000):
+        alloc.allocate([rng.randbelow(n + 3) for _ in range(rng.randbelow(2 * n + 2))])
+        assert 0 <= alloc.position < n and alloc.bit in (0, 1)
+        if policy == FIXED_PRIORITY:
+            assert (alloc.position, alloc.bit) == (0, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,14 +255,66 @@ def test_batches_in_random_splits_match_reference(data, n, policy):
 def test_bad_request_in_a_batch_grants_nothing(policy):
     alloc = AluAllocator(3, policy)
     alloc.allocate([1, 2])
-    before = (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc))
-    for ks in ([2, 4, 1], [0, -1]):
-        with pytest.raises(ValueError, match="k must be in"):
+    before = (tuple(alloc.usage), alloc.position, alloc.bit)
+    for ks, error, message in (([2, -4, 1], ValueError, "k must be >= 0, got -4"),
+                               ([0, -1], ValueError, "k must be >= 0, got -1"),
+                               ([1, 2.5], TypeError, "k must be an integer, got 2.5"),
+                               ([1, 1.0], TypeError, "k must be an integer, got 1.0"),
+                               ([Fraction(2), 2], TypeError,
+                                "k must be an integer, got Fraction(2, 1)"),
+                               ([3, None], TypeError, "k must be an integer, got None")):
+        with pytest.raises(error) as excinfo:
             alloc.allocate(ks)
-        assert (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc)) == before
+        assert str(excinfo.value) == message
+        assert (tuple(alloc.usage), alloc.position, alloc.bit) == before
     # and it goes on as if the bad batches never came
     fresh = AluAllocator(3, policy)
     fresh.allocate([1, 2, 3])
     alloc.allocate([3])
-    assert (tuple(alloc.usage), ex_bits(alloc), global_bit(alloc)) == \
-        (tuple(fresh.usage), ex_bits(fresh), global_bit(fresh))
+    assert (tuple(alloc.usage), alloc.position, alloc.bit) == \
+        (tuple(fresh.usage), fresh.position, fresh.bit)
+
+
+def closed_form_usage(policy, n, ks):
+    """Each unit's grants after the requests ks from reset, straight from
+    each policy's closed form: fixed-priority grants units below k;
+    counter-rotate's i-th request covers the window of its k units from
+    unit i mod N; toggle-balance hands its T grants out round-robin, so
+    unit u holds T // N, plus one if u < T mod N."""
+    ks = [min(k, n) for k in ks]
+    if policy == FIXED_PRIORITY:
+        return [sum(u < k for k in ks) for u in range(n)]
+    if policy == COUNTER_ROTATE:
+        return [sum((u - i) % n < k for i, k in enumerate(ks)) for u in range(n)]
+    laps, rest = divmod(sum(ks), n)
+    return [laps + (u < rest) for u in range(n)]
+
+
+NON_INTS = st.one_of(st.floats(allow_nan=True), st.fractions(), st.decimals(),
+                     st.none(), st.text(max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, MAX_ALU_UNITS), policy=st.sampled_from(POLICIES))
+def test_batches_match_closed_form_and_reference(data, n, policy):
+    # a request stream of widths up to N + 2, cut into batches at random
+    # points, with now and then a batch that holds a non-int request: that
+    # batch raises and leaves usage and position as they were
+    ks = data.draw(st.lists(st.integers(0, n + 2), max_size=40))
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, len(ks)), max_size=8))) | {0, len(ks)})
+    mine, ref = AluAllocator(n, policy), RefAluAllocator(n, policy)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if data.draw(st.booleans()):
+            bad = data.draw(NON_INTS)
+            batch = list(ks[lo:hi])
+            batch.insert(data.draw(st.integers(0, len(batch))), bad)
+            before = (list(mine.usage), mine.position, mine.bit)
+            with pytest.raises(TypeError):
+                mine.allocate(batch)
+            assert (mine.usage, mine.position, mine.bit) == before
+        mine.allocate(ks[lo:hi])
+        for k in ks[lo:hi]:
+            ref.allocate(min(k, n))
+        _same_state(mine, ref)
+        assert mine.usage == closed_form_usage(policy, n, ks[:hi])
+        assert 0 <= mine.position < n

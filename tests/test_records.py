@@ -182,6 +182,16 @@ CHECKS = [
     (_spec(seed=-1), ConfigError, "seed must fit in 64 bits"),
     (_spec(seed=1 << 64), ConfigError, "seed must fit in 64 bits"),
     (_spec(length=-1), ConfigError, "length must be >= 0"),
+    (_spec(seed=1.5), ConfigError, "seed must be an integer, got 1.5"),
+    (_spec(seed=True), ConfigError, "seed must be an integer, got True"),
+    (_spec(length=2.5), ConfigError, "length must be an integer, got 2.5"),
+    (_kind(ZipfRegWrites(4.0, 1.0)), ConfigError, "num_regs must be an integer, got 4.0"),
+    (_kind(SkewedAddrs(8.0, 0.5, 2.0)), ConfigError,
+     "working_set_lines must be an integer, got 8.0"),
+    (_kind(SkewedAddrs(8, 0.5, 2.0, True)), ConfigError,
+     "line_bytes must be an integer, got True"),
+    (_kind(AluBursts(2.0, (1.0, 1.0, 1.0))), ConfigError,
+     "max_width must be an integer, got 2.0"),
     (_kind(ZipfRegWrites(0, 1.0)), ConfigError, "num_regs must be >= 1"),
     (_kind(ZipfRegWrites((1 << 20) + 1, 1.0)), ConfigError, "num_regs must be <= 1048576"),
     (_kind(ZipfRegWrites(4, 0.0)), ConfigError, "zipf_s must be > 0"),

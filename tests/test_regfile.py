@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emsim.em_models import mtf_improvement
 from emsim.simulate import _write_by_epoch
 from emsim.regfile import RING_PRESETS, RotatingRegFile
 from emsim.rng import SplitMix64
-from reference_models import member_index
+from reference_models import member_index, write_each
 
 
 def make(n, **kw):
@@ -31,10 +31,10 @@ def test_map_after_rotations():
 
 def test_write_counter_follows_mapping():
     rf = make(4)
-    rf.write([0], [11])
+    write_each(rf, [0], [11])
     assert rf.phys_writes == [1, 0, 0, 0]
     rf.rotate()
-    rf.write([0], [22])
+    write_each(rf, [0], [22])
     assert rf.phys_writes == [1, 1, 0, 0]
 
 
@@ -44,7 +44,7 @@ def test_single_register_wear_leveling():
     # improvement over the non-rotating file is exactly 3x
     rf = make(4)
     for i in range(100):
-        rf.write([0], [i])
+        write_each(rf, [0], [i])
         if (i + 1) % 25 == 0:
             rf.rotate()
     assert rf.phys_writes == [25, 25, 25, 25]
@@ -53,8 +53,8 @@ def test_single_register_wear_leveling():
 
 def test_reads_survive_rotation():
     rf = make(2)
-    rf.write([0], [7])
-    rf.write([1], [9])
+    write_each(rf, [0], [7])
+    write_each(rf, [1], [9])
     rf.rotate()
     assert rf.read(0) == 7
     assert rf.read(1) == 9
@@ -63,7 +63,7 @@ def test_reads_survive_rotation():
 
 def test_rotate_single_slot():
     rf = make(1)
-    rf.write([0], [5])
+    write_each(rf, [0], [5])
     rf.rotate()
     assert rf.read(0) == 5
     assert rf.map(0) == 0
@@ -72,7 +72,7 @@ def test_rotate_single_slot():
 def test_full_cycle_restores_layout():
     rf = make(5)
     for a in range(5):
-        rf.write([a], [a * 10])
+        write_each(rf, [a], [a * 10])
     layout = list(rf.values)
     for _ in range(5):
         rf.rotate()
@@ -93,7 +93,7 @@ def test_index_errors(bad):
     with pytest.raises(IndexError):
         rf.read(bad)
     with pytest.raises(IndexError):
-        rf.write([bad], [0])
+        write_each(rf, [bad], [0])
 
 
 def test_construction_errors():
@@ -115,7 +115,7 @@ def test_transparency_fuzz(n):
         a = rng.randbelow(n)
         if op <= 1:
             v = rng.next_u64()
-            rf.write([a], [v])
+            write_each(rf, [a], [v])
             ref[a] = v
         elif op == 2:
             assert rf.read(a) == ref.get(a, 0)
@@ -127,11 +127,11 @@ def test_transparency_fuzz(n):
 
 def test_rotation_shift_counting_flag():
     rf = make(4, count_rotation_shifts=True)
-    rf.write([0], [1])
+    write_each(rf, [0], [1])
     rf.rotate()
     assert rf.phys_writes == [2, 1, 1, 1]
     rf2 = make(4)
-    rf2.write([0], [1])
+    write_each(rf2, [0], [1])
     rf2.rotate()
     assert rf2.phys_writes == [1, 0, 0, 0]
 
@@ -147,8 +147,8 @@ def test_rotate_times_matches_single_rotations(n, shifts, ops):
         batched.rotate(times)
         for _ in range(times):
             stepped.rotate()
-        batched.write([reg % n], [value])
-        stepped.write([reg % n], [value])
+        write_each(batched, [reg % n], [value])
+        write_each(stepped, [reg % n], [value])
         assert (batched.rotations_done, batched.values, batched.phys_writes) == \
             (stepped.rotations_done, stepped.values, stepped.phys_writes)
 
@@ -180,18 +180,20 @@ def test_member_index():
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 20), period=st.integers(1, 12), shifts=st.booleans(),
-       writes=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 19)), max_size=60),
+       writes=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 24)), max_size=60),
        cuts=st.lists(st.integers(0, 60)))
+@example(n=2, period=10, shifts=False, writes=[(3, 1), (2, 1), (0, 5), (9, 0)], cuts=[])
 def test_epoch_batches_match_writes_one_at_a_time(n, period, shifts, writes, cuts):
-    # the register writes of a run, cut into batches at random points and
-    # each batch split at rotation-epoch boundaries, against one write at a
-    # time after catching up on the rotations owed at its cycle
-    cycles, indices = [], []
+    # the register writes of a run, some to registers outside the ring, cut
+    # into batches at random points and each batch split at rotation-epoch
+    # boundaries, against one write at a time to the ring members, after
+    # catching up on the rotations owed at its cycle
+    cycles, keys = [], []
     cycle = 0
     for step, reg in writes:
         cycle += step
         cycles.append(cycle)
-        indices.append(reg % n)
+        keys.append(("GPR", reg))
     class Counting(RotatingRegFile):
         rotate_calls = 0
 
@@ -199,40 +201,49 @@ def test_epoch_batches_match_writes_one_at_a_time(n, period, shifts, writes, cut
             self.rotate_calls += 1
             super().rotate(times)
 
+    base = make(n)
     batched = Counting([("GPR", i) for i in range(n)], count_rotation_shifts=shifts)
-    stepped = make(n, count_rotation_shifts=shifts)
+    flat, stepped = make(n), make(n, count_rotation_shifts=shifts)
     bounds = sorted({0, len(cycles), *(c for c in cuts if c < len(cycles))})
     for lo, hi in zip(bounds, bounds[1:]):
-        _write_by_epoch(batched, period, indices[lo:hi], cycles[lo:hi])
+        _write_by_epoch(base, batched, period, keys[lo:hi], cycles[lo:hi])
     rotate_calls = 0
-    for a, c in zip(indices, cycles):
+    for (_, reg), c in zip(keys, cycles):
+        if reg >= n:
+            continue
         owed = c // period - stepped.rotations_done
         if owed > 0:
             stepped.rotate(owed)
             rotate_calls += 1
-        stepped.write([a], [c])
+        write_each(stepped, [reg], [c])
+        write_each(flat, [reg], [c])
     assert (batched.rotations_done, batched.values, batched.phys_writes) == \
         (stepped.rotations_done, stepped.values, stepped.phys_writes)
-    # one rotate() per epoch that has writes, as one write at a time makes
+    assert (base.rotations_done, base.values, base.phys_writes) == \
+        (0, flat.values, flat.phys_writes)
+    # one rotate() per epoch that has ring writes, as one write at a time makes
     assert batched.rotate_calls == rotate_calls
 
 
 def test_write_batch_counts_every_write_and_keeps_the_last_value():
     rf = make(4)
     rf.rotate()
-    rf.write([0, 2, 0, 3, 0], [10, 20, 30, 40, 50])
+    write_each(rf, [0, 2, 0, 3, 0], [10, 20, 30, 40, 50])
     assert rf.phys_writes == [1, 3, 0, 1]
     assert [rf.read(a) for a in range(4)] == [50, 0, 20, 40]
-    rf.write([], [])
+    rf.write({}, {})
     assert rf.phys_writes == [1, 3, 0, 1]
+    rf.write({1: 5, 3: 1}, {3: 7, 1: 8})
+    assert rf.phys_writes == [2, 3, 5, 1]
+    assert [rf.read(a) for a in range(4)] == [50, 8, 20, 7]
 
 
-@pytest.mark.parametrize("indices,values,error", [
-    ([0, 4], [1, 2], IndexError), ([-1, 0], [1, 2], IndexError),
-    ([0, 1], [1], ValueError)])
-def test_bad_write_batch_writes_nothing(indices, values, error):
+@pytest.mark.parametrize("counts,values,error", [
+    ({0: 1, 4: 1}, {0: 1, 4: 2}, IndexError), ({-1: 1, 0: 1}, {-1: 1, 0: 2}, IndexError),
+    ({0: 1, 1: 1}, {0: 1}, ValueError), ({0: 1}, {0: 1, 1: 1}, ValueError)])
+def test_bad_write_batch_writes_nothing(counts, values, error):
     rf = make(4)
     with pytest.raises(error):
-        rf.write(indices, values)
+        rf.write(counts, values)
     assert rf.phys_writes == [0, 0, 0, 0]
     assert rf.values == [0, 0, 0, 0]

@@ -186,7 +186,7 @@ def test_no_allocate_or_write_calls_without_alu_or_ring_records(monkeypatch):
         assert reports[0].counts_aware == (0, 0, 0)
         assert sum(reports[1].counts_aware) == 0
     run_simulation(events_of("0 A 1\n20 R GPR 0\n"), SimConfig(rotation_period=10))
-    assert calls == [[1], [1], [0], 2, [0]]
+    assert calls == [[1], [1], {0: 1}, 2, {0: 1}]
 
 
 def _peak_bytes_inside_run_simulation(cycles):
@@ -431,7 +431,9 @@ def mixed_trace(seed, cycles):
 # rotation write-backs reach L2 and L3, pins L2 and the STLB with "never",
 # and makes L1D write-no-allocate; the third rotates every level of a small
 # hierarchy without charging rotation write-backs below; the fourth repeats
-# the first and charges every register slot one write per rotation shift.
+# the first and charges every register slot one write per rotation shift;
+# the fifth runs counter-rotate on two ALU units, so that the trace's widths
+# of 3 saturate, and rotates the 18-slot gpr-flags-sp ring.
 PINNED_REPORTS = [
     (["--structure", "all", "--rotation-period", "150"], None,
      "19ce33625dcfd9bef5cb1040f87c8b4ad25f5791922cc4d6cf0f4969f4db13f8",
@@ -455,6 +457,10 @@ PINNED_REPORTS = [
     (["--structure", "all", "--rotation-period", "150", "--count-rotation-shifts"], None,
      "b9e5f24c27cb87d69d96e882c9f429aeb4f05419384bfc4bc4ca79d7bf83db67",
      "9b1162e87ec06600d3f6a1588078377e6a45108a4dd7fe16df10faca29e79a95"),
+    (["--policy", "counter-rotate", "--rotation-period", "150"],
+     {"alu": {"units": 2}, "regfile": {"preset": "gpr-flags-sp"}},
+     "6a197f90e087f00d832be68bf1b6a750c6352f21dc3672face49cf297681a1fb",
+     "f9eeb1923af829aaf65718569d566247deb85c814ebb6a11cdcf76ca37ec1b80"),
 ]
 
 
