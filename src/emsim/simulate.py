@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import LEVEL_ROLES, build_hierarchy, level_configs
-from .records import Checked
+from .records import Checked, check_integers
 from .regfile import RING_PRESETS, RotatingRegFile
 from .wear_stats import (
     CSV_COLUMNS,
@@ -100,10 +100,7 @@ class SimConfig(Checked, _SimConfig):
             raise ConfigError(
                 'the aware run needs a finite rotation period; use a '
                 'per-level "never" to pin individual cache levels')
-        for name in ("alu_units", "rotation_period"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, "alu_units", "rotation_period")
         if self.alu_units < 1:
             raise ConfigError("alu_units must be >= 1")
         if self.alu_units > MAX_ALU_UNITS:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .records import Checked
+from .records import Checked, ConfigError, check_integers
 from .rng import SplitMix64
 
 REG_CLASSES = ("GPR", "FP", "FLAGS", "SP")
@@ -39,10 +40,6 @@ class TraceParseError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-
-
-class ConfigError(ValueError):
-    """Invalid generator spec or run configuration."""
 
 
 class AluIssue(NamedTuple):
@@ -193,6 +190,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                     if len(fields) != 3:
                         raise TraceParseError("ALU record needs 3 fields", line_no)
                     record = ALU, to_int(fields[2])
+                    if record[1] < 0:
+                        raise TraceParseError("ready_count must be non-negative", line_no)
                 elif tag == "R":
                     if len(fields) != 4:
                         raise TraceParseError("register record needs 4 fields", line_no)
@@ -223,7 +222,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 raise TraceParseError(f"malformed record: {exc}", line_no) from exc
             # the rest of the line stands for this valid record, if the
             # cycle field is all of the text before it
-            if (tag != "A" or record[1] >= 0) and cycle_text.isascii() and cycle_text.isdigit():
+            if cycle_text.isascii() and cycle_text.isdigit():
                 if len(records) >= PARSE_MEMO_TEXTS:
                     records.clear()
                 records[rest] = record
@@ -238,9 +237,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                     f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
             last_cycle, last_cycle_text = cycle, cycle_text
         if kind == ALU:
-            if value < 0 or cycle == alu_cycle:
-                raise TraceParseError("ready_count must be non-negative" if value < 0
-                                      else f"second ALU issue in cycle {cycle}", line_no)
+            if cycle == alu_cycle:
+                raise TraceParseError(f"second ALU issue in cycle {cycle}", line_no)
             alu_cycle = cycle
             add_alu(value)
         elif kind == REG:
@@ -329,7 +327,8 @@ class ZipfRegWrites(NamedTuple):
         return [RegWrite("GPR", reg) for reg in range(self.num_regs)].__getitem__
 
     def _check(self):
-        _integers(self, "num_regs")
+        check_integers(self, "num_regs")
+        _finite_numbers(self, "zipf_s")
         if self.num_regs < 1:
             raise ConfigError("num_regs must be >= 1")
         if self.num_regs > MAX_TABLE:
@@ -358,7 +357,8 @@ class SkewedAddrs(NamedTuple):
         return lambda line: MemAccess(MEM_KINDS[rng.random() < 0.5], line * self.line_bytes, "DATA")
 
     def _check(self):
-        _integers(self, "working_set_lines", "line_bytes")
+        check_integers(self, "working_set_lines", "line_bytes")
+        _finite_numbers(self, "hot_fraction", "hot_weight")
         if self.working_set_lines < 1:
             raise ConfigError("working_set_lines must be >= 1")
         if self.working_set_lines > MAX_TABLE:
@@ -386,7 +386,10 @@ class AluBursts(NamedTuple):
         return [AluIssue(width) for width in range(self.max_width + 1)].__getitem__
 
     def _check(self):
-        _integers(self, "max_width")
+        check_integers(self, "max_width")
+        w = self.width_distribution
+        if not isinstance(w, (list, tuple)) or not all(map(_finite, w)):
+            raise ConfigError(f"width_distribution must be a list of finite numbers, got {w!r}")
         if self.max_width < 1:
             raise ConfigError("max_width must be >= 1")
         if len(self.width_distribution) != self.max_width + 1:
@@ -398,15 +401,22 @@ class AluBursts(NamedTuple):
 
 
 Kind = Union[ZipfRegWrites, SkewedAddrs, AluBursts]
+GENERATOR_KINDS = {cls.KIND: cls for cls in (ZipfRegWrites, SkewedAddrs, AluBursts)}
 MAX_TABLE = 1 << 20  # num_regs and working_set_lines: one float each in a table
 
 
-def _integers(record: tuple, *fields: str) -> None:
-    """Raise ConfigError unless each field of record is an int, not a bool."""
+def _finite(value) -> bool:
+    """An int or a float inside the float range: not a bool, an inf, a nan,
+    or an int too large to become a float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _finite_numbers(record: tuple, *fields: str) -> None:
+    """Raise ConfigError unless each field of record is _finite."""
     for field in fields:
         value = getattr(record, field)
-        if type(value) is not int:
-            raise ConfigError(f"{field} must be an integer, got {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"{field} must be a finite number, got {value!r}")
 
 
 class _GenSpec(NamedTuple):
@@ -421,13 +431,13 @@ class GenSpec(Checked, _GenSpec):
     __slots__ = ()
 
     def _check(self):
-        _integers(self, "seed", "length")
+        check_integers(self, "seed", "length")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
         if self.length < 0:
             raise ConfigError("length must be >= 0")
         k = self.kind
-        if not isinstance(k, (ZipfRegWrites, SkewedAddrs, AluBursts)):
+        if type(k) not in GENERATOR_KINDS.values():
             raise ConfigError(f"unknown generator kind {k!r}")
         k._check()
         for total in accumulate(k.weights(), initial=0.0):
@@ -455,40 +465,15 @@ def iter_events(spec: GenSpec) -> Iterator[Event]:
 
 # --- GenSpec JSON form --------------------------------------------------------
 
-_KIND_FIELDS = {
-    ZipfRegWrites.KIND: (ZipfRegWrites, {"num_regs": int, "zipf_s": float}),
-    SkewedAddrs.KIND: (SkewedAddrs, {"working_set_lines": int, "hot_fraction": float,
-                                     "hot_weight": float, "line_bytes": int}),
-    AluBursts.KIND: (AluBursts, {"max_width": int, "width_distribution": tuple}),
-}
-_EXPECTED = {int: "an integer", float: "a finite number", tuple: "a list of finite numbers"}
-
-
-def _json_number(value, integer: bool) -> bool:
-    """A JSON integer, or unless integer is set any finite JSON number; a
-    bool is neither."""
-    return type(value) is int or (not integer and type(value) is float
-                                  and math.isfinite(value))
-
-
-def _typed(doc: dict, field: str, want: type):
-    """doc[field] as a spec field of type want (int, float or tuple)."""
-    value = doc[field]
-    if want is tuple:
-        ok = isinstance(value, list) and all(_json_number(v, False) for v in value)
-    else:
-        ok = _json_number(value, want is int)
-    if not ok:
-        raise ConfigError(f"{field} must be {_EXPECTED[want]}, got {value!r}")
-    return tuple(value) if want is tuple else value
-
 
 def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     """Build a GenSpec from a JSON document (text or already-parsed dict).
 
     Expected shape: {"seed": int, "length": int, "kind": str, ...kind fields}.
-    Integer fields must be JSON integers, other numeric fields finite JSON
-    numbers; a field of the wrong type raises ConfigError.
+    This only maps names: "kind" picks a GENERATOR_KINDS record, whose
+    field names and defaults say which other fields the document needs and
+    may hold, and a JSON list becomes a tuple. GenSpec and the kind's _check
+    check the values, as they do for a spec built in Python.
     """
     if isinstance(doc, str):
         try:
@@ -498,22 +483,19 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     if not isinstance(doc, dict):
         raise ConfigError("generator spec must be a JSON object")
     try:
-        kind_name = doc["kind"]
-        seed = _typed(doc, "seed", int)
-        length = _typed(doc, "length", int)
+        kind_name, seed, length = doc["kind"], doc["seed"], doc["length"]
     except KeyError as exc:
         raise ConfigError(f"generator spec missing field {exc}") from exc
-    if not isinstance(kind_name, str) or kind_name not in _KIND_FIELDS:
+    if not isinstance(kind_name, str) or kind_name not in GENERATOR_KINDS:
         raise ConfigError(f"unknown generator kind {kind_name!r}; "
-                          f"expected one of {sorted(_KIND_FIELDS)}")
-    cls, fields = _KIND_FIELDS[kind_name]
-    kwargs = {}
-    for field, want in fields.items():
-        if field in doc:
-            kwargs[field] = _typed(doc, field, want)
-        elif field not in cls._field_defaults:
+                          f"expected one of {sorted(GENERATOR_KINDS)}")
+    cls = GENERATOR_KINDS[kind_name]
+    for field in cls._fields:
+        if field not in doc and field not in cls._field_defaults:
             raise ConfigError(f"generator kind {kind_name!r} requires field {field!r}")
-    extra = set(doc) - {"kind", "seed", "length", *fields}
+    extra = set(doc) - {"kind", "seed", "length", *cls._fields}
     if extra:
         raise ConfigError(f"unknown generator spec fields: {sorted(extra)}")
-    return GenSpec(seed=seed, length=length, kind=cls(**kwargs))
+    fields = {field: tuple(value) if isinstance(value, list) else value
+              for field, value in doc.items() if field in cls._fields}
+    return GenSpec(seed, length, cls(**fields))

@@ -335,6 +335,8 @@ def ref_parse_trace(lines):
                 if len(fields) != 3:
                     raise TraceParseError("ALU record needs 3 fields", line_no)
                 payload = AluIssue(ready_count=_ref_int(fields[2]))
+                if payload.ready_count < 0:
+                    raise TraceParseError("ready_count must be non-negative", line_no)
             elif tag == "R":
                 if len(fields) != 4:
                     raise TraceParseError("register record needs 4 fields", line_no)
@@ -370,8 +372,6 @@ def ref_parse_trace(lines):
             raise TraceParseError(
                 f"cycle {cycle} decreases below previous cycle {last_cycle}", line_no)
         if isinstance(payload, AluIssue):
-            if payload.ready_count < 0:
-                raise TraceParseError("ready_count must be non-negative", line_no)
             if cycle == alu_cycle:
                 raise TraceParseError(f"second ALU issue in cycle {cycle}", line_no)
             alu_cycle = cycle

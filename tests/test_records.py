@@ -3,6 +3,8 @@ defaults, equality and hash, refusal of assignment, and every check of the
 checked records with the exception type and message it raises. Trace:
 fresh empty columns by default, and equality by its columns and cycle count."""
 
+import math
+import sys
 from array import array
 
 import pytest
@@ -192,6 +194,18 @@ CHECKS = [
      "line_bytes must be an integer, got True"),
     (_kind(AluBursts(2.0, (1.0, 1.0, 1.0))), ConfigError,
      "max_width must be an integer, got 2.0"),
+    (_kind(ZipfRegWrites(4, "x")), ConfigError, "zipf_s must be a finite number, got 'x'"),
+    (_kind(ZipfRegWrites(4, math.inf)), ConfigError, "zipf_s must be a finite number, got inf"),
+    (_kind(ZipfRegWrites(4, True)), ConfigError, "zipf_s must be a finite number, got True"),
+    (_kind(ZipfRegWrites(4, 1 << 1024)), ConfigError,
+     f"zipf_s must be a finite number, got {1 << 1024}"),
+    (_kind(SkewedAddrs(8, True, 2.0)), ConfigError,
+     "hot_fraction must be a finite number, got True"),
+    (_kind(SkewedAddrs(8, 0.5, "2")), ConfigError, "hot_weight must be a finite number, got '2'"),
+    (_kind(AluBursts(2, (1, True, 1))), ConfigError,
+     "width_distribution must be a list of finite numbers, got (1, True, 1)"),
+    (_kind(AluBursts(2, None)), ConfigError,
+     "width_distribution must be a list of finite numbers, got None"),
     (_kind(ZipfRegWrites(0, 1.0)), ConfigError, "num_regs must be >= 1"),
     (_kind(ZipfRegWrites((1 << 20) + 1, 1.0)), ConfigError, "num_regs must be <= 1048576"),
     (_kind(ZipfRegWrites(4, 0.0)), ConfigError, "zipf_s must be > 0"),
@@ -281,6 +295,9 @@ def test_the_size_bounds_themselves_are_legal():
     assert SimConfig(alu_units=256).alu_units == 256
     assert GenSpec(1, 10, ZipfRegWrites(1 << 20, 1.0)).kind.num_regs == 1 << 20
     assert GenSpec(1, 10, SkewedAddrs(1 << 20, 0.5, 2.0)).kind.working_set_lines == 1 << 20
+    # an int passes where a float does, up to the largest float
+    assert GenSpec(1, 10, ZipfRegWrites(4, int(sys.float_info.max))).kind.zipf_s > 1e308
+    assert GenSpec(1, 10, AluBursts(2, [1, 2, 1])).kind.width_distribution == [1, 2, 1]
 
 
 # a valid checked record, one field made bad, the exception type, its message

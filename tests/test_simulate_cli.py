@@ -433,7 +433,10 @@ def mixed_trace(seed, cycles):
 # hierarchy without charging rotation write-backs below; the fourth repeats
 # the first and charges every register slot one write per rotation shift;
 # the fifth runs counter-rotate on two ALU units, so that the trace's widths
-# of 3 saturate, and rotates the 18-slot gpr-flags-sp ring.
+# of 3 saturate, and rotates the 18-slot gpr-flags-sp ring; the sixth runs
+# counter-rotate on the default three units, which do not divide
+# CHUNK_RECORDS (1,024 % 3 = 1), so each replay slice after the first
+# starts at a lead the allocator must carry over from the slice before.
 PINNED_REPORTS = [
     (["--structure", "all", "--rotation-period", "150"], None,
      "19ce33625dcfd9bef5cb1040f87c8b4ad25f5791922cc4d6cf0f4969f4db13f8",
@@ -461,6 +464,9 @@ PINNED_REPORTS = [
      {"alu": {"units": 2}, "regfile": {"preset": "gpr-flags-sp"}},
      "6a197f90e087f00d832be68bf1b6a750c6352f21dc3672face49cf297681a1fb",
      "f9eeb1923af829aaf65718569d566247deb85c814ebb6a11cdcf76ca37ec1b80"),
+    (["--structure", "alu", "--policy", "counter-rotate"], None,
+     "cfa197dce85fc6f5e553bec4daf44a8c3e679e64be79fc2e7ba0e3c1f78705a2",
+     "f3d9ed0142eee6310d96a78a1b8f372b5f8cfa8b1f9b51f6347012af18b914a8"),
 ]
 
 
@@ -830,10 +836,18 @@ def test_cli_gen_trace_seed_override_matches_inline_seed(tmp_path):
     assert override.read_bytes() == direct.read_bytes()
 
 
-def test_cli_gen_trace_bad_spec_exits_2(tmp_path):
-    assert main(["gen-trace", "--gen", '{"kind": "mystery", "seed": 1, '
-                                       '"length": 4}',
-                 "--out", str(tmp_path / "t.trace")]) == 2
+@pytest.mark.parametrize("spec", [
+    '{"kind": "mystery", "seed": 1, "length": 4}',
+    # numbers outside the float range: json reads 1e999 as inf, and keeps an
+    # integer of 401 digits as an int that no float holds
+    '{"kind": "zipf-reg-writes", "seed": 1, "length": 10, "num_regs": 4, "zipf_s": 1e999}',
+    '{"kind": "skewed-addrs", "seed": 1, "length": 10, "working_set_lines": 4, '
+    '"hot_fraction": 1.0, "hot_weight": 1' + "0" * 400 + '}',
+], ids=["unknown-kind", "float-1e999", "int-10**400"])
+def test_cli_gen_trace_bad_spec_exits_2(tmp_path, spec):
+    out = tmp_path / "t.trace"
+    assert main(["gen-trace", "--gen", spec, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # finite weights whose running sum is not, and a subnormal sum: unchecked, a

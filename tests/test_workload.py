@@ -341,6 +341,8 @@ def test_parse_matches_reference(lines):
     ["1 A 2\n", " 2 A 2\n", "#3 A 2\n", "x A 2\n"],
     ["1 A 2\n", "A 2\n"],
     ["1 A -1\n", "2 A -1\n"],                  # never a seen record
+    # a negative count is reported before its line's cycle
+    ["5 A 1\n", "4 A -1\n"], ["-1 A -1\n"], ["3 A 1\n", "3 A -1\n"],
     ["1 R GPR 2\n", "2 R GPR 2\n", "\u0663 R GPR 2\n"],
     ["1 R GPR 2\n", "1_0 R GPR 2\n"],
     ["1 R GPR 2\n", "-1 R GPR 2\n"],
@@ -583,7 +585,8 @@ ALU_DOC = {"kind": "alu-bursts", "seed": 1, "length": 1, "max_width": 2,
            "width_distribution": [1, 1, 1]}
 
 
-@pytest.mark.parametrize("doc,needle", [
+# documents whose names are wrong: genspec_from_json itself rejects them
+NAME_ERROR_DOCS = [
     ("{not json", "not valid JSON"),
     ("[1, 2]", "must be a JSON object"),
     ({"kind": "nope", "seed": 1, "length": 1}, "unknown generator kind"),
@@ -591,14 +594,18 @@ ALU_DOC = {"kind": "alu-bursts", "seed": 1, "length": 1, "max_width": 2,
     ({"kind": "zipf-reg-writes", "seed": 1, "length": 1,
       "num_regs": 4, "zipf_s": 1.0, "bogus": 9}, "unknown generator spec fields"),
     ({"seed": 1, "length": 1}, "missing field"),
+    ({**ZIPF_DOC, "kind": ["zipf-reg-writes"]}, "unknown generator kind"),
+]
+# documents with every name right and one value wrong: the records reject them
+VALUE_ERROR_DOCS = [
     ({**ZIPF_DOC, "num_regs": "16"}, "num_regs must be an integer"),
     ({**ZIPF_DOC, "num_regs": True}, "num_regs must be an integer"),
     ({**ZIPF_DOC, "zipf_s": "a"}, "zipf_s must be a finite number"),
     ({**ZIPF_DOC, "zipf_s": float("nan")}, "zipf_s must be a finite number"),
+    ({**ZIPF_DOC, "zipf_s": 10 ** 400}, "zipf_s must be a finite number"),
     ({**ZIPF_DOC, "seed": "x"}, "seed must be an integer"),
     ({**ZIPF_DOC, "seed": 1.9}, "seed must be an integer"),
     ({**ZIPF_DOC, "length": 3.7}, "length must be an integer"),
-    ({**ZIPF_DOC, "kind": ["zipf-reg-writes"]}, "unknown generator kind"),
     ({**SKEWED_DOC, "working_set_lines": 2.5}, "working_set_lines must be an integer"),
     ({**SKEWED_DOC, "line_bytes": 1.5}, "line_bytes must be an integer"),
     ({**SKEWED_DOC, "hot_weight": float("inf")}, "hot_weight must be a finite number"),
@@ -614,10 +621,27 @@ ALU_DOC = {"kind": "alu-bursts", "seed": 1, "length": 1, "max_width": 2,
      r"skewed-addrs weights must have a finite total above 2\*\*-1022, got inf"),
     ({**ALU_DOC, "max_width": 1, "width_distribution": [0, 5e-324]},
      r"alu-bursts weights must have a finite total above 2\*\*-1022, got 5e-324"),
-])
+]
+
+
+@pytest.mark.parametrize("doc,needle", NAME_ERROR_DOCS + VALUE_ERROR_DOCS)
 def test_genspec_json_errors(doc, needle):
     with pytest.raises(ConfigError, match=needle):
         genspec_from_json(doc)
+
+
+@pytest.mark.parametrize("doc,needle", VALUE_ERROR_DOCS)
+def test_python_and_json_specs_raise_the_same_config_error(doc, needle):
+    # the spec built by the constructors themselves, JSON lists as tuples
+    cls = {"zipf-reg-writes": ZipfRegWrites, "skewed-addrs": SkewedAddrs,
+           "alu-bursts": AluBursts}[doc["kind"]]
+    fields = {name: tuple(value) if isinstance(value, list) else value
+              for name, value in doc.items() if name not in ("kind", "seed", "length")}
+    with pytest.raises(ConfigError, match=needle) as from_json:
+        genspec_from_json(doc)
+    with pytest.raises(ConfigError) as from_python:
+        GenSpec(doc["seed"], doc["length"], cls(**fields))
+    assert str(from_python.value) == str(from_json.value)
 
 
 @pytest.mark.parametrize("make", [
