@@ -35,6 +35,7 @@ from .workload import (
     ConfigError,
     Trace,
     TraceParseError,
+    _finite as _finite_number,
     genspec_from_json,
     iter_events,
     load_trace,
@@ -120,7 +121,7 @@ def _read_json(arg: str, error: str, inline: bool = False):
             text = fh.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise ConfigError(f"{error}: {exc}") from exc
 
 
@@ -369,8 +370,7 @@ def cmd_report_merge(args) -> int:
             if not isinstance(structure, str):
                 raise ConfigError(f"{path}: report row {i}: structure must be "
                                   f"a string, got {structure!r}")
-            if value != "unbounded" and not (type(value) in (int, float)
-                                             and math.isfinite(value)):
+            if value != "unbounded" and not _finite_number(value):
                 raise ConfigError(f"{path}: report row {i}: mtf_improvement must be "
                                   f'a finite number or "unbounded", got {value!r}')
             if structure in run:

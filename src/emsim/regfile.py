@@ -12,8 +12,9 @@ charging it would drown the workload signal. Pass count_rotation_shifts
 to charge every slot one write per rotation for pessimistic accounting.
 
 The caller owns the schedule: write() takes a batch of writes as each
-register's write count and last value, and a caller that owes rotations
-between writes cuts the batch there and calls rotate().
+register's write count and, if the caller has them, its last value (a
+trace carries none, so a replay passes counts only), and a caller that
+owes rotations between writes cuts the batch there and calls rotate().
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ class RotatingRegFile:
             raise IndexError(f"arch index {arch_index} outside [0, {self.num_slots})")
         return (arch_index + self.rotations_done) % self.num_slots
 
-    def write(self, counts: Mapping[int, int], values: Mapping[int, int]) -> None:
+    def write(self, counts: Mapping[int, int], values: Mapping[int, int] | None = None) -> None:
         """Apply a batch of writes under the current mapping: counts maps an
-        architectural index to its writes in the batch, values to the value
-        of its last write. An index outside the ring, or other keys in values
-        than in counts, raises before any write."""
-        if counts.keys() != values.keys():
+        architectural index to its writes in the batch, values (if given) to
+        the value of its last write. An index outside the ring, or other keys
+        in values than in counts, raises before any write."""
+        if values is not None and counts.keys() != values.keys():
             raise ValueError("write needs one last value per written index")
         if not counts:
             return
@@ -67,7 +68,7 @@ class RotatingRegFile:
         shift, phys_writes, slot_values = self.rotations_done, self.phys_writes, self.values
         for a, count in counts.items():
             phys_writes[(a + shift) % n] += count
-        for a, value in values.items():
+        for a, value in (values or {}).items():
             slot_values[(a + shift) % n] = value
 
     def read(self, arch_index: int) -> int:

@@ -11,11 +11,10 @@ at a time, one structure after another, since they share no state:
   call, which grants min(ready_count, units) units per count (a trace may
   request more than exist; the grant saturates).
 * regfile: a slice of register keys is cut where the rotation epoch
-  (cycle // rotation_period) changes. Each segment's write count and last
-  cycle per ring member land on both files in one write() call each: on
-  the baseline, which never rotates, and on the aware file after one
-  rotate() for the rotations the epoch owes. A segment without ring
-  writes makes no call.
+  (cycle // rotation_period) changes. Each segment's write count per ring
+  member lands on both files in one write() call each: on the baseline,
+  which never rotates, and on the aware file after one rotate() for the
+  rotations the epoch owes. A segment without ring writes makes no call.
 * cache: the memory records run through one hierarchy at a time, a slice
   of mem codes per access() call: first the baseline, which never rotates,
   then the aware copy, which rotates each level every rotation_period
@@ -196,24 +195,23 @@ def _write_by_epoch(base: RotatingRegFile, aware: RotatingRegFile, period: int,
                     keys: list, cycles) -> None:
     """Writes the register keys[i] at cycle cycles[i] (non-decreasing) to
     both files, cut where the rotation epoch (cycle // period) changes: per
-    segment, its write count and last cycle per ring member, the others
-    dropped, go in one write() to base, which never rotates, and to aware
-    after one rotate() for the rotations the epoch owes."""
+    segment, its write count per ring member, the others dropped, goes in
+    one write() to base, which never rotates, and to aware after one
+    rotate() for the rotations the epoch owes. A trace carries no register
+    values, so the replay writes counts only."""
     position_of = base.ring_index.get
     i, n = 0, len(cycles)
     while i < n:
         epoch = cycles[i] // period
         j = bisect_left(cycles, (epoch + 1) * period, i)
-        tally, last = Counter(keys[i:j]), dict(zip(keys[i:j], cycles[i:j]))
-        positions = {key: p for key in tally if (p := position_of(key)) is not None}
-        if positions:
-            counts = {p: tally[key] for key, p in positions.items()}
-            values = {p: last[key] for key, p in positions.items()}
-            base.write(counts, values)
+        counts = {p: count for key, count in Counter(keys[i:j]).items()
+                  if (p := position_of(key)) is not None}
+        if counts:
+            base.write(counts)
             owed = epoch - aware.rotations_done
             if owed > 0:
                 aware.rotate(owed)
-            aware.write(counts, values)
+            aware.write(counts)
         i = j
 
 

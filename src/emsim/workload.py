@@ -478,7 +478,7 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past the digit limit
             raise ConfigError(f"generator spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("generator spec must be a JSON object")

@@ -176,7 +176,8 @@ def test_no_allocate_or_write_calls_without_alu_or_ring_records(monkeypatch):
     # to ring members skip write() and rotate()
     calls = []
     monkeypatch.setattr(AluAllocator, "allocate", lambda self, ks: calls.append(ks))
-    monkeypatch.setattr(RotatingRegFile, "write", lambda self, i, v: calls.append(i))
+    # the replay writes counts only: a trace carries no register values
+    monkeypatch.setattr(RotatingRegFile, "write", lambda self, counts: calls.append(counts))
     monkeypatch.setattr(RotatingRegFile, "rotate", lambda self, t=1: calls.append(t))
     for text in ("0 M W 64 D\n9000 M R 0 I\n",
                  "0 R FP 3\n1 M R 0 D\n70000 R GPR 16\n",
@@ -874,6 +875,31 @@ def test_cli_bad_weight_total_exits_2_and_leaves_no_file(tmp_path, capsys, spec)
         assert list(tmp_path.iterdir()) == []
 
 
+# an integer of 5,001 digits, past the limit of digits int() converts from
+# text, on which json.loads raises a plain ValueError, not a JSONDecodeError
+HUGE_INT = "1" + "0" * 5000
+HUGE_ZIPF_SPEC = ('{"kind": "zipf-reg-writes", "seed": 1, "length": 10, "num_regs": 4, '
+                  '"zipf_s": ' + HUGE_INT + '}')
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["simulate", "--gen", HUGE_ZIPF_SPEC], None),
+    (["simulate", "--trace", "TRACE", "--config", "DOC"],
+     '{"alu": {"units": ' + HUGE_INT + '}}'),
+    (["gen-trace", "--gen", "DOC"], HUGE_ZIPF_SPEC),
+    (["report-merge", "DOC"],
+     '{"reports": [{"structure": "alu", "mtf_improvement": ' + HUGE_INT + '}]}'),
+], ids=["simulate-gen", "simulate-config", "gen-trace-gen", "report-merge"])
+def test_cli_json_integer_past_the_digit_limit_exits_2(tmp_path, capsys, argv, doc):
+    paths = {"TRACE": write(tmp_path / "t.trace", WORKED_ALU_TRACE),
+             "DOC": write(tmp_path / "doc.json", doc or "")}
+    out = tmp_path / "out"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- CLI: em-calc -----------------------------------------------------------
 
 
@@ -1047,6 +1073,9 @@ def test_cli_report_merge_rejects_non_report_json(tmp_path):
     ({"reports": [{"structure": ["alu"], "mtf_improvement": 1.0}]},
      "structure must be a string"),
     ({"reports": [{"structure": "alu", "mtf_improvement": float("nan")}]},
+     "mtf_improvement must be"),
+    # an integer that no float holds
+    ({"reports": [{"structure": "alu", "mtf_improvement": 10 ** 400}]},
      "mtf_improvement must be"),
     # two rows of one structure would leave the merge to keep either value
     ({"reports": [{"structure": "x", "mtf_improvement": 0.1},
