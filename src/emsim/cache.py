@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .records import Checked
+from .records import checked
 from .workload import ConfigError
 
 _PAGE_SHIFT = 14  # mem code >> _PAGE_SHIFT = 4 KiB page (12 offset + 2 flag bits)
@@ -43,19 +43,16 @@ def _power_of_two(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
-class _CacheConfig(NamedTuple):
+@checked
+class CacheConfig(NamedTuple):
+    """One level's geometry and policy; a bad field raises ConfigError."""
+
     name: str
     sets: int
     ways: int
     line_bytes: int
     rotation_period: int | None = None  # None = never rotate
     write_allocate: bool = True
-
-
-class CacheConfig(Checked, _CacheConfig):
-    """One level's geometry and policy; a bad field raises ConfigError."""
-
-    __slots__ = ()
 
     def _check(self):
         for field in ("sets", "ways", "line_bytes", "rotation_period"):

@@ -111,9 +111,11 @@ def _add_simulate(sub) -> None:
     p.set_defaults(func=cmd_simulate)
 
 
-def _read_json(arg: str, error: str, inline: bool = False):
+def _read_json(arg: str, what: str, inline: bool = False):
     """The JSON document in the file arg names, or, when inline and arg
-    starts with '{', in arg itself. Bad JSON raises ConfigError(error: why)."""
+    starts with '{', in arg itself. Text that is not JSON raises
+    ConfigError("<what> is not valid JSON: why"); any other ValueError of
+    the parse, such as an integer past the digit limit, ConfigError("<what>: why")."""
     if inline and arg.lstrip().startswith("{"):
         text = arg
     else:
@@ -121,12 +123,14 @@ def _read_json(arg: str, error: str, inline: bool = False):
             text = fh.read()
     try:
         return json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past the digit limit
-        raise ConfigError(f"{error}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _load_genspec(arg: str, seed_override):
-    doc = _read_json(arg, "generator spec is not valid JSON", inline=True)
+    doc = _read_json(arg, "generator spec", inline=True)
     if isinstance(doc, dict) and seed_override is not None:
         doc["seed"] = seed_override
     return genspec_from_json(doc)
@@ -138,7 +142,7 @@ def _sim_config(args) -> SimConfig:
         raise ConfigError("--seed only applies to --gen runs")
     settings = {}
     if args.config is not None:
-        doc = _read_json(args.config, "config file is not valid JSON")
+        doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(doc) - set(CONFIG_FIELDS)
@@ -336,11 +340,14 @@ def _add_em_calc(sub) -> None:
 
 def cmd_em_calc(args) -> int:
     _, _, compute, unit = EM_CALC[args.calc]
-    value = compute(args)
+    try:  # the model's arithmetic may overflow, divide by zero or return inf
+        value = compute(args)
+        if value is not em.UNBOUNDED and not math.isfinite(value):
+            raise OverflowError(repr(value))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OverflowError(f"{args.calc} result out of the float range: {exc}") from exc
     if value is em.UNBOUNDED:  # rms-mtf of a wire that never toggles
         print(f"{args.calc} = unbounded (zero toggle probability)")
-    elif not math.isfinite(value):
-        raise OverflowError(f"{args.calc} result out of the float range: {value!r}")
     else:
         print(f"{args.calc} = {value!r} {unit.format(value)}")
     return 0
@@ -359,7 +366,7 @@ def _add_report_merge(sub) -> None:
 def cmd_report_merge(args) -> int:
     runs = []
     for path in args.reports:
-        doc = _read_json(path, f"{path}: not valid JSON")
+        doc = _read_json(path, path)
         if not isinstance(doc, dict) or not isinstance(doc.get("reports"), list):
             raise ConfigError(f"{path}: not a simulation report")
         run = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .records import Checked
+from .records import checked
 
 # Boltzmann constant in eV/K (CODATA; exact under the 2019 SI).
 BOLTZMANN_EV_PER_K = 8.617333262e-5
@@ -39,13 +39,6 @@ class Unbounded:
     (an element that never switches does not age by this mechanism).
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "UNBOUNDED"
 
@@ -57,14 +50,8 @@ def celsius_to_kelvin(temp_c: float) -> float:
     return temp_c + 273.15
 
 
-class _TechParams(NamedTuple):
-    scale_A: float = 1.0
-    exponent_n: float = 2.0
-    activation_energy_ea: float = 0.0
-    temperature_t: float = 378.15  # 105 C, the usual sign-off corner
-
-
-class TechParams(Checked, _TechParams):
+@checked
+class TechParams(NamedTuple):
     """Process/fit constants of the MTF laws.
 
     scale_A carries whatever MTF unit the fit was made in and cancels in
@@ -73,7 +60,10 @@ class TechParams(Checked, _TechParams):
     in kelvin.
     """
 
-    __slots__ = ()
+    scale_A: float = 1.0
+    exponent_n: float = 2.0
+    activation_energy_ea: float = 0.0
+    temperature_t: float = 378.15  # 105 C, the usual sign-off corner
 
     def _check(self):
         if self.scale_A <= 0:
@@ -90,15 +80,12 @@ class TechParams(Checked, _TechParams):
         return math.exp(self.activation_energy_ea / (BOLTZMANN_EV_PER_K * self.temperature_t))
 
 
-class _WireGeometry(NamedTuple):
-    width_w: float
-    height_h: float
-
-
-class WireGeometry(Checked, _WireGeometry):
+@checked
+class WireGeometry(NamedTuple):
     """Metal cross-section: width and height in meters."""
 
-    __slots__ = ()
+    width_w: float
+    height_h: float
 
     def _check(self):
         if self.width_w <= 0 or self.height_h <= 0:
@@ -109,23 +96,20 @@ class WireGeometry(Checked, _WireGeometry):
         return self.width_w * self.height_h
 
 
-class _SignalElectricals(NamedTuple):
-    capacitance_c: float
-    supply_vdd: float
-    frequency_f: float
-    toggle_p: float
-    rise_tr: float = 1e-10
-    fall_tf: float = 1e-10
-
-
-class SignalElectricals(Checked, _SignalElectricals):
+@checked
+class SignalElectricals(NamedTuple):
     """Electrical parameters of one signal net.
 
     toggle_p is the switching probability per cycle; frequency_f doubles as
     the maximum clock frequency in the RMS MTF law.
     """
 
-    __slots__ = ()
+    capacitance_c: float
+    supply_vdd: float
+    frequency_f: float
+    toggle_p: float
+    rise_tr: float = 1e-10
+    fall_tf: float = 1e-10
 
     def _check(self):
         if self.capacitance_c < 0:
@@ -140,15 +124,12 @@ class SignalElectricals(Checked, _SignalElectricals):
             raise ValueError("rise/fall times must be > 0")
 
 
-class _RmsLimit(NamedTuple):
-    i_rms_max: float
-    mtf_technology: float = 10.0  # years
-
-
-class RmsLimit(Checked, _RmsLimit):
+@checked
+class RmsLimit(NamedTuple):
     """Foundry RMS-current limit and the technology MTF it guarantees."""
 
-    __slots__ = ()
+    i_rms_max: float
+    mtf_technology: float = 10.0  # years
 
     def _check(self):
         if self.i_rms_max <= 0 or self.mtf_technology <= 0:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
 from .cache import LEVEL_ROLES, build_hierarchy, level_configs
-from .records import Checked, check_integers
+from .records import check_integers, checked
 from .regfile import RING_PRESETS, RotatingRegFile
 from .wear_stats import (
     CSV_COLUMNS,
@@ -63,7 +63,11 @@ DEFAULT_ROTATION_PERIOD = 10_000_000
 MAX_ALU_UNITS = 256  # counter-rotate counts a batch's requests at each of N leads
 
 
-class _SimConfig(NamedTuple):
+@checked
+class SimConfig(NamedTuple):
+    """A simulate run's settings. Every field is checked here, whichever
+    structures are selected, so a constructed SimConfig always runs."""
+
     structures: tuple[str, ...] = STRUCTURES
     alu_units: int = 3
     alu_policy: str = TOGGLE_BALANCE
@@ -72,13 +76,6 @@ class _SimConfig(NamedTuple):
     count_rotation_shifts: bool = False
     cache_overrides: dict | None = None
     charge_rotation_writebacks: bool = True
-
-
-class SimConfig(Checked, _SimConfig):
-    """A simulate run's settings. Every field is checked here, whichever
-    structures are selected, so a constructed SimConfig always runs."""
-
-    __slots__ = ()
 
     def _check(self):
         unknown = set(self.structures) - set(STRUCTURES)

@@ -16,7 +16,6 @@ courtesy of the fixed SplitMix64 generator.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from array import array
@@ -24,7 +23,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .records import Checked, ConfigError, check_integers
+from .records import ConfigError, check_integers, checked
 from .rng import SplitMix64
 
 REG_CLASSES = ("GPR", "FP", "FLAGS", "SP")
@@ -419,16 +418,13 @@ def _finite_numbers(record: tuple, *fields: str) -> None:
             raise ConfigError(f"{field} must be a finite number, got {value!r}")
 
 
-class _GenSpec(NamedTuple):
+@checked
+class GenSpec(NamedTuple):
+    """A generator run; its kind's fields are checked by the kind's _check."""
+
     seed: int
     length: int
     kind: Kind
-
-
-class GenSpec(Checked, _GenSpec):
-    """A generator run; its kind's fields are checked by the kind's _check."""
-
-    __slots__ = ()
 
     def _check(self):
         check_integers(self, "seed", "length")
@@ -466,8 +462,8 @@ def iter_events(spec: GenSpec) -> Iterator[Event]:
 # --- GenSpec JSON form --------------------------------------------------------
 
 
-def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
-    """Build a GenSpec from a JSON document (text or already-parsed dict).
+def genspec_from_json(doc) -> GenSpec:
+    """Build a GenSpec from a parsed JSON document.
 
     Expected shape: {"seed": int, "length": int, "kind": str, ...kind fields}.
     This only maps names: "kind" picks a GENERATOR_KINDS record, whose
@@ -475,11 +471,6 @@ def genspec_from_json(doc: Union[str, dict]) -> GenSpec:
     may hold, and a JSON list becomes a tuple. GenSpec and the kind's _check
     check the values, as they do for a spec built in Python.
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except ValueError as exc:  # bad JSON, or an integer past the digit limit
-            raise ConfigError(f"generator spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("generator spec must be a JSON object")
     try:

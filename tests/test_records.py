@@ -3,14 +3,21 @@ defaults, equality and hash, refusal of assignment, and every check of the
 checked records with the exception type and message it raises. Trace:
 fresh empty columns by default, and equality by its columns and cycle count."""
 
+import copy
+import importlib
 import math
+import pickle
+import pkgutil
 import sys
 from array import array
+from typing import NamedTuple
 
 import pytest
 
+import emsim
 from emsim.cache import CacheConfig
 from emsim.em_models import RmsLimit, SignalElectricals, TechParams, WireGeometry
+from emsim.records import Checked
 from emsim.simulate import SimConfig
 from emsim.wear_stats import StructureReport, WriteHistogram
 from emsim.workload import (
@@ -331,6 +338,75 @@ def test_replace_and_make_check_as_the_constructor_does(record, bad, exc_type, m
     assert cls._make(iter(record)) == record and type(cls._make(record)) is cls
     with pytest.raises(TypeError, match=f"Expected {len(record)} arguments, got 0"):
         cls._make(())
+
+
+# each checked record, its defining module and the start of its docstring
+CHECKED = {
+    GenSpec: ("emsim.workload", "A generator run"),
+    CacheConfig: ("emsim.cache", "One level's geometry"),
+    SimConfig: ("emsim.simulate", "A simulate run's settings"),
+    TechParams: ("emsim.em_models", "Process/fit constants"),
+    WireGeometry: ("emsim.em_models", "Metal cross-section"),
+    SignalElectricals: ("emsim.em_models", "Electrical parameters"),
+    RmsLimit: ("emsim.em_models", "Foundry RMS-current limit"),
+}
+CHECKED_RECORDS = [(cls, fields) for cls, fields, *_ in RECORDS if cls in CHECKED]
+
+
+def test_checked_records_are_the_checked_subclasses_in_records():
+    assert {cls for cls, _ in CHECKED_RECORDS} == set(CHECKED)
+    assert {cls for cls, *_ in RECORDS if issubclass(cls, Checked)} == set(CHECKED)
+
+
+@pytest.mark.parametrize("cls,fields", CHECKED_RECORDS, ids=[c.__name__ for c, _ in CHECKED_RECORDS])
+def test_checked_records_survive_pickle_and_deepcopy(cls, fields):
+    record = cls(**fields)
+    copies = [pickle.loads(pickle.dumps(record, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [*copies, copy.deepcopy(record), copy.copy(record)]:
+        assert copied == record and type(copied) is cls
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=[c.__name__ for c in CHECKED])
+def test_checked_records_keep_their_module_name_and_docstring(cls):
+    module, doc = CHECKED[cls]
+    assert cls.__module__ == module
+    assert getattr(sys.modules[module], cls.__qualname__) is cls  # where pickle looks
+    assert cls.__doc__.startswith(doc)
+    assert cls.__mro__[:2] == (cls, Checked) and cls.__slots__ == ()
+
+
+def namedtuple_twins(namespaces: dict) -> list:
+    """(module, name) of every module-level class in namespaces that a
+    Checked subclass in them inherits directly: the NamedTuple half of a
+    record written as two classes instead of one under records.checked."""
+    bound = {id(value): (module, name) for module, names in namespaces.items()
+             for name, value in names.items() if isinstance(value, type)}
+    return sorted(bound[id(base)] for names in namespaces.values() for value in names.values()
+                  if isinstance(value, type) and issubclass(value, Checked)
+                  for base in value.__bases__ if base is not Checked and id(base) in bound)
+
+
+def test_no_module_binds_a_namedtuple_twin():
+    modules = [importlib.import_module(f"emsim.{info.name}")
+               for info in pkgutil.iter_modules(emsim.__path__)]
+    assert len(modules) >= 10
+    assert namedtuple_twins({m.__name__: vars(m) for m in modules}) == []
+
+
+def test_twin_scan_sees_what_it_must():
+    class _Pair(NamedTuple):
+        x: int
+
+    class Pair(Checked, _Pair):
+        __slots__ = ()
+
+        def _check(self):
+            pass
+
+    assert namedtuple_twins({"m": {"_Pair": _Pair}, "n": {"Pair": Pair, "C": Checked}}) == [
+        ("m", "_Pair")]
+    assert namedtuple_twins({"n": {"Pair": Pair, "C": Checked}}) == []
 
 
 # --- Trace ----------------------------------------------------------------------

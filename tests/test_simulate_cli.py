@@ -358,7 +358,7 @@ def test_cli_simulate_gen_matches_the_saved_trace(tmp_path, spec):
     # --gen encodes the generated events in memory; --trace parses the same
     # events from their text: the reports must not tell the two apart
     trace = tmp_path / "t.trace"
-    save_trace(trace, generate(genspec_from_json(spec)))
+    save_trace(trace, generate(genspec_from_json(json.loads(spec))))
     outs = [tmp_path / "gen", tmp_path / "trace"]
     for out, source in zip(outs, (["--gen", spec], ["--trace", str(trace)])):
         assert main(["simulate", *source, "--rotation-period", "500",
@@ -674,6 +674,8 @@ def test_cli_domain_error_exits_4(capsys):
     ("rms-mtf --width 1e-7 --height 2e-7 --capacitance 0 --vdd 1.1 --freq 3e9 "
      "--toggle 0.5", 4),
     ("black-mtf --current-density 1e-200 --exponent-n 3", 4),
+    ("black-mtf --current-density 1e-300", 4),
+    ("lifetime-extension 1e-200", 4),
     ("k1 --width 1e-7 --height 2e-7 --activation-ea 100 --temp-k 1", 4),
     ("black-mtf --scale-a 1e300 --current-density 1e-10", 4),
     ("improvement 1e300 1e-300", 4),
@@ -691,7 +693,9 @@ def test_cli_em_calc_bad_numbers_exit_without_traceback(capsys, argv, code):
         assert "not a finite number" in capsys.readouterr().err
     else:
         assert main(["em-calc", *argv.split()]) == 4
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv.split()[0]} result out of the float range: ")
+        assert err.count("\n") == 1
 
 
 # Random JSON for the config and generator-spec loaders: objects over the
@@ -897,7 +901,24 @@ def test_cli_json_integer_past_the_digit_limit_exits_2(tmp_path, capsys, argv, d
     assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "not valid JSON" not in err  # the text is JSON; the integer is too long
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,doc,what", [
+    (["simulate", "--gen", '{"kind": '], None, "generator spec"),
+    (["simulate", "--trace", "TRACE", "--config", "DOC"], '{"alu": }', "config file"),
+    (["gen-trace", "--gen", "DOC"], "{not json", "generator spec"),
+    (["report-merge", "DOC"], '{"reports": [', "DOC"),
+], ids=["simulate-gen", "simulate-config", "gen-trace-gen", "report-merge"])
+def test_cli_text_that_is_not_json_exits_2_and_says_so(tmp_path, capsys, argv, doc, what):
+    paths = {"TRACE": write(tmp_path / "t.trace", WORKED_ALU_TRACE),
+             "DOC": write(tmp_path / "doc.json", doc or "")}
+    out = tmp_path / "out"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths.get(what, what)} is not valid JSON: ")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 # --- CLI: em-calc -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -554,8 +555,9 @@ def test_smallest_legal_total_draws_inside_the_table():
     assert {e.payload.ready_count for e in generate(GenSpec(1, 2000, k))} == {1}
 
 
-# each PINNED spec as a parsed document and as JSON text; the skewed-addrs
-# dict leaves line_bytes to its default, and its text spells it out
+# each PINNED spec as a parsed document and as JSON text, which the CLI
+# parses before genspec_from_json sees it; the skewed-addrs dict leaves
+# line_bytes to its default, and its text spells it out
 PINNED_DOCS = [
     ({"kind": "zipf-reg-writes", "seed": 42, "length": 64, "num_regs": 16, "zipf_s": 1.5},
      '{"kind": "zipf-reg-writes", "seed": 42, "length": 64, "num_regs": 16, "zipf_s": 1.5}'),
@@ -574,7 +576,7 @@ def test_genspec_from_json_reads_the_pinned_specs():
     assert len(PINNED_DOCS) == len(PINNED)
     for (spec, _), (doc, text) in zip(PINNED, PINNED_DOCS):
         assert genspec_from_json(doc) == spec
-        assert genspec_from_json(text) == spec
+        assert genspec_from_json(json.loads(text)) == spec
 
 
 ZIPF_DOC = {"kind": "zipf-reg-writes", "seed": 1, "length": 1,
@@ -585,10 +587,11 @@ ALU_DOC = {"kind": "alu-bursts", "seed": 1, "length": 1, "max_width": 2,
            "width_distribution": [1, 1, 1]}
 
 
-# documents whose names are wrong: genspec_from_json itself rejects them
+# documents whose names are wrong: genspec_from_json itself rejects them; a
+# str is a parsed JSON string, not text to parse
 NAME_ERROR_DOCS = [
-    ("{not json", "not valid JSON"),
-    ("[1, 2]", "must be a JSON object"),
+    ("{not json", "must be a JSON object"),
+    ([1, 2], "must be a JSON object"),
     ({"kind": "nope", "seed": 1, "length": 1}, "unknown generator kind"),
     ({"kind": "zipf-reg-writes", "seed": 1, "length": 1}, "requires field"),
     ({"kind": "zipf-reg-writes", "seed": 1, "length": 1,
