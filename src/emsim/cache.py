@@ -8,15 +8,17 @@ record the wear the rotation is meant to spread.
 
 Each cache keeps one LRU model: per set a list of its resident blocks,
 most recently used first (the LRU stack of Mattson et al., IBM Sys. J.
-1970), and a dict from every resident block to its way. The block's set
-follows from the block and the rotation, so its entry index (set * ways +
-way), where its write counters live, is computed where it is needed: on a
-write hit, a fill or an eviction. A way is a small int that CPython
-shares, so the dict holds no int of its own per resident line. An
-eviction pops the set's LRU block and takes its way back from the dict,
-so no entry records its block. A fill takes the lowest free way and only
-a rotation frees lines, so a set's resident ways are always 0 ..
-len(list) - 1.
+1970), and a dict from every resident block to way << 2 | dirty << 1.
+Bit 1 is the write bit's place in a mem code, so a fill stores way << 2 |
+code & 2 and a write hit sets bit 1. The block's set follows from the
+block and the rotation, so its entry index (set * ways + way), where its
+write counter lives, is computed where it is needed: on a write hit, a
+fill or an eviction. Up to 64 ways (4 * 63 + 2 = 254) a value is a small
+int that CPython shares, so the dict holds no int of its own per resident
+line. An eviction pops the set's LRU block and takes its way and dirty
+bit back from the dict, so no entry records its block. A fill takes the
+lowest free way and only a rotation frees lines, so a set's resident ways
+are always 0 .. len(list) - 1.
 
 Write accounting: a write hit and a line fill each count as one write to
 the touched entry (a fill rewrites the whole line). Invalidation clears
@@ -78,19 +80,16 @@ class CacheConfig(NamedTuple):
 
 
 class RotatingCache:
-    __slots__ = ("config", "rot_counter", "_shift", "_where", "_lru", "_dirty",
-                 "line_writes", "accesses", "fills", "rotation_writebacks",
-                 "charge_rotation_writebacks")
+    __slots__ = ("config", "rot_counter", "_shift", "_where", "_lru", "line_writes",
+                 "accesses", "fills", "rotation_writebacks", "charge_rotation_writebacks")
 
     def __init__(self, config: CacheConfig, charge_rotation_writebacks: bool = True):
         self.config = config
         self.rot_counter = 0
         self._shift = config.line_bytes.bit_length() + 1  # mem code >> _shift = block
-        n = config.sets * config.ways
-        self._where: dict[int, int] = {}  # resident block -> way
+        self._where: dict[int, int] = {}  # resident block -> way << 2 | dirty << 1
         self._lru = [[] for _ in range(config.sets)]  # resident blocks, MRU first
-        self._dirty = bytearray(n)
-        self.line_writes = [0] * n  # per entry, set-major
+        self.line_writes = [0] * (config.sets * config.ways)  # per entry, set-major
         self.accesses = 0
         self.fills = 0
         self.rotation_writebacks = 0
@@ -134,7 +133,7 @@ class RotatingCache:
         cfg, shift = self.config, self._shift
         sets_mask, ways, allocate_writes = cfg.sets - 1, cfg.ways, cfg.write_allocate
         rot = self.rot_counter
-        where, lrus, dirty = self._where, self._lru, self._dirty
+        where, lrus = self._where, self._lru
         line_writes = self.line_writes
         emit = out.append
         sent_by = None if tags is None else tags.append
@@ -143,36 +142,32 @@ class RotatingCache:
             x = stream[k]
             block = x >> shift
             s = (block + rot) & sets_mask
-            way = where.get(block)
-            if way is not None:
+            held = where.get(block)
+            if held is not None:
                 lru = lrus[s]
                 if lru[0] != block:
                     lru.remove(block)
                     lru.insert(0, block)
                 if x & 2:
-                    e = s * ways + way
-                    dirty[e] = 1
-                    line_writes[e] += 1
+                    where[block] = held | 2
+                    line_writes[s * ways + (held >> 2)] += 1
                 continue
             if x & 2 and not allocate_writes:
                 emit(x)  # a write miss that does not allocate passes below
             else:
                 lru = lrus[s]
                 way = len(lru)
-                if way < ways:
-                    e = s * ways + way
-                else:
+                if way == ways:
                     victim = lru.pop()
-                    way = where.pop(victim)
-                    e = s * ways + way
-                    if dirty[e]:
+                    held = where.pop(victim)
+                    way = held >> 2
+                    if held & 2:
                         emit(victim << shift | 2)
                         if sent_by:
                             sent_by(k)
                 lru.insert(0, block)
-                where[block] = way
-                dirty[e] = x & 2
-                line_writes[e] += 1
+                where[block] = way << 2 | x & 2
+                line_writes[s * ways + way] += 1
                 fills += 1
                 emit(x & -4)  # fetch the block
             if sent_by:
@@ -184,16 +179,16 @@ class RotatingCache:
         """Invalidates every line and shifts the set mapping by one. Returns
         the dirty lines' write-backs for the level below (mem codes, as in
         run()), or none if rotation write-backs are not charged (they are
-        counted either way)."""
+        counted either way). Only dirty lines get an entry index and only
+        sets that hold lines are cleared, so cost follows resident lines."""
         cfg, shift = self.config, self._shift
         rot, sets_mask, ways = self.rot_counter, cfg.sets - 1, cfg.ways
         where, lrus = self._where, self._lru
-        # resident lines only, by entry index (set-major, way-ascending): the
-        # order the write-backs reach the level below decides its LRU state
-        block_at = {((block + rot) & sets_mask) * ways + way: block
-                    for block, way in where.items()}
-        writebacks = [block_at[e] << shift | 2
-                      for e in sorted(filter(self._dirty.__getitem__, block_at))]
+        # by entry index (set-major, way-ascending): the order the
+        # write-backs reach the level below decides its LRU state
+        dirty = sorted((((block + rot) & sets_mask) * ways + (held >> 2), block)
+                       for block, held in where.items() if held & 2)
+        writebacks = [block << shift | 2 for _, block in dirty]
         self.rotation_writebacks += len(writebacks)
         for s in {(block + rot) & sets_mask for block in where}:
             lrus[s].clear()

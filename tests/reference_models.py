@@ -114,8 +114,10 @@ class RefRotatingCache:
         self.write_hits = 0
         self.rotation_writebacks = 0
 
-    def resident_blocks(self):
-        return {line[1] for lines in self._sets.values() for line in lines}
+    def resident_lines(self):
+        """{block: (way, dirty)} for every resident line."""
+        return {block: (way, dirty)
+                for lines in self._sets.values() for way, block, dirty in lines}
 
     def access(self, address, kind):
         """Returns (hit, fill, writeback_address_or_None)."""

@@ -255,16 +255,16 @@ def test_default_geometry():
 
 
 def test_default_hierarchy_keeps_no_per_entry_tag_array():
-    # an eviction finds its entry through the block map, so the counters and
-    # dirty bits are the only per-entry arrays; a tag array would add 1 MiB
-    # for the L3's 131,072 lines alone
+    # an eviction finds its entry and its dirty bit through the block map, so
+    # the write counters are the only per-entry array; a tag array would add
+    # 1 MiB for the L3's 131,072 lines alone, a dirty byte array 128 KiB
     tracemalloc.start()
     try:
         hier = build_hierarchy()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 2_000_000
+    assert held < 1_750_000
     assert len(hier.caches["L3"].line_writes) == 131_072
 
 

@@ -1,6 +1,9 @@
 """Differential tests of the rotating cache and the hierarchy against the
 independent models in reference_models.py, over random geometries."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,14 +35,17 @@ def assert_same_counters(mine, ref):
 def assert_lru_state(mine, ref):
     """Each set's LRU list holds blocks that map to that set, the block map
     sends it onto a permutation of its resident ways 0 .. len-1, and the
-    block map holds exactly the resident blocks."""
+    block map holds exactly the reference's resident lines, each at the
+    reference's way with its dirty bit."""
     sets_mask = mine.config.sets - 1
     for s, lru in enumerate(mine._lru):
         assert all((block + mine.rot_counter) & sets_mask == s for block in lru)
-        assert sorted(mine._where[block] for block in lru) == list(range(len(lru)))
+        assert sorted(mine._where[block] >> 2 for block in lru) == list(range(len(lru)))
     resident = [block for lru in mine._lru for block in lru]
     assert len(resident) == len(mine._where)
-    assert set(resident) == set(mine._where) == ref.resident_blocks()
+    assert set(resident) == set(mine._where)
+    assert {block: (held >> 2, bool(held & 2)) for block, held in mine._where.items()} \
+        == ref.resident_lines()
 
 
 def encode(address, kind):
@@ -162,6 +168,33 @@ def test_rotations_with_several_dirty_lines_match_reference():
 
     check()
     assert multi_dirty >= 1
+
+
+def test_write_hit_dirties_a_line_that_stays_resident():
+    # a read fill, then a write hit, and nothing evicts or rotates the line:
+    # a write hit counts the same whether or not it sets the dirty bit, so
+    # only the block map's dirty bit can show that it was set
+    mine, ref = cache_pair(2, 2, 4, None, True, True)
+    for kind in ("READ", "WRITE"):
+        assert mine.run([encode(8, kind)]) == ref_outputs(ref, 8, kind)
+    assert_same_counters(mine, ref)
+    assert_lru_state(mine, ref)
+
+
+@pytest.mark.parametrize("sets,ways,period", [(1, 128, None), (2, 96, 1100), (1, 65, 400)])
+def test_more_than_64_ways_match_reference(sets, ways, period):
+    # past 64 ways a block map value (way << 2 | dirty << 1) exceeds 256,
+    # the largest int CPython shares, so each resident line holds its own
+    rng = random.Random(ways)
+    pool = range(sets * ways * 5 // 4)
+    accesses = [(rng.choice(pool) * 4, rng.choice(["READ", "WRITE"])) for _ in range(3001)]
+    mine, ref = cache_pair(sets, ways, 4, period, True, True)
+    for batch in batches(accesses, range(0, len(accesses), 600)):
+        expected = [code for a, k in batch for code in ref_outputs(ref, a, k)]
+        assert mine.run([encode(a, k) for a, k in batch]) == expected
+    assert max(mine._where.values()) > 256
+    assert_lru_state(mine, ref)
+    assert_same_counters(mine, ref)
 
 
 def level_geometry(line_bytes):

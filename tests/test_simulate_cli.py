@@ -437,7 +437,10 @@ def mixed_trace(seed, cycles):
 # of 3 saturate, and rotates the 18-slot gpr-flags-sp ring; the sixth runs
 # counter-rotate on the default three units, which do not divide
 # CHUNK_RECORDS (1,024 % 3 = 1), so each replay slice after the first
-# starts at a lead the allocator must carry over from the slice before.
+# starts at a lead the allocator must carry over from the slice before; the
+# seventh shrinks L1D so that L2 (1 set x 128 ways) and L3 (2 x 96) fill past
+# 64 ways, where a cache's block map values are no longer CPython's shared
+# small ints, and rotates them with dozens of dirty lines each.
 PINNED_REPORTS = [
     (["--structure", "all", "--rotation-period", "150"], None,
      "19ce33625dcfd9bef5cb1040f87c8b4ad25f5791922cc4d6cf0f4969f4db13f8",
@@ -468,6 +471,12 @@ PINNED_REPORTS = [
     (["--structure", "alu", "--policy", "counter-rotate"], None,
      "cfa197dce85fc6f5e553bec4daf44a8c3e679e64be79fc2e7ba0e3c1f78705a2",
      "f3d9ed0142eee6310d96a78a1b8f372b5f8cfa8b1f9b51f6347012af18b914a8"),
+    (["--structure", "cache", "--rotation-period", "500"],
+     {"cache": {"levels": {
+         "L1D": {"sets": 4, "ways": 2}, "L2": {"sets": 1, "ways": 128},
+         "L3": {"sets": 2, "ways": 96, "rotation_period": 700}}}},
+     "52e8a9b2596506ba4757ef3fba709be42304578b10b1e5187003e13f32c57504",
+     "a16d3953860f2b29830c42e09abe28858b4ec2f3ce8613adc4f5863989344b8c"),
 ]
 
 
