@@ -12,8 +12,10 @@ from emsim.alu_alloc import (
     TOGGLE_BALANCE,
     AluAllocator,
 )
+from emsim import simulate
 from emsim.rng import SplitMix64
 from emsim.simulate import MAX_ALU_UNITS
+from emsim.workload import parse_trace
 from reference_models import RefAluAllocator, clone, ex_bits, global_bit, grant
 
 
@@ -318,3 +320,19 @@ def test_batches_match_closed_form_and_reference(data, n, policy):
         _same_state(mine, ref)
         assert mine.usage == closed_form_usage(policy, n, ks[:hi])
         assert 0 <= mine.position < n
+
+
+def test_run_simulation_calls_allocate_once_per_slice_on_each_allocator(monkeypatch):
+    # 2.5 chunks of ALU records: each allocator takes each slice in one
+    # call, the baseline first, and the last slice is the partial one
+    calls = []
+    allocate = AluAllocator.allocate
+    monkeypatch.setattr(AluAllocator, "allocate", lambda self, ks: calls.append(
+        (self.policy, list(ks))) or allocate(self, ks))
+    n = simulate.CHUNK_RECORDS
+    widths = [c % 5 for c in range(5 * n // 2)]
+    trace = parse_trace([f"{c} A {k}" for c, k in enumerate(widths)])
+    simulate.run_simulation(trace, simulate.SimConfig(alu_policy=COUNTER_ROTATE))
+    slices = [widths[:n], widths[n:2 * n], widths[2 * n:]]
+    assert calls == [(policy, ks) for ks in slices
+                     for policy in (FIXED_PRIORITY, COUNTER_ROTATE)]

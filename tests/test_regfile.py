@@ -2,10 +2,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emsim import simulate
 from emsim.em_models import mtf_improvement
 from emsim.simulate import _write_by_epoch
 from emsim.regfile import RING_PRESETS, RotatingRegFile
 from emsim.rng import SplitMix64
+from emsim.workload import parse_trace
 from reference_models import member_index, write_each
 
 
@@ -251,3 +253,32 @@ def test_bad_write_batch_writes_nothing(counts, values, error):
         rf.write(counts, values)
     assert rf.phys_writes == [0, 0, 0, 0]
     assert rf.values == [0, 0, 0, 0]
+
+
+def test_run_simulation_writes_once_per_epoch_segment(monkeypatch):
+    # slices of 4 register writes at period 10: the first slice holds an
+    # epoch boundary (cycle 10), the second starts on one (cycle 20) and
+    # holds another that owes two rotations (cycle 45), and the last holds
+    # only a write outside the ring, which makes no call
+    calls = []
+    write, rotate = RotatingRegFile.write, RotatingRegFile.rotate
+
+    def label(rf):
+        return "aware" if rf.count_rotation_shifts else "base"
+
+    monkeypatch.setattr(RotatingRegFile, "write", lambda self, counts, values=None: calls.append(
+        (label(self), "write", dict(counts))) or write(self, counts, values))
+    monkeypatch.setattr(RotatingRegFile, "rotate", lambda self, times=1: calls.append(
+        (label(self), "rotate", times)) or rotate(self, times))
+    lines = ["0 R GPR 0", "1 R GPR 1", "10 R GPR 0", "11 R FP 0",
+             "20 R GPR 2", "21 R GPR 2", "45 R GPR 3", "49 R GPR 0",
+             "52 R FP 0"]
+    cfg = simulate.SimConfig(structures=("regfile",), rotation_period=10,
+                             count_rotation_shifts=True)
+    monkeypatch.setattr(simulate, "CHUNK_RECORDS", 4)
+    simulate.run_simulation(parse_trace(lines), cfg)
+    segments = [(0, {0: 1, 1: 1}), (1, {0: 1}), (1, {2: 2}), (2, {3: 1, 0: 1})]
+    assert calls == [call for owed, counts in segments for call in (
+        ("base", "write", counts),
+        *([("aware", "rotate", owed)] if owed else []),
+        ("aware", "write", counts))]
