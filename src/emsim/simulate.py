@@ -3,9 +3,10 @@ a wear-aware variant of each selected structure, and the per-entry write
 counters of the two runs become one StructureReport per structure.
 
 A Trace holds one column per structure: the ALU ready counts, the
-register keys beside their cycles, and the memory record codes. Each
-selected structure is replayed from its own column, CHUNK_RECORDS records
-at a time, one structure after another, since they share no state:
+register keys beside their cycles, and the memory record codes. The
+selected structures are replayed one after another, since they share no
+state, each through one feeder, _feed, which hands its column to the
+structure's two variants in slices of CHUNK_RECORDS records:
 
 * alu: a slice of ready counts goes to each allocator in one allocate()
   call, which grants min(ready_count, units) units per count (a trace may
@@ -31,9 +32,9 @@ counters) so identical runs serialize identically.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import Counter
+from functools import partial
 from typing import NamedTuple
 
 from .alu_alloc import COUNTER_ROTATE, FIXED_PRIORITY, TOGGLE_BALANCE, AluAllocator
@@ -114,11 +115,28 @@ def run_simulation(trace: Trace, cfg: SimConfig):
     """Returns (reports, summary)."""
     reports: list[StructureReport] = []
     if "alu" in cfg.structures:
-        reports.append(_replay_alu(trace.alu, cfg))
+        base_alu = AluAllocator(cfg.alu_units, FIXED_PRIORITY)
+        aware_alu = AluAllocator(cfg.alu_units, cfg.alu_policy)
+        _feed(lambda ks: (base_alu.allocate(ks), aware_alu.allocate(ks)), trace.alu)
+        reports.append(improvement_report(base_alu.usage, aware_alu.usage, "alu"))
     if "regfile" in cfg.structures:
-        reports.append(_replay_regfile(trace.reg_cycles, trace.reg_keys, cfg))
+        ring = RING_PRESETS[cfg.regfile_preset]
+        base_rf = RotatingRegFile(ring)
+        aware_rf = RotatingRegFile(ring, count_rotation_shifts=cfg.count_rotation_shifts)
+        _feed(partial(_write_by_epoch, base_rf, aware_rf, cfg.rotation_period),
+              trace.reg_keys, trace.reg_cycles)
+        reports.append(improvement_report(base_rf.phys_writes, aware_rf.phys_writes,
+                                          f"regfile.{cfg.regfile_preset}"))
     if "cache" in cfg.structures:
-        reports += _replay_caches(trace.mem, cfg)
+        # one hierarchy at a time: the never-rotating baseline, of the overrides'
+        # geometry only, is reduced to its histograms before the aware one is built
+        geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}
+                    for role, fields in (cfg.cache_overrides or {}).items()}
+        charge = cfg.charge_rotation_writebacks
+        base = _replay_hierarchy(trace.mem, None, geometry, charge)
+        aware = _replay_hierarchy(trace.mem, cfg.rotation_period, cfg.cache_overrides, charge)
+        reports += [histogram_report(b, a, f"cache.{role}.{row}") for role in LEVEL_ROLES
+                    for row, b, a in zip(("lines", "tags"), base[role], aware[role])]
 
     summary = {
         "structures": list(cfg.structures),
@@ -137,38 +155,11 @@ def run_simulation(trace: Trace, cfg: SimConfig):
     return reports, summary
 
 
-def _replay_alu(counts: list[int], cfg: SimConfig) -> StructureReport:
-    base = AluAllocator(cfg.alu_units, FIXED_PRIORITY)
-    aware = AluAllocator(cfg.alu_units, cfg.alu_policy)
-    for start in range(0, len(counts), CHUNK_RECORDS):
-        ks = counts[start:start + CHUNK_RECORDS]
-        base.allocate(ks)
-        aware.allocate(ks)
-    return improvement_report(base.usage, aware.usage, "alu")
-
-
-def _replay_regfile(cycles: array, keys: list, cfg: SimConfig) -> StructureReport:
-    ring = RING_PRESETS[cfg.regfile_preset]
-    base = RotatingRegFile(ring)
-    aware = RotatingRegFile(ring, count_rotation_shifts=cfg.count_rotation_shifts)
-    for start in range(0, len(keys), CHUNK_RECORDS):
-        stop = start + CHUNK_RECORDS
-        _write_by_epoch(base, aware, cfg.rotation_period, keys[start:stop], cycles[start:stop])
-    return improvement_report(base.phys_writes, aware.phys_writes,
-                              f"regfile.{cfg.regfile_preset}")
-
-
-def _replay_caches(codes: list[int], cfg: SimConfig) -> list[StructureReport]:
-    # one hierarchy at a time: the never-rotating baseline, which takes the
-    # overrides' geometry only, is replayed to its histograms and let go
-    # before the aware copy is built
-    geometry = {role: {k: v for k, v in fields.items() if k != "rotation_period"}
-                for role, fields in (cfg.cache_overrides or {}).items()}
-    charge = cfg.charge_rotation_writebacks
-    base = _replay_hierarchy(codes, None, geometry, charge)
-    aware = _replay_hierarchy(codes, cfg.rotation_period, cfg.cache_overrides, charge)
-    return [histogram_report(b, a, f"cache.{role}.{row}") for role in LEVEL_ROLES
-            for row, b, a in zip(("lines", "tags"), base[role], aware[role])]
+def _feed(feed, *columns) -> None:
+    """Calls feed with aligned slices of the columns, CHUNK_RECORDS records
+    each, in order: the only place a column is cut into replay slices."""
+    for start in range(0, len(columns[0]), CHUNK_RECORDS):
+        feed(*(column[start:start + CHUNK_RECORDS] for column in columns))
 
 
 def _replay_hierarchy(codes: list[int], rotation_period: int | None, overrides: dict | None,
@@ -182,8 +173,7 @@ def _replay_hierarchy(codes: list[int], rotation_period: int | None, overrides: 
                 for role, level in level_configs(rotation_period, overrides).items()}
     hierarchy = build_hierarchy(rotation_period=rotation_period, overrides=overrides,
                                 charge_rotation_writebacks=charge)
-    for start in range(0, len(codes), CHUNK_RECORDS):
-        hierarchy.access(codes[start:start + CHUNK_RECORDS])
+    _feed(hierarchy.access, codes)
     return {role: (histogram(level.line_writes), histogram(level.set_writes))
             for role, level in hierarchy.caches.items()}
 
