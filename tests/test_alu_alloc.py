@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsim import simulate
 from emsim.alu_alloc import (
     COUNTER_ROTATE,
     FIXED_PRIORITY,
@@ -12,7 +13,6 @@ from emsim.alu_alloc import (
     TOGGLE_BALANCE,
     AluAllocator,
 )
-from emsim import simulate
 from emsim.rng import SplitMix64
 from emsim.simulate import MAX_ALU_UNITS
 from emsim.workload import parse_trace

@@ -277,8 +277,9 @@ def test_run_simulation_writes_once_per_epoch_segment(monkeypatch):
                              count_rotation_shifts=True)
     monkeypatch.setattr(simulate, "CHUNK_RECORDS", 4)
     simulate.run_simulation(parse_trace(lines), cfg)
-    segments = [(0, {0: 1, 1: 1}), (1, {0: 1}), (1, {2: 2}), (2, {3: 1, 0: 1})]
-    assert calls == [call for owed, counts in segments for call in (
-        ("base", "write", counts),
-        *([("aware", "rotate", owed)] if owed else []),
-        ("aware", "write", counts))]
+    assert calls == [
+        ("base", "write", {0: 1, 1: 1}), ("aware", "write", {0: 1, 1: 1}),
+        ("base", "write", {0: 1}), ("aware", "rotate", 1), ("aware", "write", {0: 1}),
+        ("base", "write", {2: 2}), ("aware", "rotate", 1), ("aware", "write", {2: 2}),
+        ("base", "write", {3: 1, 0: 1}), ("aware", "rotate", 2),
+        ("aware", "write", {3: 1, 0: 1})]
