@@ -26,10 +26,10 @@ Either way the claim holds at T + k. So units 0..r-1 hold T // N + 1
 grants and the rest T // N: no two counts differ by more than one.
 
 An allocator therefore keeps a position in place of the bits: for
-toggle-balance T % N and the global bit, for counter-rotate the lead, the
-requests so far mod N. allocate() counts a batch's requests by size (for
-counter-rotate, once per lead) and turns the counts into per-unit grants
-in O(N + distinct sizes) steps.
+toggle-balance T % N (T is the sum of usage, which gives the global bit
+too), for counter-rotate the lead, the requests so far mod N. allocate()
+counts a batch's requests by size (for counter-rotate, once per lead) and
+turns the counts into per-unit grants in O(N + distinct sizes) steps.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ POLICIES = (FIXED_PRIORITY, COUNTER_ROTATE, TOGGLE_BALANCE)
 
 class AluAllocator:
     """N units under one policy, with per-unit grant counts in `usage`, all
-    that allocate() leaves to read. `position` and `bit` are all a policy
-    remembers between cycles, as above; fixed-priority keeps both at 0."""
+    that allocate() leaves to read. `position` is all a policy remembers
+    between cycles, as above; fixed-priority keeps it at 0."""
 
-    __slots__ = ("num_units", "policy", "usage", "position", "bit")
+    __slots__ = ("num_units", "policy", "usage", "position")
 
     def __init__(self, num_units: int, policy: str = FIXED_PRIORITY):
         if num_units < 1:
@@ -61,7 +61,7 @@ class AluAllocator:
         self.num_units = num_units
         self.policy = policy
         self.usage = [0] * num_units
-        self.position = self.bit = 0
+        self.position = 0
 
     def allocate(self, ks: Sequence[int]) -> None:
         """Grant min(ks[i], N) of the N units in cycle i, cycle after cycle
@@ -80,7 +80,6 @@ class AluAllocator:
             # one per visit to it in [0, start + total), less one if u < start
             total = sum(min(k, n) * c for k, c in tallies[0][1].items())
             laps, self.position = divmod(start + total, n)
-            self.bit ^= laps & 1
             grants = [laps + (u < self.position) - (u < start) for u in range(n)]
         else:
             # units s..s+k-1 mod N are +1 at s and -1 at s + k, over two laps

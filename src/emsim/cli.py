@@ -241,7 +241,8 @@ def _add_tech_flags(p) -> None:
                    help="activation energy in eV")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--temp-c", type=_finite, default=None,
-                   help="temperature in Celsius (default 105)")
+                   help=f"temperature in Celsius (default "
+                   f"{tech.temperature_t - em.celsius_to_kelvin(0):g})")
     g.add_argument("--temp-k", type=_finite, default=tech.temperature_t,
                    help="temperature in kelvin")
 

@@ -66,13 +66,13 @@ class TechParams(NamedTuple):
     temperature_t: float = 378.15  # 105 C, the usual sign-off corner
 
     def _check(self):
-        if self.scale_A <= 0:
+        if not self.scale_A > 0:
             raise ValueError("scale_A must be > 0")
-        if self.exponent_n <= 0:
+        if not self.exponent_n > 0:
             raise ValueError("exponent_n must be > 0")
-        if self.activation_energy_ea < 0:
+        if not self.activation_energy_ea >= 0:
             raise ValueError("activation_energy_ea must be >= 0")
-        if self.temperature_t <= 0:
+        if not self.temperature_t > 0:
             raise ValueError("temperature_t must be > 0 (kelvin)")
 
     def thermal_factor(self) -> float:
@@ -88,7 +88,7 @@ class WireGeometry(NamedTuple):
     height_h: float
 
     def _check(self):
-        if self.width_w <= 0 or self.height_h <= 0:
+        if not self.width_w > 0 or not self.height_h > 0:
             raise ValueError("wire width and height must be > 0")
 
     @property
@@ -112,15 +112,15 @@ class SignalElectricals(NamedTuple):
     fall_tf: float = 1e-10
 
     def _check(self):
-        if self.capacitance_c < 0:
+        if not self.capacitance_c >= 0:
             raise ValueError("capacitance_c must be >= 0")
-        if self.supply_vdd <= 0:
+        if not self.supply_vdd > 0:
             raise ValueError("supply_vdd must be > 0")
-        if self.frequency_f <= 0:
+        if not self.frequency_f > 0:
             raise ValueError("frequency_f must be > 0")
         if not 0.0 <= self.toggle_p <= 1.0:
             raise ValueError("toggle_p must be within [0, 1]")
-        if self.rise_tr <= 0 or self.fall_tf <= 0:
+        if not self.rise_tr > 0 or not self.fall_tf > 0:
             raise ValueError("rise/fall times must be > 0")
 
 
@@ -132,7 +132,7 @@ class RmsLimit(NamedTuple):
     mtf_technology: float = 10.0  # years
 
     def _check(self):
-        if self.i_rms_max <= 0 or self.mtf_technology <= 0:
+        if not self.i_rms_max > 0 or not self.mtf_technology > 0:
             raise ValueError("RMS limit fields must be > 0")
 
 
@@ -141,7 +141,7 @@ def black_mtf(tech: TechParams, current_density_j: float) -> float:
 
     Returned in the units of tech.scale_A.
     """
-    if current_density_j <= 0:
+    if not current_density_j > 0:
         raise ValueError("current density J must be > 0")
     return tech.scale_A / current_density_j**tech.exponent_n * tech.thermal_factor()
 
@@ -157,7 +157,7 @@ def reduced_rms_current(limit: RmsLimit, mtf_reduced: float) -> float:
     Relaxing MTF below the technology default permits more current; asking
     for a longer life than the default tightens it.
     """
-    if mtf_reduced <= 0:
+    if not mtf_reduced > 0:
         raise ValueError("mtf_reduced must be > 0")
     return limit.i_rms_max * math.sqrt(limit.mtf_technology / mtf_reduced)
 
@@ -208,8 +208,8 @@ def mtf_improvement(p_max_original: float, p_max_aware: float) -> float:
     maximum is zero -- the caller must report that as unbounded explicitly
     rather than receive infinity.
     """
-    if p_max_original <= 0:
+    if not p_max_original > 0:
         raise ValueError("p_max_original must be > 0")
-    if p_max_aware <= 0:
+    if not p_max_aware > 0:
         raise ValueError("p_max_aware must be > 0 (unbounded improvement otherwise)")
     return p_max_original / p_max_aware - 1.0

@@ -83,5 +83,4 @@ class RotatingRegFile:
         self.values[:] = self.values[-shift:] + self.values[:-shift]
         self.rotations_done += times
         if self.count_rotation_shifts:
-            for i in range(self.num_slots):
-                self.phys_writes[i] += times
+            self.phys_writes[:] = [w + times for w in self.phys_writes]

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -63,14 +64,9 @@ def histogram(counts: Sequence[int]) -> WriteHistogram:
         raise ValueError("counts must be non-negative")
     m = max(written, default=0)
     bins = [counts.count(0), 0, 0, 0, 0]
+    edges = [upper * m for upper in _BIN_UPPER]
     for c, n in written.items():
-        scaled = 100 * c
-        for b, upper in enumerate(_BIN_UPPER):
-            if scaled <= upper * m:
-                bins[b] += n
-                break
-        else:
-            bins[4] += n
+        bins[bisect_left(edges, 100 * c)] += n
     return WriteHistogram(bins=tuple(bins), max_writes=m,
                           avg_writes=sum(c * n for c, n in written.items()) / len(counts),
                           num_entries=len(counts))

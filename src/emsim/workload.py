@@ -71,9 +71,7 @@ def mem_code(p: MemAccess) -> int:
         raise ValueError("memory kind must be READ or WRITE")
     if p.space not in MEM_SPACES:
         raise ValueError("address space must be DATA or INSTR")
-    if p.address < 0:
-        raise ValueError("address must be non-negative")
-    return p.address << 2 | (p.kind == "WRITE") << 1 | (p.space == "INSTR")
+    return _count(p.address, "address") << 2 | (p.kind == "WRITE") << 1 | (p.space == "INSTR")
 
 
 ALU, REG, MEM = range(3)  # a record's kind in parse_trace and _records
@@ -124,8 +122,9 @@ class Trace:
 
 # --- parsing / serialization -------------------------------------------------
 
-_KIND_BIT = {"R": 0, "W": 2}  # a memory record's letters as mem_code bits
-_SPACE_BIT = {"D": 0, "I": 1}
+# a memory record's letters, its kind's and space's first, as mem_code bits
+_KIND_BIT = {kind[0]: i << 1 for i, kind in enumerate(MEM_KINDS)}
+_SPACE_BIT = {space[0]: i for i, space in enumerate(MEM_SPACES)}
 PARSE_MEMO_TEXTS = 1 << 13  # the most record texts parse_trace keeps at once
 
 
@@ -277,22 +276,23 @@ def _records(events: Iterable[Event]) -> Iterator[tuple[int, int, object]]:
                 raise ValueError(f"unknown register class {p.reg_class!r}")
             _count(p.arch_id, "register id")
             yield cycle, REG, keys.get(p) or keys.setdefault(p, (p.reg_class, p.arch_id))
-        else:
+        elif type(p) is MemAccess:
             yield cycle, MEM, mem_code(p)
+        else:
+            raise ValueError(f"not an AluIssue, RegWrite or MemAccess: {p!r}")
 
 
 def serialize_trace(events: Iterable[Event]) -> Iterator[str]:
     """Inverse of parse_trace: yields one line per event, no newline. An
     event that parse_trace would reject there raises ValueError before its
-    line is yielded. A memory record's kind and space letters are their
-    names' first letters."""
+    line is yielded."""
     for cycle, kind, value in _records(events):
         if kind == ALU:
             yield f"{cycle} A {value}"
         elif kind == REG:
             yield f"{cycle} R {value[0]} {value[1]}"
         else:
-            yield f"{cycle} M {'RW'[value >> 1 & 1]} {value >> 2} {'DI'[value & 1]}"
+            yield f"{cycle} M {MEM_KINDS[value >> 1 & 1][0]} {value >> 2} {MEM_SPACES[value & 1][0]}"
 
 
 def load_trace(path) -> Trace:
@@ -301,6 +301,10 @@ def load_trace(path) -> Trace:
 
 
 def save_trace(path, events: Iterable[Event], header: str | None = None) -> None:
+    """Write events as a trace file under a one-line header comment, if
+    given: a header with a line break raises ValueError before the open."""
+    if header and ("\n" in header or "\r" in header):
+        raise ValueError(f"header must be one line, got {header!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# emsim trace v1\n")
         if header:

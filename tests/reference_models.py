@@ -29,8 +29,9 @@ the reference caches do. physical_set and member_index read where a package
 cache or register file puts an address or a register, for tests that check
 its counters by hand. clone copies a package ALU allocator, grant makes
 one request of it and returns the units granted, and ex_bits and
-global_bit read its toggle-balance state off its position. write_each
-hands a list of register writes to a package register file as one batch.
+global_bit read its toggle-balance state off its position and usage.
+write_each hands a list of register writes to a package register file as
+one batch.
 """
 
 import bisect
@@ -295,12 +296,13 @@ def grant(alloc, k):
 def ex_bits(alloc):
     """An AluAllocator's toggle-balance excitation bits, unit 0 first: unit
     u's bit is the global bit, flipped if u is before the position."""
-    return tuple(alloc.bit ^ (u < alloc.position) for u in range(alloc.num_units))
+    return tuple(global_bit(alloc) ^ (u < alloc.position) for u in range(alloc.num_units))
 
 
 def global_bit(alloc):
-    """An AluAllocator's toggle-balance global bit."""
-    return alloc.bit
+    """An AluAllocator's toggle-balance global bit, (T // N) & 1 after T
+    grants in all, which its usage sums to."""
+    return sum(alloc.usage) // alloc.num_units & 1
 
 
 def write_each(rf, indices, values):

@@ -119,7 +119,7 @@ def test_k_out_of_range(policy):
     saturated.allocate([4, 9, 1])
     full.allocate([3, 3, 1])
     assert saturated.usage == full.usage
-    assert (saturated.position, saturated.bit) == (full.position, full.bit)
+    assert saturated.position == full.position
 
 
 def test_bad_construction():
@@ -223,15 +223,15 @@ def test_matches_reference_allocator(data, n, policy):
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("policy", POLICIES)
 def test_position_stays_small(n, policy):
-    # all an allocator keeps between batches is a position in [0, N) and
-    # one bit, however long the request stream runs
+    # all an allocator keeps between batches, besides usage, is a position
+    # in [0, N), however long the request stream runs
     alloc = AluAllocator(n, policy)
     rng = SplitMix64(n)
     for _ in range(2000):
         alloc.allocate([rng.randbelow(n + 3) for _ in range(rng.randbelow(2 * n + 2))])
-        assert 0 <= alloc.position < n and alloc.bit in (0, 1)
+        assert 0 <= alloc.position < n
         if policy == FIXED_PRIORITY:
-            assert (alloc.position, alloc.bit) == (0, 0)
+            assert alloc.position == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,7 +257,7 @@ def test_batches_in_random_splits_match_reference(data, n, policy):
 def test_bad_request_in_a_batch_grants_nothing(policy):
     alloc = AluAllocator(3, policy)
     alloc.allocate([1, 2])
-    before = (tuple(alloc.usage), alloc.position, alloc.bit)
+    before = (tuple(alloc.usage), alloc.position)
     for ks, error, message in (([2, -4, 1], ValueError, "k must be >= 0, got -4"),
                                ([0, -1], ValueError, "k must be >= 0, got -1"),
                                ([1, 2.5], TypeError, "k must be an integer, got 2.5"),
@@ -268,13 +268,12 @@ def test_bad_request_in_a_batch_grants_nothing(policy):
         with pytest.raises(error) as excinfo:
             alloc.allocate(ks)
         assert str(excinfo.value) == message
-        assert (tuple(alloc.usage), alloc.position, alloc.bit) == before
+        assert (tuple(alloc.usage), alloc.position) == before
     # and it goes on as if the bad batches never came
     fresh = AluAllocator(3, policy)
     fresh.allocate([1, 2, 3])
     alloc.allocate([3])
-    assert (tuple(alloc.usage), alloc.position, alloc.bit) == \
-        (tuple(fresh.usage), fresh.position, fresh.bit)
+    assert (tuple(alloc.usage), alloc.position) == (tuple(fresh.usage), fresh.position)
 
 
 def closed_form_usage(policy, n, ks):
@@ -310,10 +309,10 @@ def test_batches_match_closed_form_and_reference(data, n, policy):
             bad = data.draw(NON_INTS)
             batch = list(ks[lo:hi])
             batch.insert(data.draw(st.integers(0, len(batch))), bad)
-            before = (list(mine.usage), mine.position, mine.bit)
+            before = (list(mine.usage), mine.position)
             with pytest.raises(TypeError):
                 mine.allocate(batch)
-            assert (mine.usage, mine.position, mine.bit) == before
+            assert (mine.usage, mine.position) == before
         mine.allocate(ks[lo:hi])
         for k in ks[lo:hi]:
             ref.allocate(min(k, n))

@@ -338,7 +338,8 @@ def test_batch_reaches_l2_in_record_order():
 
 def test_hierarchy_rejects_bad_input():
     # memory records are checked once, where a Trace encodes them
-    for record, message in ((MemAccess("READ", -1, "DATA"), "address must be non-negative"),
+    for record, message in ((MemAccess("READ", -1, "DATA"),
+                             "address must be a non-negative integer, got -1"),
                             (MemAccess("READ", 0, "CODE"), "address space must be DATA or INSTR"),
                             (MemAccess("FETCH", 0, "DATA"), "memory kind must be READ or WRITE")):
         with pytest.raises(ValueError, match=message):

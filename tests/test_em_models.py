@@ -222,6 +222,50 @@ def test_celsius_conversion():
     assert celsius_to_kelvin(105.0) == 378.15
 
 
+SIGNAL = {"capacitance_c": 1e-15, "supply_vdd": 0.9, "frequency_f": 1e9, "toggle_p": 0.5}
+
+
+@pytest.mark.parametrize("check, message", [
+    pytest.param(lambda nan: TechParams(scale_A=nan), "scale_A must be > 0", id="scale_A"),
+    pytest.param(lambda nan: TechParams(exponent_n=nan), "exponent_n must be > 0",
+                 id="exponent_n"),
+    pytest.param(lambda nan: TechParams(activation_energy_ea=nan),
+                 "activation_energy_ea must be >= 0", id="activation_energy_ea"),
+    pytest.param(lambda nan: TechParams(temperature_t=nan), r"temperature_t must be > 0 \(kelvin\)",
+                 id="temperature_t"),
+    pytest.param(lambda nan: WireGeometry(nan, 1e-7), "wire width and height must be > 0",
+                 id="width_w"),
+    pytest.param(lambda nan: WireGeometry(1e-7, nan), "wire width and height must be > 0",
+                 id="height_h"),
+    *(pytest.param(lambda nan, field=field: SignalElectricals(**{**SIGNAL, field: nan}),
+                   message, id=field)
+      for field, message in (("capacitance_c", "capacitance_c must be >= 0"),
+                             ("supply_vdd", "supply_vdd must be > 0"),
+                             ("frequency_f", "frequency_f must be > 0"),
+                             ("toggle_p", r"toggle_p must be within \[0, 1\]"),
+                             ("rise_tr", "rise/fall times must be > 0"),
+                             ("fall_tf", "rise/fall times must be > 0"))),
+    pytest.param(lambda nan: RmsLimit(nan), "RMS limit fields must be > 0", id="i_rms_max"),
+    pytest.param(lambda nan: RmsLimit(1e-3, nan), "RMS limit fields must be > 0",
+                 id="mtf_technology"),
+    pytest.param(lambda nan: black_mtf(TechParams(), nan), "current density J must be > 0",
+                 id="black_mtf"),
+    pytest.param(lambda nan: reduced_rms_current(RmsLimit(1e-3), nan), "mtf_reduced must be > 0",
+                 id="reduced_rms_current"),
+    pytest.param(lambda nan: lifetime_extension_from_current_ratio(nan),
+                 r"i_ratio must be in \(0, 1\]", id="lifetime_extension"),
+    pytest.param(lambda nan: mtf_improvement(nan, 1.0), "p_max_original must be > 0",
+                 id="p_max_original"),
+    pytest.param(lambda nan: mtf_improvement(1.0, nan), "p_max_aware must be > 0",
+                 id="p_max_aware"),
+])
+@pytest.mark.parametrize("nan", [math.nan, -math.nan])
+def test_nan_is_rejected_with_its_check_message(check, message, nan):
+    # every range check also turns NaN away, which compares false either way
+    with pytest.raises(ValueError, match=message):
+        check(nan)
+
+
 def test_invariant_validation():
     with pytest.raises(ValueError):
         TechParams(scale_A=0)

@@ -77,7 +77,11 @@ def test_serialize_parse_round_trip():
 @pytest.mark.parametrize("event, needle", [
     (Event(5, MemAccess("X", 8, "DATA")), "memory kind must be READ or WRITE"),
     (Event(6, MemAccess("WRITE", -8, "I")), "address space must be DATA or INSTR"),
-    (Event(6, MemAccess("WRITE", -8, "INSTR")), "address must be non-negative"),
+    (Event(6, MemAccess("WRITE", -8, "INSTR")), "address must be a non-negative integer, got -8"),
+    (Event(6, MemAccess("READ", True, "DATA")), "address must be a non-negative integer, got True"),
+    (Event(6, MemAccess("READ", 1.5, "DATA")), "address must be a non-negative integer, got 1.5"),
+    (Event(6, MemAccess("READ", "8", "DATA")), "address must be a non-negative integer, got '8'"),
+    (Event(6, (2,)), r"not an AluIssue, RegWrite or MemAccess: \(2,\)"),
     (Event(7, AluIssue(-3)), "ready_count must be a non-negative integer"),
     (Event(8, RegWrite("VEC", 1)), "unknown register class 'VEC'"),
     (Event(8, RegWrite("GPR", True)), "register id must be a non-negative integer"),
@@ -308,8 +312,10 @@ SOME_INTS = st.integers(-2, 2 ** 64 + 1) | st.sampled_from([-1, 0, 2 ** 64 - 1, 
 PAYLOADS = st.one_of(
     st.builds(AluIssue, SOME_INTS),
     st.builds(RegWrite, st.sampled_from(["GPR", "FP", "FLAGS", "SP", "VEC", "gpr"]), SOME_INTS),
-    st.builds(MemAccess, st.sampled_from(["READ", "WRITE", "R"]), SOME_INTS,
-              st.sampled_from(["DATA", "INSTR", "D"])))
+    st.builds(MemAccess, st.sampled_from(["READ", "WRITE", "R"]),
+              SOME_INTS | st.sampled_from([1.5, 8.0, "8"]),
+              st.sampled_from(["DATA", "INSTR", "D"])),
+    st.just((2,)))  # equal to AluIssue(2), but no payload
 EVENTS = st.lists(st.builds(Event, SOME_INTS, PAYLOADS), max_size=12)
 
 
@@ -430,6 +436,16 @@ def test_save_load_round_trip(tmp_path):
     assert load_trace(path) == parse_trace(MIXED.splitlines())
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first.startswith("#")
+
+
+@pytest.mark.parametrize("header", ["a\nb", "a\rb", "a\r\nb", "\n"])
+def test_save_trace_rejects_a_header_with_a_line_break(tmp_path, header):
+    # the header is one comment line: a line break in it would turn the
+    # rest into a line that load_trace rejects, so no file is written
+    path = tmp_path / "t.trace"
+    with pytest.raises(ValueError, match="header must be one line"):
+        save_trace(path, MIXED_EVENTS, header=header)
+    assert not path.exists()
 
 
 # Frozen digests: regenerating any of these traces must stay byte-identical
