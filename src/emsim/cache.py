@@ -24,25 +24,27 @@ Write accounting: a write hit and a line fill each count as one write to
 the touched entry (a fill rewrites the whole line). Invalidation clears
 bits only and is not counted; the refill traffic it causes is.
 
-Every level reads and emits mem codes (workload.mem_code), so its block is
-code >> (log2(line_bytes) + 2). TLBs reuse the same model with line_bytes=1
-over page mem codes (4 KiB pages), so a "block" there is the page number.
+Every level reads and emits mem codes (workload.mem_code); TLBs reuse the
+model with line_bytes=1 over page mem codes, so their blocks are pages.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .records import checked
-from .workload import ConfigError
+from .records import ConfigError, checked
 
-_PAGE_SHIFT = 14  # mem code >> _PAGE_SHIFT = 4 KiB page (12 offset + 2 flag bits)
 MAX_SETS = 1 << 20  # a level builds one list per set
 MAX_ENTRIES = 1 << 24  # and a write counter per entry (sets * ways)
 
 
 def _power_of_two(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
+
+
+def _code_shift(nbytes: int) -> int:
+    """mem code >> _code_shift(nbytes) = its nbytes-block number: log2(nbytes) + 2 flag bits go."""
+    return nbytes.bit_length() + 1
 
 
 @checked
@@ -86,7 +88,7 @@ class RotatingCache:
     def __init__(self, config: CacheConfig, charge_rotation_writebacks: bool = True):
         self.config = config
         self.rot_counter = 0
-        self._shift = config.line_bytes.bit_length() + 1  # mem code >> _shift = block
+        self._shift = _code_shift(config.line_bytes)
         self._where: dict[int, int] = {}  # resident block -> way << 2 | dirty << 1
         self._lru = [[] for _ in range(config.sets)]  # resident blocks, MRU first
         self.line_writes = [0] * (config.sets * config.ways)  # per entry, set-major
@@ -211,6 +213,7 @@ _DEFAULT_GEOMETRY = {
     "STLB": dict(sets=128, ways=4, line_bytes=1),
 }
 LEVEL_ROLES = tuple(_DEFAULT_GEOMETRY)
+_PAGE_SHIFT = _code_shift(4096)  # mem code >> _PAGE_SHIFT = 4 KiB page number
 
 
 class Hierarchy:
@@ -233,12 +236,10 @@ class Hierarchy:
         self.caches = caches  # role -> level, for every role in LEVEL_ROLES
 
     def access(self, codes: list[int]) -> None:
-        """Replays a batch of memory records, each a mem_code: address << 2 |
-        is_write << 1 | is_instr. A record's L1 takes its code as is and its
-        TLB a read of its page, the page mem code code >> _PAGE_SHIFT << 2.
-        A batch of one space runs straight through that space's L1 and TLB;
-        a batch of both is split by space and the L1 and TLB outputs are
-        merged back into batch order."""
+        """Replays a batch of mem codes (workload.mem_code). A record's L1 takes
+        its code as is and its TLB a read of its page. A batch of one space runs
+        straight through that space's L1 and TLB; a batch of both is split by
+        space and the L1 and TLB outputs are merged back into batch order."""
         c = self.caches
         instr = [i for i, code in enumerate(codes) if code & 1]
         if 0 < len(instr) < len(codes):

@@ -372,18 +372,17 @@ def cmd_report_merge(args) -> int:
             raise ConfigError(f"{path}: not a simulation report")
         run = {}
         for i, row in enumerate(doc["reports"]):
+            where = f"{path}: report row {i}"
             if not isinstance(row, dict):
-                raise ConfigError(f"{path}: report row {i} is not an object")
-            structure, value = row.get("structure"), row.get("mtf_improvement")
+                raise ConfigError(f"{where} is not an object")
+            structure, value = row.get("structure"), improvement_from_json(row.get("mtf_improvement"))
             if not isinstance(structure, str):
-                raise ConfigError(f"{path}: report row {i}: structure must be "
-                                  f"a string, got {structure!r}")
-            if value != "unbounded" and not _finite_number(value):
-                raise ConfigError(f"{path}: report row {i}: mtf_improvement must be "
-                                  f'a finite number or "unbounded", got {value!r}')
+                raise ConfigError(f"{where}: structure must be a string, got {structure!r}")
+            if value is not em.UNBOUNDED and not _finite_number(value):
+                raise ConfigError(f"{where}: mtf_improvement must be a finite number or "
+                                  f'"unbounded", got {value!r}')
             if structure in run:
-                raise ConfigError(f"{path}: report row {i}: structure {structure!r} "
-                                  f"appears twice")
+                raise ConfigError(f"{where}: structure {structure!r} appears twice")
             run[structure] = value
         runs.append(run)
 
@@ -393,7 +392,7 @@ def cmd_report_merge(args) -> int:
         if missing:
             raise ConfigError(f"structure {structure!r} missing from "
                               f"{missing[0]}; merge needs matching runs")
-        agg = geo_mean([improvement_from_json(run[structure]) for run in runs])
+        agg = geo_mean([run[structure] for run in runs])
         merged.append(({"structure": structure, "runs": len(runs),
                         "geo_mean_improvement": improvement_to_json(agg)},
                        improvement_display(agg)))

@@ -29,6 +29,9 @@ from .rng import SplitMix64
 REG_CLASSES = ("GPR", "FP", "FLAGS", "SP")
 MEM_KINDS = ("READ", "WRITE")
 MEM_SPACES = ("DATA", "INSTR")
+# mem_code bits by trace letter (a name's first), from the name's position
+_KIND_BIT = {kind[0]: i << 1 for i, kind in enumerate(MEM_KINDS)}
+_SPACE_BIT = {space[0]: i for i, space in enumerate(MEM_SPACES)}
 
 
 class TraceParseError(ValueError):
@@ -68,10 +71,10 @@ def mem_code(p: MemAccess) -> int:
     """A memory record as a Trace holds it and the cache levels consume it
     as is: one int, address << 2 | is_write << 1 | is_instr."""
     if p.kind not in MEM_KINDS:
-        raise ValueError("memory kind must be READ or WRITE")
+        raise ValueError(f"memory kind must be {' or '.join(MEM_KINDS)}")
     if p.space not in MEM_SPACES:
-        raise ValueError("address space must be DATA or INSTR")
-    return _count(p.address, "address") << 2 | (p.kind == "WRITE") << 1 | (p.space == "INSTR")
+        raise ValueError(f"address space must be {' or '.join(MEM_SPACES)}")
+    return _count(p.address, "address") << 2 | _KIND_BIT[p.kind[0]] | _SPACE_BIT[p.space[0]]
 
 
 ALU, REG, MEM = range(3)  # a record's kind in parse_trace and _records
@@ -122,9 +125,6 @@ class Trace:
 
 # --- parsing / serialization -------------------------------------------------
 
-# a memory record's letters, its kind's and space's first, as mem_code bits
-_KIND_BIT = {kind[0]: i << 1 for i, kind in enumerate(MEM_KINDS)}
-_SPACE_BIT = {space[0]: i for i, space in enumerate(MEM_SPACES)}
 PARSE_MEMO_TEXTS = 1 << 13  # the most record texts parse_trace keeps at once
 
 
@@ -202,12 +202,12 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 elif tag == "M":
                     if len(fields) != 5:
                         raise TraceParseError("memory record needs 5 fields", line_no)
-                    write_bit = _KIND_BIT.get(fields[2])
-                    if write_bit is None:
-                        raise TraceParseError(f"memory kind must be R or W, got {fields[2]!r}", line_no)
-                    instr_bit = _SPACE_BIT.get(fields[4])
-                    if instr_bit is None:
-                        raise TraceParseError(f"memory space must be D or I, got {fields[4]!r}", line_no)
+                    write_bit, instr_bit = _KIND_BIT.get(fields[2]), _SPACE_BIT.get(fields[4])
+                    if write_bit is None or instr_bit is None:
+                        what, bits, got = (("kind", _KIND_BIT, fields[2]) if write_bit is None
+                                           else ("space", _SPACE_BIT, fields[4]))
+                        raise TraceParseError(f"memory {what} must be {' or '.join(bits)}, "
+                                              f"got {got!r}", line_no)
                     address = to_int(fields[3])
                     if address < 0:
                         raise TraceParseError("address must be non-negative", line_no)
