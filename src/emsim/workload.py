@@ -17,6 +17,7 @@ courtesy of the fixed SplitMix64 generator.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from array import array
 from bisect import bisect_right
@@ -301,16 +302,22 @@ def load_trace(path) -> Trace:
 
 
 def save_trace(path, events: Iterable[Event], header: str | None = None) -> None:
-    """Write events as a trace file under a one-line header comment, if
-    given: a header with a line break raises ValueError before the open."""
+    """Write events as a trace file under a one-line header comment, if given.
+    A header with a line break, or that UTF-8 cannot encode, raises ValueError
+    before the open; a later error removes path if it is a regular file."""
     if header and ("\n" in header or "\r" in header):
         raise ValueError(f"header must be one line, got {header!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# emsim trace v1\n")
-        if header:
-            fh.write(f"# {header}\n")
-        for line in serialize_trace(events):
-            fh.write(line + "\n")
+    (header or "").encode("utf-8")  # UnicodeEncodeError, a ValueError, before the open
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("# emsim trace v1\n" + (f"# {header}\n" if header else ""))
+            for line in serialize_trace(events):
+                fh.write(line + "\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 # --- synthetic workload generation -------------------------------------------

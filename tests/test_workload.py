@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
 from array import array
@@ -438,14 +439,66 @@ def test_save_load_round_trip(tmp_path):
     assert first.startswith("#")
 
 
-@pytest.mark.parametrize("header", ["a\nb", "a\rb", "a\r\nb", "\n"])
+@pytest.mark.parametrize("header", ["a\nb", "a\rb", "a\r\nb", "\n", "\ud800"])
 def test_save_trace_rejects_a_header_with_a_line_break(tmp_path, header):
-    # the header is one comment line: a line break in it would turn the
-    # rest into a line that load_trace rejects, so no file is written
+    # the header is one comment line of UTF-8 text: a line break in it would
+    # turn the rest into a line that load_trace rejects, and a lone surrogate
+    # has no UTF-8 form, so no file is written
     path = tmp_path / "t.trace"
-    with pytest.raises(ValueError, match="header must be one line"):
+    error = "surrogates not allowed" if header == "\ud800" else "header must be one line"
+    with pytest.raises(ValueError, match=error):
         save_trace(path, MIXED_EVENTS, header=header)
     assert not path.exists()
+
+
+BAD_EVENTS = [Event(0, AluIssue(1)), Event(0, AluIssue(2))]  # the second is rejected
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_save_trace_removes_its_partial_file(tmp_path, existing):
+    # "0 A 1" is written before serialize_trace rejects the second event
+    path = tmp_path / "t.trace"
+    if existing:
+        path.write_text("# an older trace\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="second ALU issue in cycle 0"):
+        save_trace(path, BAD_EVENTS)
+    assert not path.exists()
+
+
+def test_save_trace_leaves_special_files_and_symlinks(tmp_path):
+    # a failed save to a device or through a symlink raises, but only a
+    # regular file at the path itself is removed
+    with pytest.raises(ValueError, match="second ALU issue in cycle 0"):
+        save_trace(os.devnull, BAD_EVENTS)
+    assert os.path.exists(os.devnull)
+    target, link = tmp_path / "target.trace", tmp_path / "link.trace"
+    link.symlink_to(target)
+    with pytest.raises(ValueError, match="second ALU issue in cycle 0"):
+        save_trace(link, BAD_EVENTS)
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "# emsim trace v1\n0 A 1\n"
+
+
+# a memory record's kind and space, its letters, and its mem code's flag
+# bits, written out rather than read from MEM_KINDS/MEM_SPACES: a round trip
+# through serialize_trace and parse_trace cannot see two letters or bits
+# swapped on both sides, this table can
+MEM_CODEC = [
+    ("READ", "DATA", "R", "D", 0b00),
+    ("READ", "INSTR", "R", "I", 0b01),
+    ("WRITE", "DATA", "W", "D", 0b10),
+    ("WRITE", "INSTR", "W", "I", 0b11),
+]
+
+
+@pytest.mark.parametrize("kind,space,kind_letter,space_letter,flags", MEM_CODEC)
+@pytest.mark.parametrize("address", [0, 8, 2 ** 62, 2 ** 64 + 4])
+def test_memory_record_codec_matches_its_table(kind, space, kind_letter, space_letter, flags,
+                                                address):
+    event = Event(5, MemAccess(kind, address, space))
+    line = f"5 M {kind_letter} {address} {space_letter}"
+    assert list(serialize_trace([event])) == [line]
+    assert mem_code(event.payload) == address << 2 | flags
+    assert parse_trace([line]).mem == Trace.from_events([event]).mem == [address << 2 | flags]
 
 
 # Frozen digests: regenerating any of these traces must stay byte-identical
