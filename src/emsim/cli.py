@@ -215,7 +215,7 @@ def cmd_gen_trace(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_trace(args.out, iter_events(spec))
-    print(f"wrote {spec.length} events to {args.out}")
+    print(f"wrote {spec.length} events to {args.out}", file=sys.stderr)  # stdout may be the trace
     return 0
 
 

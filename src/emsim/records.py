@@ -1,7 +1,7 @@
 """emsim's checked records: the checked decorator, which makes a NamedTuple
 whose _check method checks its fields (GenSpec, CacheConfig, SimConfig and
 the em_models parameter records) check on every construction, the
-ConfigError their checks raise, and the integer check they share."""
+ConfigError their checks raise, and the bounded integer check they share."""
 
 
 class ConfigError(ValueError):
@@ -36,9 +36,16 @@ def checked(record: type) -> type:
         "__qualname__": record.__qualname__, "__doc__": record.__doc__})
 
 
-def check_integers(record: tuple, *fields: str) -> None:
-    """Raise ConfigError unless each field of record is an int, not a bool."""
-    for field in fields:
+def check_integers(record: tuple, **bounds: tuple[int | None, int | None]) -> None:
+    """Raise ConfigError unless each field of record, given as field=(lowest,
+    highest), is an int, not a bool, within those bounds; a None bound is
+    open. Fields are checked in call order, each for its type, then its
+    lowest bound, then its highest, so the first fault found is reported."""
+    for field, (lowest, highest) in bounds.items():
         value = getattr(record, field)
         if type(value) is not int:
             raise ConfigError(f"{field} must be an integer, got {value!r}")
+        if lowest is not None and value < lowest:
+            raise ConfigError(f"{field} must be >= {lowest}")
+        if highest is not None and value > highest:
+            raise ConfigError(f"{field} must be <= {highest}")

@@ -97,13 +97,7 @@ class SimConfig(NamedTuple):
             raise ConfigError(
                 'the aware run needs a finite rotation period; use a '
                 'per-level "never" to pin individual cache levels')
-        check_integers(self, "alu_units", "rotation_period")
-        if self.alu_units < 1:
-            raise ConfigError("alu_units must be >= 1")
-        if self.alu_units > MAX_ALU_UNITS:
-            raise ConfigError(f"alu_units must be <= {MAX_ALU_UNITS}")
-        if self.rotation_period < 1:
-            raise ConfigError("rotation_period must be >= 1")
+        check_integers(self, alu_units=(1, MAX_ALU_UNITS), rotation_period=(1, None))
         if type(self.count_rotation_shifts) is not bool:
             raise ConfigError("count_rotation_shifts must be a boolean")
         if type(self.charge_rotation_writebacks) is not bool:

@@ -337,12 +337,8 @@ class ZipfRegWrites(NamedTuple):
         return [RegWrite("GPR", reg) for reg in range(self.num_regs)].__getitem__
 
     def _check(self):
-        check_integers(self, "num_regs")
+        check_integers(self, num_regs=(1, MAX_TABLE))
         _finite_numbers(self, "zipf_s")
-        if self.num_regs < 1:
-            raise ConfigError("num_regs must be >= 1")
-        if self.num_regs > MAX_TABLE:
-            raise ConfigError(f"num_regs must be <= {MAX_TABLE}")
         if self.zipf_s <= 0:
             raise ConfigError("zipf_s must be > 0")
 
@@ -367,18 +363,12 @@ class SkewedAddrs(NamedTuple):
         return lambda line: MemAccess(MEM_KINDS[rng.random() < 0.5], line * self.line_bytes, "DATA")
 
     def _check(self):
-        check_integers(self, "working_set_lines", "line_bytes")
+        check_integers(self, working_set_lines=(1, MAX_TABLE), line_bytes=(1, None))
         _finite_numbers(self, "hot_fraction", "hot_weight")
-        if self.working_set_lines < 1:
-            raise ConfigError("working_set_lines must be >= 1")
-        if self.working_set_lines > MAX_TABLE:
-            raise ConfigError(f"working_set_lines must be <= {MAX_TABLE}")
         if not 0.0 < self.hot_fraction <= 1.0:
             raise ConfigError("hot_fraction must be in (0, 1]")
         if self.hot_weight < 1.0:
             raise ConfigError("hot_weight must be >= 1")
-        if self.line_bytes < 1:
-            raise ConfigError("line_bytes must be >= 1")
 
 
 class AluBursts(NamedTuple):
@@ -396,12 +386,10 @@ class AluBursts(NamedTuple):
         return [AluIssue(width) for width in range(self.max_width + 1)].__getitem__
 
     def _check(self):
-        check_integers(self, "max_width")
+        check_integers(self, max_width=(1, None))
         w = self.width_distribution
         if not isinstance(w, (list, tuple)) or not all(map(_finite, w)):
             raise ConfigError(f"width_distribution must be a list of finite numbers, got {w!r}")
-        if self.max_width < 1:
-            raise ConfigError("max_width must be >= 1")
         if len(self.width_distribution) != self.max_width + 1:
             raise ConfigError("width_distribution needs max_width + 1 weights")
         if any(w < 0 for w in self.width_distribution):
@@ -438,11 +426,9 @@ class GenSpec(NamedTuple):
     kind: Kind
 
     def _check(self):
-        check_integers(self, "seed", "length")
+        check_integers(self, seed=(None, None), length=(0, None))
         if not 0 <= self.seed < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
-        if self.length < 0:
-            raise ConfigError("length must be >= 0")
         k = self.kind
         if type(k) not in GENERATOR_KINDS.values():
             raise ConfigError(f"unknown generator kind {k!r}")

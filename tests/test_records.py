@@ -305,6 +305,20 @@ def test_the_size_bounds_themselves_are_legal():
     # an int passes where a float does, up to the largest float
     assert GenSpec(1, 10, ZipfRegWrites(4, int(sys.float_info.max))).kind.zipf_s > 1e308
     assert GenSpec(1, 10, AluBursts(2, [1, 2, 1])).kind.width_distribution == [1, 2, 1]
+    # every lowest bound is legal
+    assert GenSpec(1, 10, ZipfRegWrites(1, 1.0)).kind.num_regs == 1
+    assert GenSpec(1, 10, SkewedAddrs(1, 1.0, 1.0, 1)).kind.line_bytes == 1
+    assert GenSpec(1, 10, AluBursts(1, (1.0, 1.0))).kind.max_width == 1
+    assert GenSpec(1, 0, ZIPF).length == 0
+    cfg = SimConfig(alu_units=1, rotation_period=1)
+    assert (cfg.alu_units, cfg.rotation_period) == (1, 1)
+    # an open highest bound takes any int, past a float's exact range too
+    assert GenSpec(1, 10, SkewedAddrs(8, 0.5, 2.0, 1 << 70)).kind.line_bytes == 1 << 70
+    assert SimConfig(rotation_period=1 << 70).rotation_period == 1 << 70
+    # fields are checked in order, each for its type, then its bounds: the
+    # first field's bound is reported before the second field's type
+    with pytest.raises(ConfigError, match=r"^alu_units must be >= 1$"):
+        SimConfig(alu_units=0, rotation_period="5")
 
 
 # a valid checked record, one field made bad, the exception type, its message

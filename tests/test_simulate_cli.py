@@ -30,6 +30,8 @@ from emsim.workload import (
     Trace,
     generate,
     genspec_from_json,
+    iter_events,
+    load_trace,
     parse_trace,
     save_trace,
 )
@@ -848,6 +850,21 @@ def test_cli_gen_trace_seed_override_matches_inline_seed(tmp_path):
     assert main(["gen-trace", "--gen", base.replace('"seed": 42', '"seed": 7'),
                  "--out", str(direct)]) == 0
     assert override.read_bytes() == direct.read_bytes()
+
+
+def test_cli_gen_trace_to_stdout_pipes_a_clean_trace(tmp_path):
+    # the status line goes to stderr, so the redirected stdout holds the trace alone
+    spec = ('{"kind": "alu-bursts", "seed": 1, "length": 100, "max_width": 2, '
+            '"width_distribution": [1, 2, 1]}')
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    piped = tmp_path / "piped.trace"
+    with open(piped, "wb") as out:
+        run = subprocess.run([sys.executable, "-m", "emsim.cli", "gen-trace", "--gen", spec,
+                              "--out", "/dev/stdout"], env=env, stdout=out,
+                             stderr=subprocess.PIPE, encoding="utf-8", timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "wrote 100 events to /dev/stdout\n"
+    assert load_trace(piped) == Trace.from_events(iter_events(genspec_from_json(json.loads(spec))))
 
 
 @pytest.mark.parametrize("spec", [
